@@ -50,16 +50,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_seed(path: str) -> tuple[LabeledSeed, list[str]]:
-    return seed_from_json(Path(path).read_text())
-
-
-def _load_matrix(path: str) -> ExchangeMatrix:
+    """Read a seed file: a bare matrix, or an object with "n", "matrix" and optional "names"."""
     text = Path(path).read_text()
     data = json.loads(text)
     if isinstance(data, list):
-        return ExchangeMatrix(data)
-    seed, _ = seed_from_json(text)
-    return seed.matrix
+        text = json.dumps({"n": len(data), "matrix": data})
+    return seed_from_json(text)
 
 
 def _print_seed(s: LabeledSeed, names: list[str]) -> None:
@@ -126,7 +122,7 @@ def _cmd_belt(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    B = _load_matrix(args.matrix)
+    B = _load_seed(args.matrix)[0].matrix
     print(classify(B, budget=args.budget).to_json())
     return 0
 

@@ -35,10 +35,14 @@ class ExchangeMatrix:
         n = len(rows)
         if n == 0:
             raise ValueError("empty matrix")
-        grid = tuple(tuple(int(x) for x in row) for row in rows)
+        grid = tuple(tuple(row) for row in rows)
         for row in grid:
             if len(row) != n:
                 raise ValueError("matrix is not square")
+            for x in row:
+                # bool is an int subclass; floats and strings are not coerced
+                if type(x) is not int:
+                    raise ValueError(f"matrix entry {x!r} is not an integer")
         for i in range(n):
             if grid[i][i] != 0:
                 raise NotSkewSymmetrizable(f"nonzero diagonal entry at ({i + 1},{i + 1})")

@@ -75,8 +75,11 @@ def find_periods(
         raise ValueError("max_len must be nonnegative")
     n = _rank(target)
     found: list[tuple[int, ...]] = []
-
-    def walk(state: Target, prefix: tuple[int, ...]):
+    # depth-first with an explicit stack: max_len may exceed the
+    # interpreter's recursion limit
+    stack: list[tuple[Target, tuple[int, ...]]] = [(target, ())] if max_len > 0 else []
+    while stack:
+        state, prefix = stack.pop()
         for k in range(1, n + 1):
             if essential_only and prefix and prefix[-1] == k:
                 continue
@@ -85,10 +88,7 @@ def find_periods(
             if _returns(nxt, sigma, target):
                 found.append(seq)
             if len(seq) < max_len:
-                walk(nxt, seq)
-
-    if max_len > 0:
-        walk(target, ())
+                stack.append((nxt, seq))
     return sorted(found, key=lambda t: (len(t), t))
 
 

@@ -117,18 +117,20 @@ def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:
     """
     if not 1 <= k <= s.rank:
         raise IndexError(f"mutation index {k} out of range [1,{s.rank}]")
-    nvars = s.nvars
-    plus = LaurentPoly.one(nvars)
-    minus = LaurentPoly.one(nvars)
     col = k - 1
+    plus: LaurentPoly | None = None
+    minus: LaurentPoly | None = None
     for i in range(s.rank):
         b = s.matrix.rows[i][col]
         if b > 0:
-            plus = plus * s.cluster[i].pow(b)
+            f = s.cluster[i].pow(b)
+            plus = f if plus is None else plus * f
         elif b < 0:
-            minus = minus * s.cluster[i].pow(-b)
+            f = s.cluster[i].pow(-b)
+            minus = f if minus is None else minus * f
+    one = LaurentPoly.one(s.nvars)
     try:
-        new_var = exact_div(plus + minus, s.cluster[col])
+        new_var = exact_div((plus or one) + (minus or one), s.cluster[col])
     except NotDivisible as exc:
         raise InvariantViolation(
             f"exchange relation at {k} did not divide exactly"
@@ -295,28 +297,42 @@ def orbit(
 
 
 def seed_from_json(text: str) -> tuple[LabeledSeed, list[str]]:
-    """Parse {"n": int, "matrix": [[int]], "variables": [names]?}.
+    """Parse {"n": int, "matrix": [[int]], "names": [str]?}.
 
-    Returns the initial seed of the matrix plus display names.
+    Returns the initial seed of the matrix plus display names.  Unknown
+    keys are rejected rather than ignored.
     """
     data = json.loads(text)
     if not isinstance(data, dict) or "n" not in data or "matrix" not in data:
         raise ValueError('seed file needs keys "n" and "matrix"')
+    unknown = sorted(set(data) - {"n", "matrix", "names"})
+    if unknown:
+        raise ValueError(f"unknown seed file keys: {', '.join(unknown)}")
     n = data["n"]
     matrix = data["matrix"]
-    if not isinstance(n, int) or not isinstance(matrix, list) or len(matrix) != n:
+    if (
+        type(n) is not int
+        or not isinstance(matrix, list)
+        or len(matrix) != n
+        or not all(isinstance(row, list) for row in matrix)
+    ):
         raise ValueError('"matrix" must be an n-row array of arrays')
     B = ExchangeMatrix(matrix)
-    names = data.get("variables")
+    names = data.get("names")
     if names is None:
         names = [f"x{i}" for i in range(1, n + 1)]
-    if len(names) != n or len(set(names)) != n:
-        raise ValueError("variable names must be distinct and match n")
-    return LabeledSeed.initial(B), [str(x) for x in names]
+    if (
+        not isinstance(names, list)
+        or not all(isinstance(x, str) for x in names)
+        or len(names) != n
+        or len(set(names)) != n
+    ):
+        raise ValueError("names must be n distinct strings")
+    return LabeledSeed.initial(B), names
 
 
 def seed_to_json(B: ExchangeMatrix, names: Iterable[str] | None = None) -> str:
     data: dict = {"n": B.n, "matrix": B.to_lists()}
     if names is not None:
-        data["variables"] = list(names)
+        data["names"] = list(names)
     return json.dumps(data, indent=2)

@@ -47,6 +47,32 @@ class TestMutate:
         assert out[2] == "matrix:"
         assert out[3] == "  [  0  -1]"
 
+    def test_bare_matrix_seed(self, files, capsys):
+        assert main(["mutate", "--seed", files["bare"], "--sequence", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "x[1] = (1 + x2^2)/x1"
+
+    def test_names_are_used(self, tmp_path, capsys):
+        p = tmp_path / "named.json"
+        p.write_text('{"n": 2, "matrix": [[0, 1], [-1, 0]], "names": ["a", "b"]}')
+        assert main(["mutate", "--seed", str(p), "--sequence", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "x[1] = (1 + b)/a"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"n": 2, "matrix": [[0, 1], [-1, 0]], "variables": ["a", "b"]}',
+            "[[0, 1.7], [-1, 0]]",
+            "[[0, true], [-1, 0]]",
+            '[[0, "1"], [-1, 0]]',
+            "[1, 2]",
+        ],
+    )
+    def test_bad_seed_files_exit_one(self, tmp_path, capsys, payload):
+        p = tmp_path / "bad.json"
+        p.write_text(payload)
+        assert main(["mutate", "--seed", str(p), "--sequence", "1"]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_out_of_range_index(self, files, capsys):
         assert main(["mutate", "--seed", files["a2"], "--sequence", "7"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -101,6 +127,19 @@ class TestPeriods:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("no seed periods for sigma=id up to length 4")
+
+    def test_long_walk_beyond_recursion_limit(self, tmp_path, capsys):
+        p = tmp_path / "r1.json"
+        p.write_text('{"n": 1, "matrix": [[0]]}')
+        rc = main(["periods", "--seed", str(p), "--max-len", "1500",
+                   "--no-essential"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        out = captured.out.splitlines()
+        assert out[0] == "750 seed period(s) for sigma=id:"
+        assert out[1] == "  1,1"
+        assert out[-1] == "  " + ",".join(["1"] * 1500)
 
     def test_matrix_only(self, files, capsys):
         rc = main(["periods", "--seed", files["a2"], "--max-len", "2",

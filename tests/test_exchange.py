@@ -38,6 +38,11 @@ class TestExchangeMatrix:
         with pytest.raises((ValueError, NotSkewSymmetrizable)):
             ExchangeMatrix([[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize("entry", [1.7, True, "1"])
+    def test_non_int_entries_rejected(self, entry):
+        with pytest.raises(ValueError, match="not an integer"):
+            ExchangeMatrix([[0, entry], [-1, 0]])
+
     def test_symmetrizer_found(self):
         assert b2_matrix().symmetrizer == (2, 1)
         assert a2_matrix().symmetrizer == (1, 1)

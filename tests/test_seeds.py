@@ -151,6 +151,25 @@ class TestJsonRoundtrip:
         assert seed == LabeledSeed.initial(a3_path_matrix())
         assert names == ["a", "b", "c"]
 
+    def test_names_key_is_written_and_read(self):
+        text = seed_to_json(a2_matrix(), ["a", "b"])
+        assert '"names"' in text
+        _, names = seed_from_json('{"n": 2, "matrix": [[0, 1], [-1, 0]], "names": ["p", "q"]}')
+        assert names == ["p", "q"]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"n": 2, "matrix": [[0, 1], [-1, 0]], "variables": ["a", "b"]}',
+            '{"n": 2, "matrix": [[0, 1], [-1, 0]], "names": ["a", 2]}',
+            '{"n": 2, "matrix": [1, 2]}',
+            '{"n": true, "matrix": [[0]]}',
+        ],
+    )
+    def test_unknown_keys_and_malformed_fields_rejected(self, payload):
+        with pytest.raises(ValueError):
+            seed_from_json(payload)
+
     def test_default_names(self):
         _, names = seed_from_json(seed_to_json(a2_matrix()))
         assert names == ["x1", "x2"]
@@ -162,5 +181,5 @@ class TestJsonRoundtrip:
             seed_from_json('{"n": 2, "matrix": [[0, 1]]}')
         with pytest.raises(ValueError):
             seed_from_json(
-                '{"n": 2, "matrix": [[0, 1], [-1, 0]], "variables": ["a", "a"]}'
+                '{"n": 2, "matrix": [[0, 1], [-1, 0]], "names": ["a", "a"]}'
             )

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from clusteralg.errors import NotDivisible
+from clusteralg.fixtures import a4_path_matrix, kronecker_matrix
+from clusteralg.periodicity import bipartite_belt
+from clusteralg.seeds import LabeledSeed, orbit
 from clusteralg.symbolic import LaurentPoly, exact_div, generators
 
 
@@ -119,3 +125,114 @@ def test_generator_bounds():
         LaurentPoly.generator(2, 3)
     with pytest.raises(ValueError):
         LaurentPoly.generator(2, 0)
+
+
+# -- differential tests against a schoolbook reference on tuple keys ---
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_div(p: dict, q: dict) -> dict | None:
+    """Quotient r with q*r == p, or None; division under graded lex order."""
+    rem = dict(p)
+    quot: dict = {}
+    grlex = lambda e: (sum(e), e)  # noqa: E731
+    lead = max(q, key=grlex)
+    while rem:
+        top = max(rem, key=grlex)
+        t = tuple(x - y for x, y in zip(top, lead))
+        # a true quotient's exponents lie within the bounds of p's minus q's
+        if rem[top] % q[lead] or any(
+            x < min(col) - min(qcol) or x > max(col) - max(qcol)
+            for x, col, qcol in zip(t, zip(*p), zip(*q))
+        ):
+            return None
+        quot[t] = rem[top] // q[lead]
+        for e, c in _ref_mul({t: quot[t]}, q).items():
+            s = rem.get(e, 0) - c
+            if s:
+                rem[e] = s
+            else:
+                del rem[e]
+    return quot
+
+
+def _random_poly(rng: random.Random, nvars: int, max_terms: int) -> LaurentPoly:
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exp = tuple(rng.randint(-3, 3) for _ in range(nvars))
+        terms[exp] = rng.choice([-3, -2, -1, 1, 1, 1, 2, 3])
+    return LaurentPoly(nvars, terms)
+
+
+@pytest.mark.parametrize("nvars", range(6))
+def test_mul_matches_schoolbook(nvars):
+    rng = random.Random(100 + nvars)
+    for _ in range(60):
+        a = _random_poly(rng, nvars, rng.choice([1, 3, 16]))
+        b = _random_poly(rng, nvars, rng.choice([1, 3, 16]))
+        assert (a * b).terms == _ref_mul(a.terms, b.terms)
+        assert (a * b).canonical_string() == (b * a).canonical_string()
+
+
+@pytest.mark.parametrize("nvars", range(6))
+def test_exact_div_matches_schoolbook(nvars):
+    rng = random.Random(200 + nvars)
+    for _ in range(60):
+        q = _random_poly(rng, nvars, rng.choice([1, 2, 4, 12]))
+        r = _random_poly(rng, nvars, rng.choice([1, 4, 12]))
+        p = q * r
+        assert exact_div(p, q) == r
+        assert _ref_div(p.terms, q.terms) == r.terms
+
+
+@pytest.mark.parametrize("nvars", range(6))
+def test_exact_div_fails_exactly_when_reference_fails(nvars):
+    rng = random.Random(300 + nvars)
+    failures = 0
+    for _ in range(80):
+        q = _random_poly(rng, nvars, rng.choice([1, 2, 4, 12]))
+        p = q * _random_poly(rng, nvars, rng.choice([1, 4, 12]))
+        exp = tuple(rng.randint(-4, 4) for _ in range(nvars))
+        p = p + LaurentPoly.monomial(nvars, exp, rng.choice([-1, 1, 2]))
+        if p.is_zero():
+            continue
+        expected = _ref_div(p.terms, q.terms)
+        if expected is None:
+            failures += 1
+            with pytest.raises(NotDivisible):
+                exact_div(p, q)
+        else:
+            assert exact_div(p, q).terms == expected
+    assert failures > 20
+
+
+def test_pow_zero_and_one():
+    for p in (
+        LaurentPoly(3, {(1, -2, 0): 2, (0, 0, 5): -1}),
+        LaurentPoly.zero(2),
+        LaurentPoly.constant(0, 7),
+    ):
+        assert p.pow(0) == LaurentPoly.one(p.nvars)
+        assert p.pow(1) is p
+        assert p.pow(3).terms == _ref_mul(_ref_mul(p.terms, p.terms), p.terms)
+
+
+def test_orbit_and_belt_fixture_is_unchanged():
+    """Digest of the A4 relabeling orbit and the 20-step Kronecker belt."""
+    g = orbit(LabeledSeed.initial(a4_path_matrix()), max_seeds=5000,
+              with_permutations=True)
+    belt = bipartite_belt(LabeledSeed.initial(kronecker_matrix()), 20)
+    digest = hashlib.sha256()
+    for line in g.dump_lines() + [s.key_string() for s in belt.seeds]:
+        digest.update(line.encode())
+    assert digest.hexdigest() == (
+        "2a244d76819b62fe793f394aa087a051535d047d42463965032509fb8fab3cd0"
+    )
