@@ -11,13 +11,15 @@ Dynkin-diagram labeling, and the automorphism-finiteness probe.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
 from .exchange import (
     ExchangeMatrix,
+    MatrixClass,
     Permutation,
+    _closure,
+    _mutation_moves,
     apply_matrix_sequence,
     matrix_mutation_class,
 )
@@ -65,27 +67,35 @@ def _violating_pair(M: ExchangeMatrix, bound: int) -> tuple[int, int, int] | Non
 
 
 def _bounded_class_search(B: ExchangeMatrix, bound: int, budget: int) -> Decision:
-    """BFS the mutation class, pruning to "no" at the first bound violation."""
-    hit = _violating_pair(B, bound)
-    if hit is not None:
-        return Decision("no", BoundWitness((), *hit), budget)
-    visited = {B.rows}
-    queue = deque([(B, ())])
-    while queue:
-        M, word = queue.popleft()
-        for k in range(1, B.n + 1):
-            M2 = M.mutate(k)
-            if M2.rows in visited:
-                continue
-            word2 = word + (k,)
-            hit = _violating_pair(M2, bound)
-            if hit is not None:
-                return Decision("no", BoundWitness(word2, *hit), budget)
-            if len(visited) >= budget:
-                return Decision("unknown", None, budget)
-            visited.add(M2.rows)
-            queue.append((M2, word2))
-    return Decision("yes", None, budget)
+    """BFS the mutation class, stopping with "no" at the first bound violation.
+
+    Each new matrix is checked before the budget is, so the first matrix
+    past the budget can still give "no".
+    """
+    witness: list[BoundWitness] = []
+
+    def violates(M: ExchangeMatrix, word: tuple[int, ...]) -> bool:
+        hit = _violating_pair(M, bound)
+        if hit is not None:
+            witness.append(BoundWitness(word, *hit))
+        return hit is not None
+
+    _, _, _, complete = _closure(
+        B, (), _mutation_moves(B.n), lambda M: M.rows, budget, visit=violates
+    )
+    if witness:
+        return Decision("no", witness[0], budget)
+    return Decision("yes" if complete else "unknown", None, budget)
+
+
+def _bound_decision(mclass: MatrixClass, bound: int, budget: int) -> Decision:
+    """_bounded_class_search's answer, read off a class built to budget + 1."""
+    for M, word in zip(mclass.matrices, mclass.words):
+        hit = _violating_pair(M, bound)
+        if hit is not None:
+            return Decision("no", BoundWitness(word, *hit), budget)
+    closed = mclass.complete and len(mclass) <= budget
+    return Decision("yes" if closed else "unknown", None, budget)
 
 
 def is_finite_mutation_type(B: ExchangeMatrix, budget: int) -> Decision:
@@ -120,19 +130,23 @@ class MSearch:
 
 
 def search_m_and_acyclic(B: ExchangeMatrix, budget: int) -> MSearch:
-    mclass = matrix_mutation_class(B, max_matrices=budget)
+    return _m_search(matrix_mutation_class(B, max_matrices=budget), budget)
+
+
+def _m_search(mclass: MatrixClass, budget: int) -> MSearch:
+    """The m-invariant search over the first `budget` matrices of mclass."""
+    matrices = mclass.matrices[:budget]
     min_v = None
     min_word: tuple[int, ...] = ()
     acyclic_word = None
-    for M, word in zip(mclass.matrices, mclass.words):
+    for M, word in zip(matrices, mclass.words):
         v = M.v()
         if min_v is None or v < min_v:
             min_v, min_word = v, word
         if acyclic_word is None and M.is_acyclic():
             acyclic_word = word
-    return MSearch(
-        min_v, min_word, acyclic_word, mclass.complete, len(mclass.matrices), budget
-    )
+    complete = mclass.complete and len(mclass) <= budget
+    return MSearch(min_v, min_word, acyclic_word, complete, len(matrices), budget)
 
 
 @dataclass(frozen=True)
@@ -164,7 +178,12 @@ def main1_conditions(B: ExchangeMatrix, budget: int) -> Main1Flags:
     """
     if not B.is_skew_symmetric():
         raise ValueError("the quiver conditions need a skew-symmetric matrix")
-    flag_i = search_m_and_acyclic(B, budget).min_v == 1
+    return _main1_flags(B, search_m_and_acyclic(B, budget).min_v)
+
+
+def _main1_flags(B: ExchangeMatrix, min_v: int) -> Main1Flags:
+    """The three conditions, given the least v found in the class."""
+    flag_i = min_v == 1
     acyclic = B.is_acyclic()
     v2 = B.v() == 2
     triangles = B.underlying_triangles()
@@ -303,9 +322,23 @@ def _render(status: str, budget: int) -> str:
 
 
 def classify(B: ExchangeMatrix, budget: int) -> Classification:
-    ft = is_finite_type(B, budget)
-    fmt = is_finite_mutation_type(B, budget)
-    msearch = search_m_and_acyclic(B, budget)
+    """Every decision for B from a single walk of its mutation class.
+
+    The class is built once, to budget + 1 matrices: the bound searches
+    behind the finite-type answers also examine the first matrix past
+    their budget, while the m-invariant and acyclicity search reads only
+    the first budget matrices.  Each field equals what the standalone
+    functions return for the same budget.
+    """
+    if budget < 1:
+        raise ValueError("max_matrices must be positive")
+    mclass = matrix_mutation_class(B, budget + 1)
+    ft = _bound_decision(mclass, 3, budget)
+    if B.n <= 2:
+        fmt = Decision("yes", None, budget)
+    else:
+        fmt = _bound_decision(mclass, 4, budget)
+    msearch = _m_search(mclass, budget)
     if msearch.acyclic_word is not None:
         acyclic_status = "yes"
     elif msearch.complete:
@@ -316,7 +349,7 @@ def classify(B: ExchangeMatrix, budget: int) -> Classification:
         raise InvariantViolation(
             "finite type must imply finite mutation type and mutation-acyclic"
         )
-    main1 = main1_conditions(B, budget) if B.is_skew_symmetric() else None
+    main1 = _main1_flags(B, msearch.min_v) if B.is_skew_symmetric() else None
     dynkin = dynkin_type(B)
     return Classification(
         _render(ft.status, budget),
@@ -361,15 +394,6 @@ class ProbeResult:
             if t == s:
                 return False
         return True
-
-
-def _powers_avoid_seed(s: LabeledSeed, witness: tuple[int, ...], powers: int) -> bool:
-    t = s
-    for _ in range(powers):
-        t = apply_sequence(t, witness)
-        if t == s:
-            return False
-    return True
 
 
 def _alternating_return_word(
@@ -435,6 +459,7 @@ def automorphism_finiteness_probe(
     for word in candidates:
         if not is_sigma_period(B, word, ident).holds:
             raise InvariantViolation("constructed witness is not a matrix period")
-        if _powers_avoid_seed(s, word, powers):
-            return ProbeResult("infinite", word, powers, budget)
+        found = ProbeResult("infinite", word, powers, budget)
+        if found.replay(s):
+            return found
     return ProbeResult("unknown", None, powers, budget)

@@ -8,11 +8,10 @@ hashable so they can serve directly as keys in orbit searches.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import InvariantViolation, NotSkewSymmetrizable
 
@@ -35,7 +34,10 @@ class ExchangeMatrix:
         n = len(rows)
         if n == 0:
             raise ValueError("empty matrix")
-        grid = tuple(tuple(row) for row in rows)
+        try:
+            grid = tuple(tuple(row) for row in rows)
+        except TypeError:
+            raise ValueError("rows must be sequences") from None
         for row in grid:
             if len(row) != n:
                 raise ValueError("matrix is not square")
@@ -110,7 +112,7 @@ class ExchangeMatrix:
         ]
 
     def is_indecomposable(self) -> bool:
-        return _is_connected(self.n, self.underlying_edges())
+        return _is_connected(range(1, self.n + 1), self.underlying_edges())
 
     def is_acyclic(self) -> bool:
         """No directed cycle among the arrows i -> j (b_ij > 0)."""
@@ -180,13 +182,6 @@ class ExchangeMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExchangeMatrix":
-        data = json.loads(text)
-        if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-            raise ValueError("matrix file must be a JSON array of arrays")
-        return cls(data)
-
 
 def _find_symmetrizer(grid: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Minimal positive integer diagonal with d_i b_ij = -d_j b_ji.
@@ -235,22 +230,23 @@ def _find_symmetrizer(grid: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return out
 
 
-def _is_connected(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    if n <= 1:
+def _is_connected(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether the edges among vertices connect them all (vacuous when empty)."""
+    remaining = set(vertices)
+    if not remaining:
         return True
-    adj: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
+    adj: dict[int, list[int]] = {v: [] for v in remaining}
     for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {1}
-    queue = [1]
-    while queue:
-        i = queue.pop()
-        for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return len(seen) == n
+        if i in remaining and j in remaining:
+            adj[i].append(j)
+            adj[j].append(i)
+    stack = [remaining.pop()]
+    while stack:
+        for j in adj[stack.pop()]:
+            if j in remaining:
+                remaining.remove(j)
+                stack.append(j)
+    return not remaining
 
 
 def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -451,11 +447,6 @@ class Quiver:
         return Quiver(mutate_matrix(self.matrix, k))
 
 
-def mutate_quiver(Q: Quiver, k: int) -> Quiver:
-    """Quiver mutation; defined through the unambiguous matrix rule."""
-    return Q.mutate(k)
-
-
 @dataclass(frozen=True)
 class Diagram:
     """The weighted digraph: arrow i -> j with weight |b_ij b_ji| when b_ij > 0."""
@@ -506,40 +497,72 @@ def matrix_mutation_class(B: ExchangeMatrix, max_matrices: int) -> MatrixClass:
     """All matrices mutation-equivalent to B, up to a size budget."""
     if max_matrices < 1:
         raise ValueError("max_matrices must be positive")
-    matrices = [B]
-    words: list[tuple[int, ...]] = [()]
-    index = {B.rows: 0}
-    queue = [0]
-    qpos = 0
-    while qpos < len(queue):
-        cur = queue[qpos]
-        qpos += 1
-        for k in range(1, B.n + 1):
-            t = mutate_matrix(matrices[cur], k)
-            if t.rows not in index:
-                if len(matrices) >= max_matrices:
-                    return MatrixClass(matrices, words, False, max_matrices, index)
-                index[t.rows] = len(matrices)
-                matrices.append(t)
-                words.append(words[cur] + (k,))
-                queue.append(len(matrices) - 1)
-    return MatrixClass(matrices, words, True, max_matrices, index)
-
-
-@dataclass(frozen=True)
-class StructuralSummary:
-    v: int
-    skew_symmetric: bool
-    indecomposable: bool
-    acyclic: bool
-    epsilon: tuple[int, ...] | None
-
-
-def structural_predicates(B: ExchangeMatrix) -> StructuralSummary:
-    return StructuralSummary(
-        v=B.v(),
-        skew_symmetric=B.is_skew_symmetric(),
-        indecomposable=B.is_indecomposable(),
-        acyclic=B.is_acyclic(),
-        epsilon=B.bipartition(),
+    matrices, words, index, complete = _closure(
+        B, (), _mutation_moves(B.n), lambda M: M.rows, max_matrices
     )
+    return MatrixClass(matrices, words, complete, max_matrices, index)
+
+
+def _mutation_moves(n: int) -> list[tuple[int, Callable, Callable]]:
+    """Closure moves mu_1..mu_n on matrices, extending plain mutation words."""
+    return [
+        (k, lambda M, k=k: mutate_matrix(M, k), lambda word, k=k: word + (k,))
+        for k in range(1, n + 1)
+    ]
+
+
+def _closure(
+    root: Any,
+    root_word: Any,
+    moves: Sequence[tuple[Any, Callable, Callable]],
+    key: Callable[[Any], Hashable],
+    budget: int,
+    max_depth: int | None = None,
+    visit: Callable[[Any, Any], bool] | None = None,
+    edges: list | None = None,
+) -> tuple[list, list, dict, bool]:
+    """Breadth-first closure of root under moves: the package's one search loop.
+
+    moves lists (label, act, extend) triples: act maps an item to a
+    neighbour and extend maps the item's word to the neighbour's word.
+    Items are deduplicated by key and numbered in discovery order, which
+    is also the queue order.  visit(item, word), when given, sees the
+    root and then every new candidate before the budget check; a true
+    return stops the walk.  A new candidate deeper than max_depth is
+    dropped, and one that would make the closure exceed budget items
+    stops the walk.  edges, when given, receives (source, label, target)
+    for every move applied to an admitted item.
+
+    Returns (items, words, index, complete); complete is False whenever
+    the visitor, the budget or the depth limit cut the closure short.
+    """
+    items = [root]
+    words = [root_word]
+    index = {key(root): 0}
+    if visit is not None and visit(root, root_word):
+        return items, words, index, False
+    depth = [0]
+    complete = True
+    cur = 0
+    while cur < len(items):
+        item = items[cur]
+        for label, act, extend in moves:
+            t = act(item)
+            t_key = key(t)
+            found = index.get(t_key)
+            if found is None:
+                if max_depth is not None and depth[cur] >= max_depth:
+                    complete = False
+                    continue
+                t_word = extend(words[cur])
+                if (visit is not None and visit(t, t_word)) or len(items) >= budget:
+                    return items, words, index, False
+                found = len(items)
+                index[t_key] = found
+                items.append(t)
+                words.append(t_word)
+                depth.append(depth[cur] + 1)
+            if edges is not None:
+                edges.append((cur, label, found))
+        cur += 1
+    return items, words, index, complete

@@ -19,11 +19,13 @@ from typing import Sequence
 from .errors import DecomposableMatrix, InvariantViolation
 from .exchange import (
     ExchangeMatrix,
+    MatrixClass,
     Permutation,
+    _closure,
     all_permutations,
     matrix_mutation_class,
 )
-from .periodicity import is_sigma_period
+from .periodicity import _walk, is_sigma_period
 from .seeds import LabeledSeed, OrbitGraph, apply_sequence, orbit, permute_seed
 from .symbolic import LaurentPoly
 
@@ -90,7 +92,11 @@ def enumerate_saut_plus(s: LabeledSeed, budget: int) -> SautEnumeration:
     elements found are still genuine.
     """
     _require_indecomposable(s.matrix)
-    graph = orbit(s, max_seeds=budget, with_permutations=False)
+    return _saut_from_orbit(s, orbit(s, max_seeds=budget, with_permutations=False), budget)
+
+
+def _saut_from_orbit(s: LabeledSeed, graph: OrbitGraph, budget: int) -> SautEnumeration:
+    """enumerate_saut_plus on an already built mutation-only orbit of s."""
     elements = []
     for idx, t in enumerate(graph.seeds):
         if t.matrix == s.matrix:
@@ -157,29 +163,20 @@ def _rank2_membership(
     if target == s:
         return True, ()
     target_size = max(_denominator_degree(p) for p in target.cluster)
-    certified = True
-    for first in (1, 2):
-        cur = s
-        seq: list[int] = []
-        metrics: list[int] = []
-        k = first
-        for _ in range(steps):
-            cur = cur.mutate(k)
-            seq.append(k)
-            if cur == target:
-                return True, tuple(seq)
-            metrics.append(_denominator_degree(cur.cluster[k - 1]))
-            k = 3 - k
+    rays: dict[int, list[int]] = {1: [], 2: []}
+    for seq, cur in _walk(s, 2, steps, lambda t, k: t.mutate(k)):
+        if cur == target:
+            return True, seq
+        rays[seq[0]].append(_denominator_degree(cur.cluster[seq[-1] - 1]))
+    for metrics in rays.values():
         tail = metrics[-8:]
         diffs = [b - a for a, b in zip(tail, tail[1:])]
         growing = all(d > 0 for d in diffs) and all(
             y >= x for x, y in zip(diffs, diffs[1:])
         )
         if not (growing and min(metrics[-2], metrics[-1]) > target_size):
-            certified = False
-    if certified:
-        return False, None
-    return None, None
+            return None, None
+    return False, None
 
 
 def compute_L_P(s: LabeledSeed, budget: int) -> LPResult:
@@ -190,9 +187,16 @@ def compute_L_P(s: LabeledSeed, budget: int) -> LPResult:
     line walk; anything else leaves the permutation unknown.
     """
     _require_indecomposable(s.matrix)
-    n = s.rank
     mclass = matrix_mutation_class(s.matrix, max_matrices=budget)
     graph = orbit(s, max_seeds=budget, with_permutations=False)
+    return _lp_from_closures(s, mclass, graph, budget)
+
+
+def _lp_from_closures(
+    s: LabeledSeed, mclass: MatrixClass, graph: OrbitGraph, budget: int
+) -> LPResult:
+    """compute_L_P on an already built matrix class and mutation-only orbit."""
+    n = s.rank
     out = LPResult([], [], [], [], budget=budget)
     for sigma in all_permutations(n):
         target_m = s.matrix.permuted(sigma)
@@ -292,7 +296,7 @@ def enumerate_aut_plus(s: LabeledSeed, budget: int) -> AutPlusEnumeration:
     One element per orbit seed with matrix exactly B; witnesses are the
     normalized orbit words and both witness conditions are re-verified.
     The summary cross-checks |Aut+| against |SAut+| |L| / |P| when all
-    four are exact.
+    four are exact; SAut+ and P share one mutation-only orbit.
     """
     _require_indecomposable(s.matrix)
     graph = orbit(s, max_seeds=budget, with_permutations=True)
@@ -308,8 +312,11 @@ def enumerate_aut_plus(s: LabeledSeed, budget: int) -> AutPlusEnumeration:
             raise InvariantViolation("direct witness matrix condition failed")
         elements.append(DirectAutomorphism(t.cluster, pi, word))
 
-    saut = enumerate_saut_plus(s, budget)
-    lp = compute_L_P(s, budget)
+    plain = orbit(s, max_seeds=budget, with_permutations=False)
+    saut = _saut_from_orbit(s, plain, budget)
+    lp = _lp_from_closures(
+        s, matrix_mutation_class(s.matrix, max_matrices=budget), plain, budget
+    )
     aut_order = len(elements) if graph.complete else None
     saut_order = saut.order
     l_order = len(lp.L_members) if lp.L_exact else None
@@ -379,8 +386,9 @@ def equivariant_automorphisms(S: OrbitGraph) -> EquivariantResult:
     """Enumerate the equivariant bijections of a closed orbit.
 
     A candidate is pinned down by the image of the base seed and
-    propagated through the generator action tables; it survives iff no
-    generator edge disagrees and the result is a bijection.
+    propagated through the generator action tables, which are read off
+    the orbit's recorded edges; it survives iff no generator edge
+    disagrees and the result is a bijection.
     """
     if not S.with_permutations:
         raise ValueError("need an orbit closed under mutation and relabeling")
@@ -388,22 +396,14 @@ def equivariant_automorphisms(S: OrbitGraph) -> EquivariantResult:
         raise ValueError("refusing an orbit that was truncated by its budget")
     base = S.seeds[0]
     _require_indecomposable(base.matrix)
-    n = base.rank
     N = len(S)
 
-    tables: list[list[int]] = []
-    gens: list[object] = list(range(1, n + 1)) + [
-        Permutation.transposition(n, i, i + 1) for i in range(1, n)
-    ]
-    for g in gens:
-        table = []
-        for t in S.seeds:
-            image = t.mutate(g) if isinstance(g, int) else permute_seed(t, g)
-            idx = S.find(image)
-            if idx is None:
-                raise InvariantViolation("closed orbit is missing a generator image")
-            table.append(idx)
-        tables.append(table)
+    by_label: dict[str, list[int]] = {}
+    for source, label, target in S.edges:
+        by_label.setdefault(label, [-1] * N)[source] = target
+    tables = list(by_label.values())
+    if len(tables) != 2 * base.rank - 1 or any(-1 in T for T in tables):
+        raise InvariantViolation("closed orbit is missing a generator image")
 
     elements = []
     images = []
@@ -429,21 +429,23 @@ def equivariant_automorphisms(S: OrbitGraph) -> EquivariantResult:
 def _propagate_candidate(
     tables: list[list[int]], image0: int, N: int
 ) -> tuple[int, ...] | None:
+    """The equivariant map sending the base seed to image0, if there is one.
+
+    Its graph is the closure of the pair (0, image0) under the
+    generators acting on both coordinates; the candidate fails as soon
+    as that closure gives some seed a second image.
+    """
     f = [-1] * N
-    f[0] = image0
-    queue = [0]
-    qpos = 0
-    while qpos < len(queue):
-        i = queue[qpos]
-        qpos += 1
-        for T in tables:
-            j = T[i]
-            fj = T[f[i]]
-            if f[j] == -1:
-                f[j] = fj
-                queue.append(j)
-            elif f[j] != fj:
-                return None
-    if -1 in f or len(set(f)) != N:
+
+    def second_image(pair: tuple[int, int], _word) -> bool:
+        i, fi = pair
+        if f[i] != -1:
+            return True
+        f[i] = fi
+        return False
+
+    moves = [(None, lambda p, T=T: (T[p[0]], T[p[1]]), lambda w: w) for T in tables]
+    _, _, _, complete = _closure((0, image0), (), moves, lambda p: p, N, visit=second_image)
+    if not complete or -1 in f or len(set(f)) != N:
         return None
     return tuple(f)

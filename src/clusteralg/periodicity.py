@@ -9,7 +9,7 @@ restriction/extension harness, and the period-set distinguisher.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Any, Callable, Iterator, Sequence, Union
 
 from .errors import InvariantViolation, NotBipartite
 from .exchange import ExchangeMatrix, Permutation, apply_matrix_sequence
@@ -17,7 +17,6 @@ from .seeds import (
     LabeledSeed,
     apply_sequence,
     inverse_sequence,
-    is_essential,
     permute_seed,
     validate_sequence,
 )
@@ -45,10 +44,6 @@ def is_sigma_period(target: Target, seq: Sequence[int], sigma: Permutation) -> P
     return PeriodReport(seq, sigma, "matrix-period", end == target)
 
 
-def _step(target: Target, k: int) -> Target:
-    return target.mutate(k)
-
-
 def _rank(target: Target) -> int:
     return target.rank if isinstance(target, LabeledSeed) else target.n
 
@@ -73,23 +68,48 @@ def find_periods(
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    n = _rank(target)
-    found: list[tuple[int, ...]] = []
-    # depth-first with an explicit stack: max_len may exceed the
-    # interpreter's recursion limit
-    stack: list[tuple[Target, tuple[int, ...]]] = [(target, ())] if max_len > 0 else []
+    found = [
+        seq
+        for seq, state in _walk(
+            target, _rank(target), max_len, lambda t, k: t.mutate(k), essential_only
+        )
+        if _returns(state, sigma, target)
+    ]
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+def _walk(
+    start: Any,
+    n: int,
+    max_len: int,
+    step: Callable[[Any, int], Any],
+    essential_only: bool = True,
+) -> Iterator[tuple[tuple[int, ...], Any]]:
+    """Yield (seq, state) for every sequence of length 1..max_len over [1,n].
+
+    The package's one sequence walker: depth first in lexicographic
+    order, each prefix before its extensions, with state =
+    step(parent state, last letter), so a prefix is mutated once for all
+    its extensions.  Iterative, because max_len may exceed the
+    interpreter's recursion limit, and lazy: a sequence's state is
+    computed only when the walk reaches it.
+    """
+    if max_len < 1:
+        return
+    stack = [(start, (), iter(range(1, n + 1)))]
     while stack:
-        state, prefix = stack.pop()
-        for k in range(1, n + 1):
+        state, prefix, letters = stack[-1]
+        for k in letters:
             if essential_only and prefix and prefix[-1] == k:
                 continue
-            nxt = _step(state, k)
             seq = prefix + (k,)
-            if _returns(nxt, sigma, target):
-                found.append(seq)
+            nxt = step(state, k)
+            yield seq, nxt
             if len(seq) < max_len:
-                stack.append((nxt, seq))
-    return sorted(found, key=lambda t: (len(t), t))
+                stack.append((nxt, seq, iter(range(1, n + 1))))
+            break
+        else:
+            stack.pop()
 
 
 def conjugate_period(
@@ -237,23 +257,6 @@ class DistinguisherWitness:
     period_holds_on: int  # 1 or 2: which mutated seed the period holds for
 
 
-def _essential_sequences(n: int, max_len: int, include_empty: bool):
-    """Essential sequences in (length, lex) order."""
-    if include_empty:
-        yield ()
-    level: list[tuple[int, ...]] = [()]
-    for _ in range(max_len):
-        nxt = []
-        for prefix in level:
-            for k in range(1, n + 1):
-                if prefix and prefix[-1] == k:
-                    continue
-                seq = prefix + (k,)
-                nxt.append(seq)
-                yield seq
-        level = nxt
-
-
 def period_set_distinguisher(
     s1: LabeledSeed,
     s2: LabeledSeed,
@@ -268,20 +271,28 @@ def period_set_distinguisher(
     only.  Returns None when the budget runs out; that does NOT certify
     the period sets are equal.
 
-    Candidate periods are prefiltered at matrix level: a seed period is
-    evaluated only on a side where the matrix period already holds, and
-    a candidate with no matrix-side hit is skipped outright.
+    Conjugators are tried in (length, lex) order, essential ones only,
+    one length at a time; a conjugated pair of seeds is computed only
+    when its turn comes.  Candidate periods are walked in lexicographic
+    order and prefiltered at matrix level: a seed period is evaluated
+    only on a side where the matrix period already holds, and a
+    candidate with no matrix-side hit is skipped outright.
     """
     if s1.rank != s2.rank:
         raise ValueError("rank mismatch")
     n = s1.rank
     ident = Permutation.identity(n)
-    for conj in _essential_sequences(n, depth, include_empty=True):
-        t1 = apply_sequence(s1, conj)
-        t2 = apply_sequence(s2, conj)
-        hit = _search_separating_period(t1, t2, period_len, ident)
-        if hit is not None:
-            return DistinguisherWitness(conj, hit[0], hit[1])
+
+    def mutate_both(pair: tuple[LabeledSeed, LabeledSeed], k: int):
+        return pair[0].mutate(k), pair[1].mutate(k)
+
+    for length in range(max(depth, 0) + 1):
+        walk = _walk((s1, s2), n, length, mutate_both) if length else [((), (s1, s2))]
+        for conj, (t1, t2) in walk:
+            if len(conj) == length:
+                hit = _search_separating_period(t1, t2, period_len, ident)
+                if hit is not None:
+                    return DistinguisherWitness(conj, hit[0], hit[1])
     return None
 
 
@@ -337,33 +348,28 @@ def tropical_period_filter(t: LabeledSeed, seq: Sequence[int]) -> bool:
 def _search_separating_period(
     t1: LabeledSeed, t2: LabeledSeed, period_len: int, ident: Permutation
 ) -> tuple[tuple[int, ...], int] | None:
-    n = t1.rank
     v1 = _tropical_start(t1)
     v2 = _tropical_start(t2)
 
     # A seed period must restore the minimal-exponent vectors, so the
     # exact Laurent replay runs only when the cheap tropical trajectory
     # returns; deep walks with exploding variables are skipped outright.
-    def walk(m1, m2, w1: _TropState, w2: _TropState, prefix: tuple[int, ...]):
-        for k in range(1, n + 1):
-            if prefix and prefix[-1] == k:
-                continue
-            n1 = m1.mutate(k)
-            n2 = m2.mutate(k)
-            u1 = _tropical_mutate(w1, m1, k)
-            u2 = _tropical_mutate(w2, m2, k)
-            seq = prefix + (k,)
-            hit1 = n1 == t1.matrix
-            hit2 = n2 == t2.matrix
-            if hit1 or hit2:
-                p1 = hit1 and u1 == v1 and is_sigma_period(t1, seq, ident).holds
-                p2 = hit2 and u2 == v2 and is_sigma_period(t2, seq, ident).holds
-                if p1 != p2:
-                    return seq, 1 if p1 else 2
-            if len(seq) < period_len:
-                deeper = walk(n1, n2, u1, u2, seq)
-                if deeper is not None:
-                    return deeper
-        return None
+    def step(state, k: int):
+        m1, m2, w1, w2 = state
+        return (
+            m1.mutate(k),
+            m2.mutate(k),
+            _tropical_mutate(w1, m1, k),
+            _tropical_mutate(w2, m2, k),
+        )
 
-    return walk(t1.matrix, t2.matrix, v1, v2, ())
+    start = (t1.matrix, t2.matrix, v1, v2)
+    for seq, (n1, n2, u1, u2) in _walk(start, t1.rank, period_len, step):
+        hit1 = n1 == t1.matrix
+        hit2 = n2 == t2.matrix
+        if hit1 or hit2:
+            p1 = hit1 and u1 == v1 and is_sigma_period(t1, seq, ident).holds
+            p2 = hit2 and u2 == v2 and is_sigma_period(t2, seq, ident).holds
+            if p1 != p2:
+                return seq, 1 if p1 else 2
+    return None

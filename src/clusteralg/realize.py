@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import DecomposableMatrix, InvariantViolation
-from .exchange import ExchangeMatrix, Permutation, Quiver
+from .exchange import Permutation, Quiver, _is_connected
 from .seeds import LabeledSeed, MutationSequence, apply_sequence, permute_seed
 
 
@@ -28,27 +28,10 @@ def _adjacency(edges: list[tuple[int, int]], vertices: set[int]) -> dict[int, li
     return adj
 
 
-def _is_connected(adj: dict[int, list[int]], vertices: set[int]) -> bool:
-    if not vertices:
-        return True
-    start = min(vertices)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for w in adj[cur]:
-            if w in vertices and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == vertices
-
-
 def _smallest_noncut(edges: list[tuple[int, int]], vertices: set[int]) -> int:
     """Smallest vertex whose removal keeps the rest connected."""
-    adj = _adjacency(edges, vertices)
     for v in sorted(vertices):
-        rest = vertices - {v}
-        if _is_connected(_adjacency(edges, rest), rest):
+        if _is_connected(vertices - {v}, edges):
             return v
     raise InvariantViolation("a connected graph always has a removable vertex")
 
@@ -61,7 +44,7 @@ def connected_order(Q: Quiver) -> tuple[int, ...]:
     """
     edges = Q.matrix.underlying_edges()
     vertices = set(range(1, Q.n + 1))
-    if not _is_connected(_adjacency(edges, vertices), vertices):
+    if not _is_connected(vertices, edges):
         raise DecomposableMatrix("quiver is disconnected")
     removed = []
     while vertices:
@@ -148,9 +131,7 @@ def realize_permutation(s: LabeledSeed, sigma: Permutation) -> RealizationPlan:
         raise ValueError("permutation degree does not match the seed rank")
     if any(abs(e) > 1 for row in B.rows for e in row):
         raise ValueError("realization needs all edge weights 1")
-    edges = B.underlying_edges()
-    vertices = set(range(1, n + 1))
-    if not _is_connected(_adjacency(edges, vertices), vertices):
+    if not B.is_indecomposable():
         raise DecomposableMatrix("quiver is disconnected")
 
     sigma_inv = sigma.inverse()
@@ -163,8 +144,7 @@ def realize_permutation(s: LabeledSeed, sigma: Permutation) -> RealizationPlan:
 
     while len(active) > 1:
         cur_edges = current.matrix.underlying_edges()
-        adj = _adjacency(cur_edges, active)
-        if not _is_connected(adj, active):
+        if not _is_connected(active, cur_edges):
             raise InvariantViolation("working subquiver lost connectivity")
         v = _smallest_noncut(cur_edges, active)
         w0 = sigma_inv(content[v])
@@ -175,7 +155,7 @@ def realize_permutation(s: LabeledSeed, sigma: Permutation) -> RealizationPlan:
             finalized.append(v)
             active.remove(v)
             continue
-        path = _shortest_path(adj, w0, v)
+        path = _shortest_path(_adjacency(cur_edges, active), w0, v)
         stage_seq: list[int] = []
         for wk in path[1:]:
             seq = swap_gadget(current, w0, wk)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, NotDivisible
-from .exchange import ExchangeMatrix, Permutation, mutate_matrix
+from .exchange import ExchangeMatrix, Permutation, _closure, mutate_matrix
 from .symbolic import LaurentPoly, exact_div, generators
 
 MutationSequence = tuple  # finite list of 1-based indices, applied left to right
@@ -167,7 +167,7 @@ class EquivalenceResult:
 def seed_equivalence(s: LabeledSeed, t: LabeledSeed) -> EquivalenceResult:
     """Equal, equivalent via some relabeling sigma, or distinct.
 
-    Sigma is searched through cluster alignment only; the matrix is then
+    Sigma is read off the cluster alignment alone; the matrix is then
     required to match as well.  A cluster match with a matrix mismatch
     would contradict the uniqueness of a seed with a given cluster, so
     it is treated as an internal error.
@@ -178,36 +178,17 @@ def seed_equivalence(s: LabeledSeed, t: LabeledSeed) -> EquivalenceResult:
         return EquivalenceResult("equal", Permutation.identity(s.rank))
     if sorted(s.canonical_key()[0]) != sorted(t.canonical_key()[0]):
         return EquivalenceResult("distinct")
-    target = t.canonical_key()[0]
-    strings = s.canonical_key()[0]
     positions: dict[str, list[int]] = {}
-    for i, cs in enumerate(strings):
+    for i, cs in enumerate(s.canonical_key()[0]):
         positions.setdefault(cs, []).append(i + 1)
-    for sigma in _alignments(target, positions, s.rank):
-        if s.matrix.permuted(sigma) == t.matrix:
-            return EquivalenceResult("equivalent", sigma)
+    # the clusters agree as multisets, so handing out each entry's
+    # positions in order gives the lexicographically first alignment
+    sigma = Permutation([positions[cs].pop(0) for cs in t.canonical_key()[0]])
+    if s.matrix.permuted(sigma) != t.matrix:
         raise InvariantViolation(
             "clusters align under a relabeling but the matrices do not"
         )
-    return EquivalenceResult("distinct")
-
-
-def _alignments(target: tuple, positions: dict[str, list[int]], n: int):
-    """Permutations sigma with strings[sigma(i)] == target[i] for all i."""
-
-    def extend(i: int, images: list[int], used: set[int]):
-        if i > n:
-            yield Permutation(images)
-            return
-        for p in positions.get(target[i - 1], ()):
-            if p not in used:
-                used.add(p)
-                images.append(p)
-                yield from extend(i + 1, images, used)
-                images.pop()
-                used.remove(p)
-
-    yield from extend(1, [], set())
+    return EquivalenceResult("equivalent", sigma)
 
 
 @dataclass
@@ -216,7 +197,9 @@ class OrbitGraph:
 
     seeds are listed in discovery order; words[i] is a normalized
     witness (mutation word M, relabeling pi) with
-    seeds[i] == permute(apply_sequence(root, M), pi).
+    seeds[i] == permute(apply_sequence(root, M), pi).  edges holds
+    (source, generator label, target) for every generator applied to a
+    seed, so a complete orbit carries its whole action table.
     """
 
     seeds: list[LabeledSeed]
@@ -251,48 +234,30 @@ def orbit(
     if max_seeds < 1:
         raise ValueError("max_seeds must be positive")
     n = s.rank
-    gens: list[tuple[str, object]] = [("mu", k) for k in range(1, n + 1)]
+    moves: list = [
+        (f"mu{k}", lambda t, k=k: mutate_seed(t, k), lambda w, k=k: (w[0] + (w[1](k),), w[1]))
+        for k in range(1, n + 1)
+    ]
     if with_permutations:
-        gens += [("perm", Permutation.transposition(n, i, i + 1)) for i in range(1, n)]
-
-    seeds = [s]
-    words: list[tuple[tuple[int, ...], Permutation]] = [((), Permutation.identity(n))]
-    index = {s.canonical_key(): 0}
+        swaps = [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
+        moves += [
+            (
+                g.cycle_notation(),
+                lambda t, g=g: permute_seed(t, g),
+                lambda w, g=g: (w[0], w[1].compose(g)),
+            )
+            for g in swaps
+        ]
     edges: list[tuple[int, str, int]] = []
-    depth = {0: 0}
-    queue = [0]
-    complete = True
-    qpos = 0
-    while qpos < len(queue):
-        cur = queue[qpos]
-        qpos += 1
-        word_m, word_p = words[cur]
-        for kind, g in gens:
-            if kind == "mu":
-                t = mutate_seed(seeds[cur], g)  # type: ignore[arg-type]
-                label = f"mu{g}"
-                new_word = (word_m + (word_p(g),), word_p)  # type: ignore[operator]
-            else:
-                t = permute_seed(seeds[cur], g)  # type: ignore[arg-type]
-                label = g.cycle_notation()  # type: ignore[union-attr]
-                new_word = (word_m, word_p.compose(g))  # type: ignore[arg-type]
-            key = t.canonical_key()
-            found = index.get(key)
-            if found is None:
-                if max_depth is not None and depth[cur] + 1 > max_depth:
-                    complete = False
-                    continue
-                if len(seeds) >= max_seeds:
-                    return OrbitGraph(
-                        seeds, words, edges, False, with_permutations, max_seeds, index
-                    )
-                found = len(seeds)
-                seeds.append(t)
-                words.append(new_word)
-                index[key] = found
-                depth[found] = depth[cur] + 1
-                queue.append(found)
-            edges.append((cur, label, found))
+    seeds, words, index, complete = _closure(
+        s,
+        ((), Permutation.identity(n)),
+        moves,
+        lambda t: t.canonical_key(),
+        max_seeds,
+        max_depth,
+        edges=edges,
+    )
     return OrbitGraph(seeds, words, edges, complete, with_permutations, max_seeds, index)
 
 

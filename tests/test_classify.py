@@ -15,7 +15,7 @@ from clusteralg.classify import (
     main1_conditions,
     search_m_and_acyclic,
 )
-from clusteralg.exchange import apply_matrix_sequence
+from clusteralg.exchange import apply_matrix_sequence, matrix_mutation_class
 from clusteralg.fixtures import (
     a2_matrix,
     a3_path_matrix,
@@ -145,6 +145,72 @@ class TestClassification:
         assert c.main1 is None
         assert c.finite_type == "yes"
         assert c.dynkin == "B2"
+
+
+CLASSIFY_FIXTURES = [
+    a2_matrix,
+    a3_path_matrix,
+    b2_matrix,
+    g2_matrix,
+    kronecker_matrix,
+    markov_matrix,
+    rank4_v1_matrix,
+    weighted_path3_matrix,
+]
+# rank4_v1 and the weighted path have infinite classes; sweep them this far
+SWEEP_CAP = 40
+
+
+def _render(decision):
+    if decision.status == "unknown":
+        return f"unknown(budget={decision.budget})"
+    return decision.status
+
+
+class TestClassifyBudgetSweep:
+    """classify's single class walk agrees with the standalone searches."""
+
+    @pytest.mark.parametrize("fixture", CLASSIFY_FIXTURES, ids=lambda f: f.__name__)
+    def test_fields_match_standalone_functions(self, fixture):
+        B = fixture()
+        mclass = matrix_mutation_class(B, SWEEP_CAP)
+        top = len(mclass) + 2 if mclass.complete else SWEEP_CAP
+        for budget in range(1, top + 1):
+            c = classify(B, budget)
+            ft = is_finite_type(B, budget)
+            fmt = is_finite_mutation_type(B, budget)
+            m = search_m_and_acyclic(B, budget)
+            assert c.finite_type == _render(ft), budget
+            assert c.finite_type_witness == ft.witness, budget
+            assert c.finite_mutation_type == _render(fmt), budget
+            assert c.finite_mutation_type_witness == fmt.witness, budget
+            assert (c.m_upper_bound, c.m_witness, c.m_exact) == (
+                m.min_v,
+                m.min_v_word,
+                m.m_certified,
+            ), budget
+            assert c.mutation_acyclic_witness == m.acyclic_word, budget
+            if B.is_skew_symmetric():
+                assert c.main1 == main1_conditions(B, budget), budget
+
+    def test_violation_just_past_the_budget(self):
+        # the first bound-4 violation is the sixth matrix the walk meets:
+        # outside a five-matrix class, yet still examined by a budget-5 search
+        W = weighted_path3_matrix()
+        mclass = matrix_mutation_class(W, 5)
+        assert not mclass.complete
+        assert all(M.max_abs_product() <= 4 for M in mclass.matrices)
+        assert mclass.find(apply_matrix_sequence(W, (2, 1))) is None
+        d = is_finite_mutation_type(W, 5)
+        assert d.status == "no"
+        assert (d.witness.sequence, d.witness.product) == ((2, 1), 9)
+        c = classify(W, 5)
+        assert c.finite_mutation_type == "no"
+        assert c.finite_mutation_type_witness == d.witness
+
+    def test_rejects_nonpositive_budget(self):
+        with pytest.raises(ValueError):
+            classify(a2_matrix(), 0)
 
 
 class TestFinitenessProbe:

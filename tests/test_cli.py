@@ -238,6 +238,18 @@ class TestDistinguishCommand:
             "periods to length 2)"
         )
 
+    def test_long_period_walk_beyond_recursion_limit(self, files, capsys):
+        rc = main(["distinguish", "--seed-a", files["kron"],
+                   "--seed-b", files["kron"], "--depth", "0",
+                   "--period-len", "1500"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.out.startswith(
+            "no separating period found (conjugators to depth 0, "
+            "periods to length 1500)"
+        )
+
 
 class TestErrorRouting:
     def test_belt_needs_bipartite(self, tmp_path, capsys):

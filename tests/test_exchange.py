@@ -38,10 +38,19 @@ class TestExchangeMatrix:
         with pytest.raises((ValueError, NotSkewSymmetrizable)):
             ExchangeMatrix([[0, 1], [1, 0]])
 
-    @pytest.mark.parametrize("entry", [1.7, True, "1"])
-    def test_non_int_entries_rejected(self, entry):
-        with pytest.raises(ValueError, match="not an integer"):
-            ExchangeMatrix([[0, entry], [-1, 0]])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0, 1.7], [-1, 0]], "not an integer"),
+            ([[0, True], [-1, 0]], "not an integer"),
+            ([[0, "1"], [-1, 0]], "not an integer"),
+            ([1, 2], "rows must be sequences"),
+        ],
+        ids=["1.7", "True", "1", "flat"],
+    )
+    def test_non_int_entries_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            ExchangeMatrix(rows)
 
     def test_symmetrizer_found(self):
         assert b2_matrix().symmetrizer == (2, 1)

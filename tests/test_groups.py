@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from clusteralg.errors import DecomposableMatrix, InvariantViolation
-from clusteralg.exchange import Permutation
+from clusteralg.exchange import ExchangeMatrix, Permutation
 from clusteralg.fixtures import (
     a2_matrix,
     a3_path_matrix,
@@ -160,3 +160,69 @@ class TestEquivariant:
                 left = g.seeds[f[g.find(s.mutate(k))]]
                 right = g.seeds[f[idx]].mutate(k)
                 assert left == right
+
+
+# B3 with the weight-2 edge between 2 and 3; its relabeling orbit has 120 seeds
+B3 = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -2, 0]])
+
+
+class TestClosureSharing:
+    """Group queries reuse the closures they build instead of rebuilding them."""
+
+    @pytest.mark.parametrize(
+        "B, order",
+        [(a2_matrix(), 10), (a3_path_matrix(), 12), (B3, 8)],
+        ids=["A2", "A3", "B3"],
+    )
+    def test_equivariant_reads_recorded_edges(self, monkeypatch, B, order):
+        import clusteralg.seeds
+
+        g = orbit(LabeledSeed.initial(B), max_seeds=500, with_permutations=True)
+        assert g.complete
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("equivariant_automorphisms mutated a seed")
+
+        monkeypatch.setattr(clusteralg.seeds, "mutate_seed", refuse)
+        r = equivariant_automorphisms(g)
+        assert r.aut_order == r.w_order == r.aut_A_order == order
+        assert r.kp_identity and r.verify_group()
+
+    @pytest.mark.parametrize(
+        "B, budget",
+        [(a2_matrix(), 100), (a3_path_matrix(), 300), (kronecker_matrix(2), 12)],
+        ids=["A2", "A3", "kronecker"],
+    )
+    def test_aut_plus_builds_three_closures(self, monkeypatch, B, budget):
+        import clusteralg.groups as groups
+
+        s = LabeledSeed.initial(B)
+        calls = []
+        seen = {}
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                result = fn(*args, **kwargs)
+                seen[name] = result
+                return result
+
+            monkeypatch.setattr(groups, name, wrapped)
+
+        for name in ("orbit", "matrix_mutation_class", "_saut_from_orbit", "_lp_from_closures"):
+            spy(name, getattr(groups, name))
+        enumerate_aut_plus(s, budget)
+        assert calls.count("orbit") == 2
+        assert calls.count("matrix_mutation_class") == 1
+        monkeypatch.undo()
+
+        saut = enumerate_saut_plus(s, budget)
+        assert [e.witness for e in seen["_saut_from_orbit"].elements] == [
+            e.witness for e in saut.elements
+        ]
+        lp = compute_L_P(s, budget)
+        shared = seen["_lp_from_closures"]
+        assert shared.L_witnesses == lp.L_witnesses
+        assert shared.P_witnesses == lp.P_witnesses
+        assert (shared.L_members, shared.P_members) == (lp.L_members, lp.P_members)
+        assert shared.P_certificates == lp.P_certificates
