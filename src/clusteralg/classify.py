@@ -66,26 +66,34 @@ def _violating_pair(M: ExchangeMatrix, bound: int) -> tuple[int, int, int] | Non
     return None
 
 
-def _bounded_class_search(B: ExchangeMatrix, bound: int, budget: int) -> Decision:
-    """BFS the mutation class, stopping with "no" at the first bound violation.
+def _bounded_class_search(
+    B: ExchangeMatrix, bounds: tuple[int, ...], budget: int
+) -> tuple[Decision, ...]:
+    """One BFS of the mutation class deciding each product bound in bounds.
 
-    Each new matrix is checked before the budget is, so the first matrix
-    past the budget can still give "no".
+    A bound's answer is "no" at its first violation, and the walk stops
+    once every bound has one; with ascending bounds that is the first
+    violation of the last.  Each new matrix is checked before the budget
+    is, so the first matrix past the budget can still give "no".
     """
-    witness: list[BoundWitness] = []
+    witnesses: dict[int, BoundWitness] = {}
 
     def violates(M: ExchangeMatrix, word: tuple[int, ...]) -> bool:
-        hit = _violating_pair(M, bound)
-        if hit is not None:
-            witness.append(BoundWitness(word, *hit))
-        return hit is not None
+        for bound in bounds:
+            if bound not in witnesses:
+                hit = _violating_pair(M, bound)
+                if hit is not None:
+                    witnesses[bound] = BoundWitness(word, *hit)
+        return len(witnesses) == len(bounds)
 
-    _, _, _, complete = _closure(
-        B, (), _mutation_moves(B.n), lambda M: M.rows, budget, visit=violates
+    _, _, _, complete = _closure(B, (), _mutation_moves(B.n), budget, visit=violates)
+    open_status = "yes" if complete else "unknown"
+    return tuple(
+        Decision("no", witnesses[bound], budget)
+        if bound in witnesses
+        else Decision(open_status, None, budget)
+        for bound in bounds
     )
-    if witness:
-        return Decision("no", witness[0], budget)
-    return Decision("yes" if complete else "unknown", None, budget)
 
 
 def _bound_decision(mclass: MatrixClass, bound: int, budget: int) -> Decision:
@@ -103,12 +111,12 @@ def is_finite_mutation_type(B: ExchangeMatrix, budget: int) -> Decision:
     if B.n <= 2:
         # class is {B, -B}
         return Decision("yes", None, budget)
-    return _bounded_class_search(B, 4, budget)
+    return _bounded_class_search(B, (4,), budget)[0]
 
 
 def is_finite_type(B: ExchangeMatrix, budget: int) -> Decision:
     """Finitely many seeds iff products stay <= 3 across the class."""
-    return _bounded_class_search(B, 3, budget)
+    return _bounded_class_search(B, (3,), budget)[0]
 
 
 @dataclass(frozen=True)
@@ -331,7 +339,7 @@ def classify(B: ExchangeMatrix, budget: int) -> Classification:
     functions return for the same budget.
     """
     if budget < 1:
-        raise ValueError("max_matrices must be positive")
+        raise ValueError("budget must be positive")
     mclass = matrix_mutation_class(B, budget + 1)
     ft = _bound_decision(mclass, 3, budget)
     if B.n <= 2:
@@ -435,7 +443,10 @@ def automorphism_finiteness_probe(
     """
     B = s.matrix
     powers = min(powers, budget)
-    ft = is_finite_type(B, budget)
+    # one walk answers both bounds; a product over 4 is also over 3
+    ft, fmt = _bounded_class_search(B, (3, 4), budget)
+    if B.n <= 2:
+        fmt = Decision("yes", None, budget)
     if ft.status == "yes":
         return ProbeResult("finite", None, 0, budget)
     if ft.status == "unknown":
@@ -443,7 +454,6 @@ def automorphism_finiteness_probe(
 
     ident = Permutation.identity(B.n)
     candidates: list[tuple[int, ...]] = []
-    fmt = is_finite_mutation_type(B, budget)
     if fmt.status == "yes" and ft.witness is not None:
         w = ft.witness
         word = _alternating_return_word(B, w.sequence, w.i, w.j, budget)

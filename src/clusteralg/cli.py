@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .classify import classify
 from .errors import (
@@ -49,13 +50,35 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_at_least(least: int, what: str) -> Callable[[str], int]:
+    """An argparse type for ints >= least; argparse names the flag in its error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return parse
+
+
+_positive = _int_at_least(1, "positive")
+_nonnegative = _int_at_least(0, "non-negative")
+
+
 def _load_seed(path: str) -> tuple[LabeledSeed, list[str]]:
     """Read a seed file: a bare matrix, or an object with "n", "matrix" and optional "names"."""
     text = Path(path).read_text()
-    data = json.loads(text)
-    if isinstance(data, list):
-        text = json.dumps({"n": len(data), "matrix": data})
-    return seed_from_json(text)
+    try:
+        data = json.loads(text)
+        if isinstance(data, list):
+            text = json.dumps({"n": len(data), "matrix": data})
+        return seed_from_json(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _print_seed(s: LabeledSeed, names: list[str]) -> None:
@@ -259,7 +282,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("orbit", help="breadth-first seed orbit")
     p.add_argument("--seed", required=True)
-    p.add_argument("--max-seeds", type=int, required=True)
+    p.add_argument("--max-seeds", type=_positive, required=True)
     p.add_argument("--with-permutations", action="store_true",
                    help="also close under relabelings")
     p.set_defaults(func=_cmd_orbit)
@@ -267,7 +290,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("periods", help="search sigma-periods of a seed")
     p.add_argument("--seed", required=True)
     p.add_argument("--sigma", default="id", help='cycle notation, e.g. "(1 2)"')
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_nonnegative, required=True)
     p.add_argument("--matrix-only", action="store_true",
                    help="search matrix periods instead of seed periods")
     p.add_argument("--essential", action=argparse.BooleanOptionalAction,
@@ -277,18 +300,18 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("belt", help="walk the bipartite belt")
     p.add_argument("--seed", required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_nonnegative, required=True)
     p.set_defaults(func=_cmd_belt)
 
     p = sub.add_parser("classify", help="type classification as JSON")
     p.add_argument("--matrix", required=True,
                    help="matrix JSON file (bare array or seed file)")
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--budget", type=_positive, required=True)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("groups", help="automorphism group orders as JSON")
     p.add_argument("--seed", required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--budget", type=_positive, required=True)
     p.set_defaults(func=_cmd_groups)
 
     p = sub.add_parser("realize", help="realize a relabeling by mutations")
@@ -300,8 +323,8 @@ def _build_parser() -> _Parser:
                        help="separate two seeds by a conjugated period")
     p.add_argument("--seed-a", required=True)
     p.add_argument("--seed-b", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--period-len", type=int, required=True)
+    p.add_argument("--depth", type=_nonnegative, required=True)
+    p.add_argument("--period-len", type=_nonnegative, required=True)
     p.set_defaults(func=_cmd_distinguish)
 
     p = sub.add_parser("verify-paper", help="run the acceptance check table")

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import InvariantViolation, NotSkewSymmetrizable
 
@@ -291,7 +291,11 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int]):
-        imgs = tuple(int(x) for x in images)
+        imgs = tuple(images)
+        for x in imgs:
+            # as for matrix entries: bool, float and str images are not coerced
+            if type(x) is not int:
+                raise ValueError(f"permutation image {x!r} is not an integer")
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a permutation of [1,{len(imgs)}]: {imgs}")
         self.images = imgs
@@ -487,7 +491,7 @@ class MatrixClass:
     index: dict
 
     def find(self, B: ExchangeMatrix) -> int | None:
-        return self.index.get(B.rows)
+        return self.index.get(B)
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -497,9 +501,7 @@ def matrix_mutation_class(B: ExchangeMatrix, max_matrices: int) -> MatrixClass:
     """All matrices mutation-equivalent to B, up to a size budget."""
     if max_matrices < 1:
         raise ValueError("max_matrices must be positive")
-    matrices, words, index, complete = _closure(
-        B, (), _mutation_moves(B.n), lambda M: M.rows, max_matrices
-    )
+    matrices, words, index, complete = _closure(B, (), _mutation_moves(B.n), max_matrices)
     return MatrixClass(matrices, words, complete, max_matrices, index)
 
 
@@ -515,7 +517,6 @@ def _closure(
     root: Any,
     root_word: Any,
     moves: Sequence[tuple[Any, Callable, Callable]],
-    key: Callable[[Any], Hashable],
     budget: int,
     max_depth: int | None = None,
     visit: Callable[[Any, Any], bool] | None = None,
@@ -525,20 +526,20 @@ def _closure(
 
     moves lists (label, act, extend) triples: act maps an item to a
     neighbour and extend maps the item's word to the neighbour's word.
-    Items are deduplicated by key and numbered in discovery order, which
-    is also the queue order.  visit(item, word), when given, sees the
-    root and then every new candidate before the budget check; a true
-    return stops the walk.  A new candidate deeper than max_depth is
-    dropped, and one that would make the closure exceed budget items
-    stops the walk.  edges, when given, receives (source, label, target)
-    for every move applied to an admitted item.
+    Items are their own keys: deduplicated by value and numbered in
+    discovery order, which is also the queue order.  visit(item, word),
+    when given, sees the root and then every new candidate before the
+    budget check; a true return stops the walk.  A new candidate deeper
+    than max_depth is dropped, and one that would make the closure exceed
+    budget items stops the walk.  edges, when given, receives (source,
+    label, target) for every move applied to an admitted item.
 
     Returns (items, words, index, complete); complete is False whenever
     the visitor, the budget or the depth limit cut the closure short.
     """
     items = [root]
     words = [root_word]
-    index = {key(root): 0}
+    index = {root: 0}
     if visit is not None and visit(root, root_word):
         return items, words, index, False
     depth = [0]
@@ -548,8 +549,7 @@ def _closure(
         item = items[cur]
         for label, act, extend in moves:
             t = act(item)
-            t_key = key(t)
-            found = index.get(t_key)
+            found = index.get(t)
             if found is None:
                 if max_depth is not None and depth[cur] >= max_depth:
                     complete = False
@@ -558,7 +558,7 @@ def _closure(
                 if (visit is not None and visit(t, t_word)) or len(items) >= budget:
                     return items, words, index, False
                 found = len(items)
-                index[t_key] = found
+                index[t] = found
                 items.append(t)
                 words.append(t_word)
                 depth.append(depth[cur] + 1)

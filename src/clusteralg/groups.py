@@ -233,25 +233,25 @@ def _lp_from_closures(
 
 def _verify_subgroups(r: LPResult, n: int) -> None:
     """Closure, containment and normality checks on the exact parts."""
-    pset = {p.images for p in r.P_members}
-    lset = {p.images for p in r.L_members}
+    pset = set(r.P_members)
+    lset = set(r.L_members)
     if r.P_exact and not pset <= lset and r.L_exact:
         raise InvariantViolation("P is not contained in L")
     if r.L_exact:
         for a in r.L_members:
             for b in r.L_members:
-                if a.compose(b).images not in lset:
+                if a.compose(b) not in lset:
                     raise InvariantViolation("L is not closed under composition")
     if r.P_exact:
         for a in r.P_members:
             for b in r.P_members:
-                if a.compose(b).images not in pset:
+                if a.compose(b) not in pset:
                     raise InvariantViolation("P is not closed under composition")
     if r.L_exact and r.P_exact:
         for g in r.L_members:
             ginv = g.inverse()
             for p in r.P_members:
-                if ginv.compose(p).compose(g).images not in pset:
+                if ginv.compose(p).compose(g) not in pset:
                     raise InvariantViolation("P is not normal in L")
 
 
@@ -445,7 +445,7 @@ def _propagate_candidate(
         return False
 
     moves = [(None, lambda p, T=T: (T[p[0]], T[p[1]]), lambda w: w) for T in tables]
-    _, _, _, complete = _closure((0, image0), (), moves, lambda p: p, N, visit=second_image)
+    _, _, _, complete = _closure((0, image0), (), moves, N, visit=second_image)
     if not complete or -1 in f or len(set(f)) != N:
         return None
     return tuple(f)

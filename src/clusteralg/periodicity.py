@@ -280,13 +280,17 @@ def period_set_distinguisher(
     """
     if s1.rank != s2.rank:
         raise ValueError("rank mismatch")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if period_len < 0:
+        raise ValueError("period_len must be nonnegative")
     n = s1.rank
     ident = Permutation.identity(n)
 
     def mutate_both(pair: tuple[LabeledSeed, LabeledSeed], k: int):
         return pair[0].mutate(k), pair[1].mutate(k)
 
-    for length in range(max(depth, 0) + 1):
+    for length in range(depth + 1):
         walk = _walk((s1, s2), n, length, mutate_both) if length else [((), (s1, s2))]
         for conj, (t1, t2) in walk:
             if len(conj) == length:

@@ -9,6 +9,7 @@ matrix rank (that is how subseeds on an index subset are represented).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -46,9 +47,9 @@ def inverse_sequence(seq: Sequence[int]) -> tuple[int, ...]:
 
 
 class LabeledSeed:
-    """An ordered cluster plus an exchange matrix."""
+    """An ordered cluster plus an exchange matrix, compared and hashed by value."""
 
-    __slots__ = ("cluster", "matrix", "_key")
+    __slots__ = ("cluster", "matrix", "_hash")
 
     def __init__(self, cluster: Sequence[LaurentPoly], matrix: ExchangeMatrix):
         cluster = tuple(cluster)
@@ -59,7 +60,7 @@ class LabeledSeed:
             raise ValueError("cluster entries disagree on ambient variable count")
         self.cluster = cluster
         self.matrix = matrix
-        self._key: tuple | None = None
+        self._hash: int | None = None
 
     @classmethod
     def initial(cls, B: ExchangeMatrix) -> "LabeledSeed":
@@ -75,24 +76,22 @@ class LabeledSeed:
         return self.cluster[0].nvars
 
     def canonical_key(self) -> tuple:
-        if self._key is None:
-            self._key = (
-                tuple(p.canonical_string() for p in self.cluster),
-                self.matrix.rows,
-            )
-        return self._key
+        return self.cluster, self.matrix.rows
 
     def key_string(self) -> str:
-        strings, rows = self.canonical_key()
-        return "|".join(strings) + " # " + json.dumps([list(r) for r in rows])
+        """Serialized form: canonical strings of the cluster, then the matrix rows."""
+        strings = "|".join(p.canonical_string() for p in self.cluster)
+        return strings + " # " + json.dumps(self.matrix.to_lists())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledSeed):
             return NotImplemented
-        return self.canonical_key() == other.canonical_key()
+        return self.matrix == other.matrix and self.cluster == other.cluster
 
     def __hash__(self) -> int:
-        return hash(self.canonical_key())
+        if self._hash is None:
+            self._hash = hash((self.cluster, self.matrix))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"LabeledSeed({self.key_string()})"
@@ -176,14 +175,14 @@ def seed_equivalence(s: LabeledSeed, t: LabeledSeed) -> EquivalenceResult:
         raise ValueError("rank mismatch")
     if s == t:
         return EquivalenceResult("equal", Permutation.identity(s.rank))
-    if sorted(s.canonical_key()[0]) != sorted(t.canonical_key()[0]):
+    if Counter(s.cluster) != Counter(t.cluster):
         return EquivalenceResult("distinct")
-    positions: dict[str, list[int]] = {}
-    for i, cs in enumerate(s.canonical_key()[0]):
-        positions.setdefault(cs, []).append(i + 1)
+    positions: dict[LaurentPoly, list[int]] = {}
+    for i, p in enumerate(s.cluster):
+        positions.setdefault(p, []).append(i + 1)
     # the clusters agree as multisets, so handing out each entry's
     # positions in order gives the lexicographically first alignment
-    sigma = Permutation([positions[cs].pop(0) for cs in t.canonical_key()[0]])
+    sigma = Permutation([positions[p].pop(0) for p in t.cluster])
     if s.matrix.permuted(sigma) != t.matrix:
         raise InvariantViolation(
             "clusters align under a relabeling but the matrices do not"
@@ -211,7 +210,7 @@ class OrbitGraph:
     index: dict = field(repr=False, default_factory=dict)
 
     def find(self, s: LabeledSeed) -> int | None:
-        return self.index.get(s.canonical_key())
+        return self.index.get(s)
 
     def __len__(self) -> int:
         return len(self.seeds)
@@ -250,13 +249,7 @@ def orbit(
         ]
     edges: list[tuple[int, str, int]] = []
     seeds, words, index, complete = _closure(
-        s,
-        ((), Permutation.identity(n)),
-        moves,
-        lambda t: t.canonical_key(),
-        max_seeds,
-        max_depth,
-        edges=edges,
+        s, ((), Permutation.identity(n)), moves, max_seeds, max_depth, edges=edges
     )
     return OrbitGraph(seeds, words, edges, complete, with_permutations, max_seeds, index)
 

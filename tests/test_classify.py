@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -27,6 +28,9 @@ from clusteralg.fixtures import (
     weighted_path3_matrix,
 )
 from clusteralg.seeds import LabeledSeed
+
+# the package exports a function of the same name
+classify_module = sys.modules["clusteralg.classify"]
 
 
 class TestDecisions:
@@ -193,6 +197,21 @@ class TestClassifyBudgetSweep:
             if B.is_skew_symmetric():
                 assert c.main1 == main1_conditions(B, budget), budget
 
+    @pytest.mark.parametrize("fixture", CLASSIFY_FIXTURES, ids=lambda f: f.__name__)
+    def test_probe_matches_standalone_searches(self, fixture, monkeypatch):
+        # the probe's one walk must give the answer the probe gives when fed
+        # the two standalone decisions
+        B = fixture()
+        s = LabeledSeed.initial(B)
+        mclass = matrix_mutation_class(B, SWEEP_CAP)
+        top = len(mclass) + 2 if mclass.complete else SWEEP_CAP
+        for budget in range(1, top + 1):
+            probe = automorphism_finiteness_probe(s, budget, powers=2)
+            decisions = (is_finite_type(B, budget), is_finite_mutation_type(B, budget))
+            with monkeypatch.context() as m:
+                m.setattr(classify_module, "_bounded_class_search", lambda *a: decisions)
+                assert probe == automorphism_finiteness_probe(s, budget, powers=2), budget
+
     def test_violation_just_past_the_budget(self):
         # the first bound-4 violation is the sixth matrix the walk meets:
         # outside a five-matrix class, yet still examined by a budget-5 search
@@ -209,7 +228,7 @@ class TestClassifyBudgetSweep:
         assert c.finite_mutation_type_witness == d.witness
 
     def test_rejects_nonpositive_budget(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="budget must be positive"):
             classify(a2_matrix(), 0)
 
 
@@ -242,6 +261,20 @@ class TestFinitenessProbe:
         assert p.witness == (1, 2, 3)
         assert p.powers_checked == 2
         assert p.replay(s)
+
+    @pytest.mark.parametrize("fixture", [markov_matrix, weighted_path3_matrix])
+    def test_one_class_walk(self, fixture, monkeypatch):
+        walks = []
+        real = classify_module._closure
+
+        def counting(*args, **kwargs):
+            walks.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(classify_module, "_closure", counting)
+        p = automorphism_finiteness_probe(LabeledSeed.initial(fixture()), 60, powers=2)
+        assert p.status == "infinite"
+        assert walks == [fixture()]
 
     def test_undecided_when_type_is_open(self):
         p = automorphism_finiteness_probe(LabeledSeed.initial(a3_path_matrix()), 5)

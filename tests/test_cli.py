@@ -6,6 +6,8 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from clusteralg.cli import main
 from clusteralg.fixtures import (
@@ -15,7 +17,8 @@ from clusteralg.fixtures import (
     kronecker_matrix,
     path3,
 )
-from clusteralg.seeds import seed_from_json, seed_to_json
+from clusteralg.periodicity import period_set_distinguisher
+from clusteralg.seeds import LabeledSeed, seed_from_json, seed_to_json
 
 
 @pytest.fixture
@@ -265,6 +268,179 @@ class TestErrorRouting:
         p.write_text('{"n": 2}')
         assert main(["mutate", "--seed", str(p), "--sequence", "1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["orbit", "--seed", "A2"], "--max-seeds", "0"),
+            (["classify", "--matrix", "A2"], "--budget", "0"),
+            (["groups", "--seed", "A2"], "--budget", "-1"),
+            (["periods", "--seed", "A2"], "--max-len", "-1"),
+            (["belt", "--seed", "A2"], "--steps", "-2"),
+            (["distinguish", "--seed-a", "A2", "--seed-b", "A2", "--period-len", "0"],
+             "--depth", "-1"),
+            (["distinguish", "--seed-a", "A2", "--seed-b", "A2", "--depth", "0"],
+             "--period-len", "-3"),
+            (["classify", "--matrix", "A2"], "--budget", "x"),
+        ],
+    )
+    def test_out_of_range_values_name_their_flag(self, files, capsys, argv, flag, value):
+        argv = [files["a2"] if a == "A2" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["periods", "--seed", "A2", "--max-len", "0"],
+            ["belt", "--seed", "A2", "--steps", "0"],
+            ["distinguish", "--seed-a", "A2", "--seed-b", "A2", "--depth", "0",
+             "--period-len", "0"],
+        ],
+    )
+    def test_zero_lengths_are_accepted(self, files, argv):
+        assert main([files["a2"] if a == "A2" else a for a in argv]) == 0
+
+    def test_library_rejects_negative_distinguisher_bounds(self):
+        s = LabeledSeed.initial(a2_matrix())
+        with pytest.raises(ValueError, match="depth"):
+            period_set_distinguisher(s, s, depth=-1, period_len=3)
+        with pytest.raises(ValueError, match="period_len"):
+            period_set_distinguisher(s, s, depth=0, period_len=-3)
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "[" * 100000 + "]" * 100000,
+            '{"n": 1, "matrix": ' + "[" * 100000 + "]" * 100000 + "}",
+            # parses, then fails deeper down (the error message repr's the entry)
+            "[[" + "[" * 950 + "]" * 950 + "]]",
+        ],
+        ids=["bare", "object", "near-limit-entry"],
+    )
+    def test_reported_as_input_error(self, tmp_path, capsys, payload):
+        p = tmp_path / "deep.json"
+        p.write_text(payload)
+        assert main(["mutate", "--seed", str(p), "--sequence", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+# The CLI contract: malformed files and out-of-range flags exit 0, 1 or 2.
+# Seeds keep rank <= 4 and entries in [-3, 3], and no drawn command
+# mutates a seed more than three times in a row: on a dense rank-4 matrix
+# with entries 3 a fourth mutation already takes tens of seconds.
+ENTRY = st.integers(-3, 3)
+
+
+def flags(top: int):
+    """Flag values up to top, out-of-range values and non-integers."""
+    return st.one_of(
+        st.integers(1, top).map(str),
+        st.integers(-2, top).map(str),
+        st.sampled_from(["x", "", "1.5"]),
+    )
+
+
+@st.composite
+def sign_coherent_matrices(draw):
+    """Rank <= 4, entries in [-3, 3]; not always skew-symmetrizable."""
+    n = draw(st.integers(1, 4))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = draw(ENTRY)
+            rows[i][j] = a
+            rows[j][i] = 0 if a == 0 else (-1 if a > 0 else 1) * draw(st.integers(1, 3))
+    return rows
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | ENTRY | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+
+MALFORMED = st.one_of(
+    st.text(max_size=24),
+    JSON_VALUES.map(json.dumps),
+    st.lists(st.lists(ENTRY, max_size=4), max_size=4).map(json.dumps),
+    st.builds(
+        lambda rows, extra: json.dumps({"n": len(rows), "matrix": rows, **extra}),
+        sign_coherent_matrices(),
+        st.dictionaries(st.sampled_from(["n", "names", "variables", "x"]), JSON_VALUES,
+                        min_size=1, max_size=2),
+    ),
+    st.integers(1, 100000).map(lambda k: "[" * k + "]" * k),
+)
+
+SEED_TEXTS = st.one_of(
+    sign_coherent_matrices().map(json.dumps),
+    sign_coherent_matrices().map(lambda rows: json.dumps({"n": len(rows), "matrix": rows})),
+    MALFORMED,
+)
+
+SIGMAS = st.sampled_from(["id", "(1 2)", "(1 2)(3 4)", "(1 5)", "(1 1)", "junk"])
+
+
+@st.composite
+def invocations(draw):
+    """A subcommand with {seed} and {seed2} file slots and drawn flag values.
+
+    groups is left out: its rank-2 membership walk is not bounded by
+    --budget, so a valid rank-2 matrix with a large product can run for
+    minutes.
+    """
+    command = draw(st.sampled_from(
+        ["mutate", "orbit", "periods", "belt", "classify", "realize", "distinguish"]
+    ))
+    if command == "mutate":
+        seq = draw(st.one_of(
+            st.lists(st.integers(-1, 5), max_size=3).map(lambda s: ",".join(map(str, s))),
+            st.text(max_size=5),
+        ))
+        return ["mutate", "--seed", "{seed}", "--sequence", seq]
+    if command == "orbit":
+        extra = draw(st.sampled_from([[], ["--with-permutations"]]))
+        return ["orbit", "--seed", "{seed}", "--max-seeds", draw(flags(3))] + extra
+    if command == "periods":
+        extra = draw(st.sampled_from([[], ["--matrix-only"]]))
+        return ["periods", "--seed", "{seed}", "--sigma", draw(SIGMAS),
+                "--max-len", draw(flags(3))] + extra
+    if command == "belt":
+        return ["belt", "--seed", "{seed}", "--steps", draw(flags(3))]
+    if command == "classify":
+        return ["classify", "--matrix", "{seed}", "--budget", draw(flags(3))]
+    if command == "realize":
+        return ["realize", "--seed", "{seed}", "--sigma", draw(SIGMAS)]
+    return ["distinguish", "--seed-a", "{seed}", "--seed-b", "{seed2}",
+            "--depth", draw(flags(1)), "--period-len", draw(flags(2))]
+
+
+class TestContract:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(invocations(), SEED_TEXTS, SEED_TEXTS)
+    def test_exit_code_is_0_1_or_2(self, tmp_path, capsys, argv, text, text2):
+        paths = {"{seed}": tmp_path / "seed.json", "{seed2}": tmp_path / "seed2.json"}
+        paths["{seed}"].write_text(text)
+        paths["{seed2}"].write_text(text2)
+        argv = [str(paths[a]) if a in paths else a for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 1, 2)
 
 
 class TestRepl:

@@ -147,6 +147,15 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation.from_cycle_notation(3, "(1 1)")
 
+    @pytest.mark.parametrize(
+        "images",
+        [[1.9, 2], [2.0, 1], ["2", "1"], [True, 2]],
+        ids=["1.9", "2.0", "str", "True"],
+    )
+    def test_non_int_images_rejected(self, images):
+        with pytest.raises(ValueError, match="not an integer"):
+            Permutation(images)
+
 
 class TestQuiverAndDiagram:
     def test_quiver_needs_skew_symmetric(self):

@@ -8,10 +8,12 @@ from clusteralg.exchange import ExchangeMatrix, Permutation
 from clusteralg.fixtures import (
     a2_matrix,
     a3_path_matrix,
+    a4_path_matrix,
     kronecker_matrix,
     markov_matrix,
     zero_matrix,
 )
+from clusteralg.periodicity import bipartite_belt
 from clusteralg.seeds import (
     LabeledSeed,
     apply_sequence,
@@ -142,6 +144,58 @@ class TestOrbit:
         g = orbit(a2_seed(), max_seeds=50)
         assert g.find(a2_seed().mutate(2)) is not None
         assert g.find(LabeledSeed.initial(markov_matrix())) is None
+
+
+# B3 with the weight-2 edge between 2 and 3
+B3 = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -2, 0]])
+
+
+def _rebuilt(s: LabeledSeed) -> LabeledSeed:
+    """s rebuilt from fresh objects that share nothing with it."""
+    cluster = [LaurentPoly.from_canonical_string(s.nvars, p.canonical_string()) for p in s.cluster]
+    return LabeledSeed(cluster, ExchangeMatrix(s.matrix.to_lists()))
+
+
+class TestSeedIdentity:
+    """A seed is its value: equality and hashing agree with the serialized string."""
+
+    @pytest.fixture(
+        scope="class",
+        params=["A3", "B3", "A4", "kronecker-belt"],
+    )
+    def seeds(self, request):
+        if request.param == "kronecker-belt":
+            return bipartite_belt(LabeledSeed.initial(kronecker_matrix()), steps=12).seeds
+        B = {"A3": a3_path_matrix(), "B3": B3, "A4": a4_path_matrix()}[request.param]
+        g = orbit(LabeledSeed.initial(B), max_seeds=2000, with_permutations=True)
+        assert g.complete
+        return g.seeds
+
+    def test_equal_exactly_when_key_strings_equal(self, seeds):
+        strings = [s.key_string() for s in seeds]
+        for s, string in zip(seeds, strings):
+            t = _rebuilt(s)
+            assert s == t and hash(s) == hash(t)
+            assert t.key_string() == string
+        # a sample of the orbit against all of it, including mutated copies
+        # that share all but one cluster entry with their source
+        for i in range(0, len(seeds), max(1, len(seeds) // 40)):
+            for t, string in zip(seeds, strings):
+                assert (seeds[i] == t) == (strings[i] == string)
+            back = seeds[i].mutate(1).mutate(1)
+            assert back == seeds[i] and hash(back) == hash(seeds[i])
+
+    def test_distinct_values_and_distinct_strings_agree(self, seeds):
+        assert len(set(seeds)) == len({s.key_string() for s in seeds})
+
+    def test_find_takes_a_rebuilt_seed(self, seeds):
+        g = orbit(seeds[0], max_seeds=len(seeds) + 1)
+        for i, s in enumerate(g.seeds):
+            assert g.find(_rebuilt(s)) == i
+
+    def test_canonical_key_is_cluster_and_rows(self):
+        s = a2_seed().mutate(1)
+        assert s.canonical_key() == (s.cluster, s.matrix.rows)
 
 
 class TestJsonRoundtrip:
