@@ -11,7 +11,6 @@ truncation), 1 on usage or input errors, 2 on an invariant violation.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Callable
@@ -31,6 +30,7 @@ from .realize import realize_permutation
 from .seeds import (
     LabeledSeed,
     apply_sequence,
+    format_sequence,
     orbit,
     parse_sequence,
     permute_seed,
@@ -73,9 +73,6 @@ def _load_seed(path: str) -> tuple[LabeledSeed, list[str]]:
     """Read a seed file: a bare matrix, or an object with "n", "matrix" and optional "names"."""
     text = Path(path).read_text()
     try:
-        data = json.loads(text)
-        if isinstance(data, list):
-            text = json.dumps({"n": len(data), "matrix": data})
         return seed_from_json(text)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
@@ -123,7 +120,7 @@ def _cmd_periods(args: argparse.Namespace) -> int:
         return 0
     print(f"{len(found)} {kind} period(s) for sigma={sigma.cycle_notation()}:")
     for seq in found:
-        print("  " + ",".join(str(k) for k in seq))
+        print("  " + format_sequence(seq))
     return 0
 
 
@@ -175,8 +172,8 @@ def _cmd_distinguish(args: argparse.Namespace) -> int:
         print(f"no separating period found (conjugators to depth {args.depth}, "
               f"periods to length {args.period_len})")
         return 0
-    conj = ",".join(str(k) for k in w.conjugator) or "(empty)"
-    per = ",".join(str(k) for k in w.period)
+    conj = format_sequence(w.conjugator) or "(empty)"
+    per = format_sequence(w.period)
     print(f"conjugator: {conj}")
     print(f"period: {per}")
     print(f"holds for seed {w.period_holds_on} only")

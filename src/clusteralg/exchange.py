@@ -1,4 +1,4 @@
-"""Exchange matrices, quivers, diagrams, permutations, and matrix mutation.
+"""Exchange matrices, permutations, and matrix mutation.
 
 Everything here is purely matrix-level: no cluster variables.  All
 indices in the public API are 1-based.  Values are immutable and
@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from math import gcd
 from typing import Any, Callable, Iterable, Sequence
 
@@ -59,6 +60,10 @@ class ExchangeMatrix:
         self.rows = grid
         self.symmetrizer = _find_symmetrizer(grid)
         self._hash: int | None = None
+
+    @property
+    def rank(self) -> int:
+        return self.n
 
     # -- basic access (1-based) --------------------------------------
 
@@ -119,27 +124,12 @@ class ExchangeMatrix:
         succ = {
             i: [j for j in range(self.n) if self.rows[i][j] > 0] for i in range(self.n)
         }
-        state = [0] * self.n
-        # iterative DFS, state 1 = on stack, 2 = done
-        for start in range(self.n):
-            if state[start]:
-                continue
-            stack = [(start, iter(succ[start]))]
-            state[start] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if state[nxt] == 1:
-                        return False
-                    if state[nxt] == 0:
-                        state[nxt] = 1
-                        stack.append((nxt, iter(succ[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = 2
-                    stack.pop()
+        # graphlib reads the lists as predecessors; reversing every arrow
+        # keeps every cycle
+        try:
+            TopologicalSorter(succ).prepare()
+        except CycleError:
+            return False
         return True
 
     def bipartition(self) -> tuple[int, ...] | None:
@@ -174,7 +164,10 @@ class ExchangeMatrix:
     def mutate(self, k: int) -> "ExchangeMatrix":
         return mutate_matrix(self, k)
 
-    def permuted(self, sigma: "Permutation") -> "ExchangeMatrix":
+    def apply(self, seq: Sequence[int]) -> "ExchangeMatrix":
+        return apply_matrix_sequence(self, seq)
+
+    def permute(self, sigma: "Permutation") -> "ExchangeMatrix":
         return apply_permutation_matrix(self, sigma)
 
     # -- serialization -----------------------------------------------
@@ -410,71 +403,6 @@ def apply_permutation_matrix(B: ExchangeMatrix, sigma: Permutation) -> ExchangeM
     )
 
 
-@dataclass(frozen=True)
-class Quiver:
-    """Arrow view of a skew-symmetric exchange matrix."""
-
-    matrix: ExchangeMatrix
-
-    def __post_init__(self):
-        if not self.matrix.is_skew_symmetric():
-            raise ValueError("a quiver needs a skew-symmetric matrix")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-    @classmethod
-    def from_arrows(cls, n: int, arrows: Iterable[tuple[int, int] | tuple[int, int, int]]) -> "Quiver":
-        """Arrows as (i, j) or (i, j, multiplicity), meaning i -> j."""
-        grid = [[0] * n for _ in range(n)]
-        for arrow in arrows:
-            if len(arrow) == 2:
-                i, j = arrow  # type: ignore[misc]
-                m = 1
-            else:
-                i, j, m = arrow  # type: ignore[misc]
-            grid[i - 1][j - 1] += m
-            grid[j - 1][i - 1] -= m
-        return cls(ExchangeMatrix(grid))
-
-    def arrows(self) -> list[tuple[int, int, int]]:
-        """(i, j, multiplicity) for every arrow bundle i -> j."""
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.matrix.rows[i][j] > 0:
-                    out.append((i + 1, j + 1, self.matrix.rows[i][j]))
-        return out
-
-    def mutate(self, k: int) -> "Quiver":
-        return Quiver(mutate_matrix(self.matrix, k))
-
-
-@dataclass(frozen=True)
-class Diagram:
-    """The weighted digraph: arrow i -> j with weight |b_ij b_ji| when b_ij > 0."""
-
-    n: int
-    arrows: tuple[tuple[int, int, int], ...]
-
-    @classmethod
-    def of(cls, B: ExchangeMatrix) -> "Diagram":
-        arrows = []
-        for i in range(B.n):
-            for j in range(B.n):
-                if B.rows[i][j] > 0:
-                    arrows.append((i + 1, j + 1, abs(B.rows[i][j] * B.rows[j][i])))
-        return cls(B.n, tuple(arrows))
-
-    def weight(self, i: int, j: int) -> int:
-        """Weight of the undirected edge {i,j}; 0 if absent."""
-        for a, b, w in self.arrows:
-            if {a, b} == {i, j}:
-                return w
-        return 0
-
-
 def is_inflexion(B: ExchangeMatrix, i: int, j: int, k: int) -> bool:
     """Within the triple {i,j,k}: arrows pass through i, i.e. b_ji b_ik > 0."""
     return B.entry(j, i) * B.entry(i, k) > 0
@@ -518,7 +446,6 @@ def _closure(
     root_word: Any,
     moves: Sequence[tuple[Any, Callable, Callable]],
     budget: int,
-    max_depth: int | None = None,
     visit: Callable[[Any, Any], bool] | None = None,
     edges: list | None = None,
 ) -> tuple[list, list, dict, bool]:
@@ -529,21 +456,19 @@ def _closure(
     Items are their own keys: deduplicated by value and numbered in
     discovery order, which is also the queue order.  visit(item, word),
     when given, sees the root and then every new candidate before the
-    budget check; a true return stops the walk.  A new candidate deeper
-    than max_depth is dropped, and one that would make the closure exceed
-    budget items stops the walk.  edges, when given, receives (source,
-    label, target) for every move applied to an admitted item.
+    budget check; a true return stops the walk.  A new candidate that
+    would make the closure exceed budget items stops the walk.  edges,
+    when given, receives (source, label, target) for every move applied
+    to an admitted item.
 
     Returns (items, words, index, complete); complete is False whenever
-    the visitor, the budget or the depth limit cut the closure short.
+    the visitor or the budget cut the closure short.
     """
     items = [root]
     words = [root_word]
     index = {root: 0}
     if visit is not None and visit(root, root_word):
         return items, words, index, False
-    depth = [0]
-    complete = True
     cur = 0
     while cur < len(items):
         item = items[cur]
@@ -551,9 +476,6 @@ def _closure(
             t = act(item)
             found = index.get(t)
             if found is None:
-                if max_depth is not None and depth[cur] >= max_depth:
-                    complete = False
-                    continue
                 t_word = extend(words[cur])
                 if (visit is not None and visit(t, t_word)) or len(items) >= budget:
                     return items, words, index, False
@@ -561,8 +483,7 @@ def _closure(
                 index[t] = found
                 items.append(t)
                 words.append(t_word)
-                depth.append(depth[cur] + 1)
             if edges is not None:
                 edges.append((cur, label, found))
         cur += 1
-    return items, words, index, complete
+    return items, words, index, True

@@ -199,7 +199,7 @@ def _lp_from_closures(
     n = s.rank
     out = LPResult([], [], [], [], budget=budget)
     for sigma in all_permutations(n):
-        target_m = s.matrix.permuted(sigma)
+        target_m = s.matrix.permute(sigma)
         found = mclass.find(target_m)
         if found is not None:
             out.L_members.append(sigma)
@@ -209,7 +209,7 @@ def _lp_from_closures(
         else:
             out.L_unknown.append(sigma)
 
-        target_s = permute_seed(s, sigma)
+        target_s = s.permute(sigma)
         sfound = graph.find(target_s)
         if sfound is not None:
             out.P_members.append(sigma)
@@ -308,7 +308,7 @@ def enumerate_aut_plus(s: LabeledSeed, budget: int) -> AutPlusEnumeration:
         moved = apply_sequence(s, word)
         if permute_seed(moved, pi) != t:
             raise InvariantViolation("orbit word does not replay to its seed")
-        if moved.matrix != s.matrix.permuted(pi.inverse()):
+        if moved.matrix != s.matrix.permute(pi.inverse()):
             raise InvariantViolation("direct witness matrix condition failed")
         elements.append(DirectAutomorphism(t.cluster, pi, word))
 

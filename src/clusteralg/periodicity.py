@@ -12,14 +12,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence, Union
 
 from .errors import InvariantViolation, NotBipartite
-from .exchange import ExchangeMatrix, Permutation, apply_matrix_sequence
-from .seeds import (
-    LabeledSeed,
-    apply_sequence,
-    inverse_sequence,
-    permute_seed,
-    validate_sequence,
-)
+from .exchange import ExchangeMatrix, Permutation
+from .seeds import LabeledSeed, apply_sequence, inverse_sequence, validate_sequence
 
 Target = Union[ExchangeMatrix, LabeledSeed]
 
@@ -35,23 +29,9 @@ class PeriodReport:
 def is_sigma_period(target: Target, seq: Sequence[int], sigma: Permutation) -> PeriodReport:
     """Does mutating along seq return target up to relabeling by sigma?"""
     seq = tuple(seq)
-    if isinstance(target, LabeledSeed):
-        validate_sequence(seq, target.rank)
-        end = permute_seed(apply_sequence(target, seq), sigma)
-        return PeriodReport(seq, sigma, "seed-period", end == target)
-    validate_sequence(seq, target.n)
-    end = apply_matrix_sequence(target, seq).permuted(sigma)
-    return PeriodReport(seq, sigma, "matrix-period", end == target)
-
-
-def _rank(target: Target) -> int:
-    return target.rank if isinstance(target, LabeledSeed) else target.n
-
-
-def _returns(state: Target, sigma: Permutation, original: Target) -> bool:
-    if isinstance(state, LabeledSeed):
-        return permute_seed(state, sigma) == original
-    return state.permuted(sigma) == original
+    validate_sequence(seq, target.rank)
+    kind = "seed-period" if isinstance(target, LabeledSeed) else "matrix-period"
+    return PeriodReport(seq, sigma, kind, target.apply(seq).permute(sigma) == target)
 
 
 def find_periods(
@@ -71,9 +51,9 @@ def find_periods(
     found = [
         seq
         for seq, state in _walk(
-            target, _rank(target), max_len, lambda t, k: t.mutate(k), essential_only
+            target, target.rank, max_len, lambda t, k: t.mutate(k), essential_only
         )
-        if _returns(state, sigma, target)
+        if state.permute(sigma) == target
     ]
     return sorted(found, key=lambda t: (len(t), t))
 

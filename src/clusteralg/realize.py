@@ -13,8 +13,14 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import DecomposableMatrix, InvariantViolation
-from .exchange import Permutation, Quiver, _is_connected
-from .seeds import LabeledSeed, MutationSequence, apply_sequence, permute_seed
+from .exchange import ExchangeMatrix, Permutation, _is_connected
+from .seeds import (
+    LabeledSeed,
+    MutationSequence,
+    apply_sequence,
+    format_sequence,
+    permute_seed,
+)
 
 
 def _adjacency(edges: list[tuple[int, int]], vertices: set[int]) -> dict[int, list[int]]:
@@ -36,14 +42,14 @@ def _smallest_noncut(edges: list[tuple[int, int]], vertices: set[int]) -> int:
     raise InvariantViolation("a connected graph always has a removable vertex")
 
 
-def connected_order(Q: Quiver) -> tuple[int, ...]:
+def connected_order(B: ExchangeMatrix) -> tuple[int, ...]:
     """Vertex ordering whose every prefix induces a connected subquiver.
 
     Built back to front by repeatedly deleting the smallest vertex whose
     removal keeps the remainder connected.
     """
-    edges = Q.matrix.underlying_edges()
-    vertices = set(range(1, Q.n + 1))
+    edges = B.underlying_edges()
+    vertices = set(range(1, B.n + 1))
     if not _is_connected(vertices, edges):
         raise DecomposableMatrix("quiver is disconnected")
     removed = []
@@ -87,9 +93,9 @@ class RealizationPlan:
         lines = []
         total = len(self.stages)
         for idx, (stage, pos) in enumerate(zip(self.stages, self.finalized)):
-            body = ",".join(str(k) for k in stage) if stage else "(empty)"
+            body = format_sequence(stage) if stage else "(empty)"
             lines.append(f"stage {idx + 1}/{total} fixes position {pos}: {body}")
-        full = ",".join(str(k) for k in self.full_sequence)
+        full = format_sequence(self.full_sequence)
         lines.append(f"full sequence: {full if full else '(empty)'}")
         return lines
 

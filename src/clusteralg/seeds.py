@@ -154,7 +154,7 @@ def permute_seed(s: LabeledSeed, sigma: Permutation) -> LabeledSeed:
     if sigma.n != s.rank:
         raise ValueError("permutation degree does not match seed rank")
     cluster = tuple(s.cluster[sigma(i) - 1] for i in range(1, s.rank + 1))
-    return LabeledSeed(cluster, s.matrix.permuted(sigma))
+    return LabeledSeed(cluster, s.matrix.permute(sigma))
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def seed_equivalence(s: LabeledSeed, t: LabeledSeed) -> EquivalenceResult:
     # the clusters agree as multisets, so handing out each entry's
     # positions in order gives the lexicographically first alignment
     sigma = Permutation([positions[p].pop(0) for p in t.cluster])
-    if s.matrix.permuted(sigma) != t.matrix:
+    if s.matrix.permute(sigma) != t.matrix:
         raise InvariantViolation(
             "clusters align under a relabeling but the matrices do not"
         )
@@ -223,7 +223,6 @@ def orbit(
     s: LabeledSeed,
     max_seeds: int,
     with_permutations: bool = False,
-    max_depth: int | None = None,
 ) -> OrbitGraph:
     """Breadth-first closure under mu_1..mu_n (and adjacent transpositions).
 
@@ -249,18 +248,20 @@ def orbit(
         ]
     edges: list[tuple[int, str, int]] = []
     seeds, words, index, complete = _closure(
-        s, ((), Permutation.identity(n)), moves, max_seeds, max_depth, edges=edges
+        s, ((), Permutation.identity(n)), moves, max_seeds, edges=edges
     )
     return OrbitGraph(seeds, words, edges, complete, with_permutations, max_seeds, index)
 
 
 def seed_from_json(text: str) -> tuple[LabeledSeed, list[str]]:
-    """Parse {"n": int, "matrix": [[int]], "names": [str]?}.
+    """Parse a bare matrix [[int]] or {"n": int, "matrix": [[int]], "names": [str]?}.
 
     Returns the initial seed of the matrix plus display names.  Unknown
     keys are rejected rather than ignored.
     """
     data = json.loads(text)
+    if isinstance(data, list):
+        data = {"n": len(data), "matrix": data}
     if not isinstance(data, dict) or "n" not in data or "matrix" not in data:
         raise ValueError('seed file needs keys "n" and "matrix"')
     unknown = sorted(set(data) - {"n", "matrix", "names"})

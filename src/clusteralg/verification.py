@@ -320,7 +320,7 @@ def check_property_battery() -> CheckResult:
             M = M.mutate(k)
         sigma = rng.choice(list(all_permutations(M.n)))
         k = rng.randrange(1, M.n + 1)
-        if M.permuted(sigma).mutate(k) != M.mutate(sigma(k)).permuted(sigma):
+        if M.permute(sigma).mutate(k) != M.mutate(sigma(k)).permute(sigma):
             bad_wk += 1
     _fails(f, bad_wk == 0, f"{bad_wk} matrix relabeling-identity failures")
 

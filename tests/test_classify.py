@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 
@@ -169,6 +170,22 @@ def _render(decision):
     if decision.status == "unknown":
         return f"unknown(budget={decision.budget})"
     return decision.status
+
+
+def _has_forward_order(B) -> bool:
+    """Brute-force acyclicity: some vertex order puts every arrow i -> j forward."""
+    arrows = [(i, j) for i in range(B.n) for j in range(B.n) if B.rows[i][j] > 0]
+    return any(
+        all(order.index(i) < order.index(j) for i, j in arrows)
+        for order in itertools.permutations(range(B.n))
+    )
+
+
+class TestAcyclicity:
+    @pytest.mark.parametrize("fixture", CLASSIFY_FIXTURES, ids=lambda f: f.__name__)
+    def test_matches_brute_force_on_the_class(self, fixture):
+        for M in matrix_mutation_class(fixture(), SWEEP_CAP).matrices:
+            assert M.is_acyclic() == _has_forward_order(M), M
 
 
 class TestClassifyBudgetSweep:

@@ -6,10 +6,8 @@ import pytest
 
 from clusteralg.errors import NotSkewSymmetrizable
 from clusteralg.exchange import (
-    Diagram,
     ExchangeMatrix,
     Permutation,
-    Quiver,
     all_permutations,
     apply_matrix_sequence,
     is_inflexion,
@@ -112,7 +110,7 @@ class TestExchangeMatrix:
     def test_permuted_entries(self):
         B = a3_path_matrix()
         sigma = Permutation.from_cycle_notation(3, "(1 2 3)")
-        C = B.permuted(sigma)
+        C = B.permute(sigma)
         for i in range(1, 4):
             for j in range(1, 4):
                 assert C.entry(i, j) == B.entry(sigma(i), sigma(j))
@@ -158,24 +156,7 @@ class TestPermutation:
 
 
 class TestQuiverAndDiagram:
-    def test_quiver_needs_skew_symmetric(self):
-        with pytest.raises(ValueError):
-            Quiver(b2_matrix())
-
-    def test_from_arrows_roundtrip(self):
-        Q = Quiver.from_arrows(3, [(1, 2), (2, 3, 2)])
-        assert Q.arrows() == [(1, 2, 1), (2, 3, 2)]
-        assert Q.matrix.entry(3, 2) == -2
-
-    def test_quiver_mutation_matches_matrix_mutation(self):
-        Q = Quiver(a3_path_matrix())
-        assert Q.mutate(2).matrix == a3_path_matrix().mutate(2)
-
-    def test_diagram_weights(self):
-        D = Diagram.of(b2_matrix())
-        assert D.weight(1, 2) == 2
-        assert D.weight(2, 1) == 2
-        assert Diagram.of(a2_matrix()).weight(1, 2) == 1
+    """Quiver and diagram notions, read directly off the exchange matrix."""
 
     def test_inflexion(self):
         # path 1 -> 2 -> 3: arrows pass through 2

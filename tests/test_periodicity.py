@@ -2,21 +2,35 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from clusteralg.errors import NotBipartite
-from clusteralg.exchange import Permutation
+from clusteralg.exchange import (
+    Permutation,
+    all_permutations,
+    apply_matrix_sequence,
+    apply_permutation_matrix,
+)
 from clusteralg.fixtures import (
     a2_matrix,
     a3_alternating_matrix,
     a3_path_matrix,
+    a4_path_matrix,
     acyclic_triangle,
     b2_matrix,
     cyclic_triangle,
     fork3,
     fork_chord_triangle,
+    g2_matrix,
     kronecker_matrix,
+    markov_matrix,
     path3,
+    rank1_matrix,
+    rank4_v1_matrix,
+    weighted_path3_matrix,
+    zero_matrix,
 )
 from clusteralg.periodicity import (
     bipartite_belt,
@@ -28,11 +42,74 @@ from clusteralg.periodicity import (
     subseed,
     tropical_period_filter,
 )
-from clusteralg.seeds import LabeledSeed, apply_sequence
+from clusteralg.seeds import LabeledSeed, apply_sequence, permute_seed
 
 
 def a2_seed() -> LabeledSeed:
     return LabeledSeed.initial(a2_matrix())
+
+
+ACTION_FIXTURES = {
+    "rank1": rank1_matrix(),
+    "A2": a2_matrix(),
+    "B2": b2_matrix(),
+    "G2": g2_matrix(),
+    "kronecker": kronecker_matrix(),
+    "zero2": zero_matrix(2),
+    "A3-path": a3_path_matrix(),
+    "A3-alternating": a3_alternating_matrix(),
+    "markov": markov_matrix(),
+    "weighted-path3": weighted_path3_matrix(),
+    "acyclic-triangle": acyclic_triangle(1, 1, 2),
+    "cyclic-triangle": cyclic_triangle(1, 1, 1),
+    "A4-path": a4_path_matrix(),
+    "rank4-v1": rank4_v1_matrix(),
+}
+
+
+def _words(n: int, max_len: int):
+    for length in range(max_len + 1):
+        yield from itertools.product(range(1, n + 1), repeat=length)
+
+
+def _free_functions(target):
+    """(rank, apply, permute, kind) for target, spelled with the free functions."""
+    if isinstance(target, LabeledSeed):
+        return target.matrix.n, apply_sequence, permute_seed, "seed-period"
+    return target.n, apply_matrix_sequence, apply_permutation_matrix, "matrix-period"
+
+
+class TestActionInterface:
+    """Matrices and seeds answer rank, apply and permute alike."""
+
+    @pytest.mark.parametrize("B", ACTION_FIXTURES.values(), ids=ACTION_FIXTURES.keys())
+    def test_methods_match_free_functions(self, B):
+        for x in (B, LabeledSeed.initial(B)):
+            rank, apply, permute, _ = _free_functions(x)
+            assert x.rank == rank == B.n
+            for w in _words(B.n, 3):
+                assert x.apply(w) == apply(x, w)
+            for sigma in all_permutations(B.n):
+                assert x.permute(sigma) == permute(x, sigma)
+
+    @pytest.mark.parametrize("B", ACTION_FIXTURES.values(), ids=ACTION_FIXTURES.keys())
+    def test_sigma_period_matches_free_function_reference(self, B):
+        # every word to length 5 at rank <= 2; the sweep is capped at higher
+        # rank, where the words times the n! sigmas cost seconds per fixture
+        max_len = {1: 5, 2: 5, 3: 3, 4: 2}[B.n]
+        for x in (B, LabeledSeed.initial(B)):
+            _, apply, permute, kind = _free_functions(x)
+            periods = {sigma: [] for sigma in all_permutations(B.n)}
+            for w in _words(B.n, max_len):
+                end = apply(x, w)
+                for sigma, found in periods.items():
+                    holds = permute(end, sigma) == x
+                    report = is_sigma_period(x, w, sigma)
+                    assert (report.holds, report.kind) == (holds, kind), (w, sigma)
+                    if holds and w:
+                        found.append(w)
+            for sigma, found in periods.items():
+                assert find_periods(x, sigma, max_len, essential_only=False) == found
 
 
 class TestSigmaPeriods:

@@ -97,7 +97,7 @@ class TestMatrixProperties:
         if sigma.n != B.n:
             sigma = Permutation.identity(B.n)
         k = _clip(k, B.n)
-        assert B.permuted(sigma).mutate(k) == B.mutate(sigma(k)).permuted(sigma)
+        assert B.permute(sigma).mutate(k) == B.mutate(sigma(k)).permute(sigma)
 
 
 class TestSeedProperties:

@@ -8,7 +8,6 @@ from clusteralg.errors import DecomposableMatrix
 from clusteralg.exchange import (
     ExchangeMatrix,
     Permutation,
-    Quiver,
     all_permutations,
 )
 from clusteralg.fixtures import (
@@ -42,17 +41,25 @@ def _prefix_connected(B: ExchangeMatrix, order: tuple[int, ...]) -> bool:
 
 class TestConnectedOrder:
     def test_path_order(self):
-        order = connected_order(Quiver(a4_path_matrix()))
+        order = connected_order(a4_path_matrix())
         assert order == (4, 3, 2, 1)
         assert _prefix_connected(a4_path_matrix(), order)
 
     def test_every_prefix_connected(self):
         B = a3_path_matrix()
-        assert _prefix_connected(B, connected_order(Quiver(B)))
+        assert _prefix_connected(B, connected_order(B))
 
     def test_disconnected_rejected(self):
         with pytest.raises(DecomposableMatrix):
-            connected_order(Quiver(zero_matrix(2)))
+            connected_order(zero_matrix(2))
+
+    def test_skew_symmetrizable_matrix(self):
+        # B3: skew-symmetrizable with symmetrizer (2, 2, 1), not skew-symmetric
+        B = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -2, 0]])
+        assert not B.is_skew_symmetric()
+        order = connected_order(B)
+        assert order == (3, 2, 1)
+        assert _prefix_connected(B, order)
 
 
 class TestSwapGadget:

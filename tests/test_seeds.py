@@ -136,10 +136,6 @@ class TestOrbit:
         g = orbit(LabeledSeed.initial(kronecker_matrix(2)), max_seeds=7)
         assert not g.complete and len(g) == 7
 
-    def test_max_depth_limits_growth(self):
-        g = orbit(a2_seed(), max_seeds=50, max_depth=1)
-        assert not g.complete and len(g) == 3
-
     def test_find(self):
         g = orbit(a2_seed(), max_seeds=50)
         assert g.find(a2_seed().mutate(2)) is not None
@@ -228,9 +224,20 @@ class TestJsonRoundtrip:
         _, names = seed_from_json(seed_to_json(a2_matrix()))
         assert names == ["x1", "x2"]
 
+    def test_bare_matrix(self):
+        seed, names = seed_from_json("[[0, 1], [-1, 0]]")
+        assert seed == LabeledSeed.initial(a2_matrix())
+        assert names == ["x1", "x2"]
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [("[]", "empty matrix"), ("[1, 2]", "n-row array of arrays")],
+    )
+    def test_bad_bare_matrices_rejected(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            seed_from_json(payload)
+
     def test_bad_payloads(self):
-        with pytest.raises(ValueError):
-            seed_from_json("[[0, 1], [-1, 0]]")
         with pytest.raises(ValueError):
             seed_from_json('{"n": 2, "matrix": [[0, 1]]}')
         with pytest.raises(ValueError):
