@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
-from math import gcd
+from math import gcd, lcm
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import InvariantViolation, NotSkewSymmetrizable
@@ -96,8 +95,8 @@ class ExchangeMatrix:
         )
 
     def v(self) -> int:
-        """Largest entry; by sign coherence also the largest |entry|."""
-        return max(x for row in self.rows for x in row) if self.n > 1 else 0
+        """Largest |entry|, max |b_ij|; 0 for a zero matrix."""
+        return max(abs(x) for row in self.rows for x in row)
 
     def max_abs_product(self) -> int:
         """max over pairs of |b_ij * b_ji|."""
@@ -181,46 +180,49 @@ def _find_symmetrizer(grid: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
     Ratios propagate along edges of the underlying graph, component by
     component; a cycle with an inconsistent ratio product means no
-    symmetrizer exists.
+    symmetrizer exists.  Each ratio d_i / d_root is kept as a reduced
+    integer pair (num, den) with den > 0, so equal ratios compare equal
+    as tuples; num 0 marks a vertex not reached yet.
     """
     n = len(grid)
-    d: list[Fraction | None] = [None] * n
+    d = [(0, 1)] * n
+    out = [0] * n
     for root in range(n):
-        if d[root] is not None:
+        if d[root][0]:
             continue
-        d[root] = Fraction(1)
+        d[root] = (1, 1)
         queue = [root]
         component = [root]
         while queue:
             i = queue.pop()
+            num, den = d[i]
             for j in range(n):
                 if grid[i][j] == 0:
                     continue
                 # d_j = d_i * (-b_ij / b_ji); b_ji nonzero by sign coherence
-                forced = d[i] * Fraction(-grid[i][j], grid[j][i])
-                if forced <= 0:
+                p, q = -num * grid[i][j], den * grid[j][i]
+                if q < 0:
+                    p, q = -p, -q
+                if p <= 0:
                     raise NotSkewSymmetrizable("ratio propagation forces nonpositive d")
-                if d[j] is None:
+                g = gcd(p, q)
+                forced = (p // g, q // g)
+                if not d[j][0]:
                     d[j] = forced
                     queue.append(j)
                     component.append(j)
                 elif d[j] != forced:
                     raise NotSkewSymmetrizable("inconsistent symmetrizer ratios on a cycle")
-        scale = 1
-        for i in component:
-            scale = scale * d[i].denominator // gcd(scale, d[i].denominator)
-        nums = [int(d[i] * scale) for i in component]
-        g = 0
-        for x in nums:
-            g = gcd(g, x)
+        scale = lcm(*(d[i][1] for i in component))
+        nums = [d[i][0] * (scale // d[i][1]) for i in component]
+        g = gcd(*nums)
         for i, x in zip(component, nums):
-            d[i] = Fraction(x // g)
-    out = tuple(int(x) for x in d)  # type: ignore[arg-type]
+            out[i] = x // g
     for i in range(n):
         for j in range(n):
             if out[i] * grid[i][j] != -out[j] * grid[j][i]:
                 raise NotSkewSymmetrizable("no positive integer symmetrizer")
-    return out
+    return tuple(out)
 
 
 def _is_connected(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> bool:

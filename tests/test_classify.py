@@ -150,6 +150,7 @@ class TestClassification:
         assert c.main1 is None
         assert c.finite_type == "yes"
         assert c.dynkin == "B2"
+        assert (c.v, c.m_upper_bound, c.m_exact) == (2, 2, True)
 
 
 CLASSIFY_FIXTURES = [
@@ -186,6 +187,14 @@ class TestAcyclicity:
     def test_matches_brute_force_on_the_class(self, fixture):
         for M in matrix_mutation_class(fixture(), SWEEP_CAP).matrices:
             assert M.is_acyclic() == _has_forward_order(M), M
+
+
+class TestV:
+    @pytest.mark.parametrize("fixture", CLASSIFY_FIXTURES, ids=lambda f: f.__name__)
+    def test_largest_absolute_entry_on_the_class(self, fixture):
+        for M in matrix_mutation_class(fixture(), SWEEP_CAP).matrices:
+            top = max(abs(x) for row in M.rows for x in row)
+            assert M.v() == (-M).v() == top, M
 
 
 class TestClassifyBudgetSweep:

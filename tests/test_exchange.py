@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from clusteralg.errors import NotSkewSymmetrizable
+from clusteralg.errors import InvariantViolation, NotSkewSymmetrizable
 from clusteralg.exchange import (
     ExchangeMatrix,
     Permutation,
@@ -12,6 +12,7 @@ from clusteralg.exchange import (
     apply_matrix_sequence,
     is_inflexion,
     matrix_mutation_class,
+    mutate_matrix,
 )
 from clusteralg.fixtures import (
     a2_matrix,
@@ -19,6 +20,7 @@ from clusteralg.fixtures import (
     acyclic_triangle,
     b2_matrix,
     cyclic_triangle,
+    g2_matrix,
     kronecker_matrix,
     markov_matrix,
     rank4_v1_matrix,
@@ -59,6 +61,12 @@ class TestExchangeMatrix:
         with pytest.raises(NotSkewSymmetrizable):
             ExchangeMatrix([[0, 1, -1], [-2, 0, 1], [1, -1, 0]])
 
+    def test_mutation_rejects_a_wrong_parent_symmetrizer(self):
+        B = b2_matrix()
+        B.symmetrizer = (1, 1)
+        with pytest.raises(InvariantViolation, match="^mutation broke the skew-symmetrizer$"):
+            mutate_matrix(B, 1)
+
     def test_mutation_hand_value_rank2(self):
         # mutation negates everything in rank 2
         assert a2_matrix().mutate(1) == -a2_matrix()
@@ -82,6 +90,9 @@ class TestExchangeMatrix:
     def test_v_and_max_abs_product(self):
         assert a2_matrix().v() == 1
         assert kronecker_matrix(2).v() == 2
+        # the largest |entry|, whichever sign it has
+        assert b2_matrix().v() == (-b2_matrix()).v() == 2
+        assert g2_matrix().v() == (-g2_matrix()).v() == 3
         assert kronecker_matrix(2).max_abs_product() == 4
         assert b2_matrix().max_abs_product() == 2
 

@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusteralg.exchange import ExchangeMatrix, Permutation
+from clusteralg import fixtures
+from clusteralg.errors import NotSkewSymmetrizable
+from clusteralg.exchange import (
+    ExchangeMatrix,
+    Permutation,
+    _find_symmetrizer,
+    matrix_mutation_class,
+)
 from clusteralg.periodicity import is_sigma_period, tropical_period_filter
 from clusteralg.seeds import LabeledSeed, apply_sequence, mutate_seed, permute_seed
 from clusteralg.symbolic import LaurentPoly, exact_div
@@ -98,6 +110,134 @@ class TestMatrixProperties:
             sigma = Permutation.identity(B.n)
         k = _clip(k, B.n)
         assert B.permute(sigma).mutate(k) == B.mutate(sigma(k)).permute(sigma)
+
+
+def _fraction_symmetrizer(grid: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Reference symmetrizer search in exact Fraction arithmetic."""
+    n = len(grid)
+    d: list[Fraction | None] = [None] * n
+    for root in range(n):
+        if d[root] is not None:
+            continue
+        d[root] = Fraction(1)
+        queue = [root]
+        component = [root]
+        while queue:
+            i = queue.pop()
+            for j in range(n):
+                if grid[i][j] == 0:
+                    continue
+                forced = d[i] * Fraction(-grid[i][j], grid[j][i])
+                if forced <= 0:
+                    raise NotSkewSymmetrizable("ratio propagation forces nonpositive d")
+                if d[j] is None:
+                    d[j] = forced
+                    queue.append(j)
+                    component.append(j)
+                elif d[j] != forced:
+                    raise NotSkewSymmetrizable("inconsistent symmetrizer ratios on a cycle")
+        scale = 1
+        for i in component:
+            scale = scale * d[i].denominator // gcd(scale, d[i].denominator)
+        nums = [int(d[i] * scale) for i in component]
+        g = 0
+        for x in nums:
+            g = gcd(g, x)
+        for i, x in zip(component, nums):
+            d[i] = Fraction(x // g)
+    out = tuple(int(x) for x in d)
+    for i in range(n):
+        for j in range(n):
+            if out[i] * grid[i][j] != -out[j] * grid[j][i]:
+                raise NotSkewSymmetrizable("no positive integer symmetrizer")
+    return out
+
+
+def _outcome(search, grid):
+    """The symmetrizer, or the type and message of the exception raised."""
+    try:
+        return search(grid)
+    except NotSkewSymmetrizable as exc:
+        return type(exc), str(exc)
+
+
+def _random_grid(rng: random.Random) -> tuple[tuple[int, ...], ...]:
+    """A zero-paired rank 1-6 grid, symmetrizable by construction half the time.
+
+    The other half draws each pair freely, so cycles are mostly
+    inconsistent; one pair in ten has equal signs, to reach the
+    nonpositive-ratio rejection.  Zero pairing keeps every ratio defined.
+    """
+    n = rng.randint(1, 6)
+    d = [rng.randint(1, 4) for _ in range(n)] if rng.random() < 0.5 else None
+    grid = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.4:
+                continue
+            z = rng.choice((-1, 1))
+            if d is not None:
+                m = z * rng.randint(1, 3)
+                a, b = m * d[j], -m * d[i]
+            else:
+                a, b = z * rng.randint(1, 6), -z * rng.randint(1, 6)
+                if rng.random() < 0.1:
+                    b = -b
+            grid[i][j], grid[j][i] = a, b
+    return tuple(tuple(row) for row in grid)
+
+
+SYMMETRIZER_FIXTURES = {
+    "a2": fixtures.a2_matrix(),
+    "b2": fixtures.b2_matrix(),
+    "g2": fixtures.g2_matrix(),
+    "kronecker2": fixtures.kronecker_matrix(),
+    "kronecker3": fixtures.kronecker_matrix(3),
+    "rank1": fixtures.rank1_matrix(),
+    "zero3": fixtures.zero_matrix(3),
+    "path3(1,2)": fixtures.path3(1, 2),
+    "fork3(3,1)": fixtures.fork3(3, 1),
+    "a3_path": fixtures.a3_path_matrix(),
+    "a3_alternating": fixtures.a3_alternating_matrix(),
+    "a4_path": fixtures.a4_path_matrix(),
+    "acyclic_triangle(1,1,2)": fixtures.acyclic_triangle(1, 1, 2),
+    "cyclic_triangle(1,1,1)": fixtures.cyclic_triangle(1, 1, 1),
+    "fork_chord_triangle(1,1,2)": fixtures.fork_chord_triangle(1, 1, 2),
+    "markov": fixtures.markov_matrix(),
+    "rank4_v1": fixtures.rank4_v1_matrix(),
+    "weighted_path3": fixtures.weighted_path3_matrix(),
+    # B3 with the weight-2 edge between 2 and 3
+    "b3": ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -2, 0]]),
+}
+
+
+class TestSymmetrizerReference:
+    """The integer symmetrizer search agrees with the Fraction reference."""
+
+    @pytest.mark.parametrize("name", SYMMETRIZER_FIXTURES)
+    def test_fixture_classes(self, name):
+        for M in matrix_mutation_class(SYMMETRIZER_FIXTURES[name], 300).matrices:
+            assert M.symmetrizer == _fraction_symmetrizer(M.rows), M
+
+    @settings(max_examples=200)
+    @given(matrices(max_n=5, bound=3))
+    def test_strategy_matrices(self, Bd):
+        B, _ = Bd
+        assert _find_symmetrizer(B.rows) == _fraction_symmetrizer(B.rows)
+
+    def test_random_grids(self):
+        rng = random.Random(20260)
+        seen = set()
+        for _ in range(4000):
+            grid = _random_grid(rng)
+            got = _outcome(_find_symmetrizer, grid)
+            assert got == _outcome(_fraction_symmetrizer, grid), grid
+            seen.add(got[1] if isinstance(got[0], type) else "symmetrizable")
+        assert seen == {
+            "symmetrizable",
+            "ratio propagation forces nonpositive d",
+            "inconsistent symmetrizer ratios on a cycle",
+        }
 
 
 class TestSeedProperties:
