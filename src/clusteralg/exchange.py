@@ -26,6 +26,7 @@ class ExchangeMatrix:
     Construction validates zero diagonal, sign coherence (b_ij > 0 iff
     b_ji < 0, zeros paired) and the existence of a positive integer
     diagonal D with D*B skew-symmetric.  The minimal such D is stored.
+    Instances are immutable: they key every closure index by value.
     """
 
     __slots__ = ("n", "rows", "symmetrizer", "_hash")
@@ -55,10 +56,17 @@ class ExchangeMatrix:
                     raise NotSkewSymmetrizable(
                         f"sign incoherence at ({i + 1},{j + 1}): {a} vs {b}"
                     )
-        self.n = n
-        self.rows = grid
-        self.symmetrizer = _find_symmetrizer(grid)
-        self._hash: int | None = None
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", grid)
+        object.__setattr__(self, "symmetrizer", _find_symmetrizer(grid))
+        object.__setattr__(self, "_hash", None)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"ExchangeMatrix is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor
+        return ExchangeMatrix, (self.rows,)
 
     @property
     def rank(self) -> int:
@@ -76,7 +84,7 @@ class ExchangeMatrix:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.rows)
+            object.__setattr__(self, "_hash", hash(self.rows))
         return self._hash
 
     def __repr__(self) -> str:
@@ -213,11 +221,12 @@ def _find_symmetrizer(grid: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
                     component.append(j)
                 elif d[j] != forced:
                     raise NotSkewSymmetrizable("inconsistent symmetrizer ratios on a cycle")
+        # no common factor is left to divide out: the root is 1/1 and every
+        # ratio is reduced, so for each prime of scale the vertex whose
+        # denominator holds its highest power scales to a number prime to it
         scale = lcm(*(d[i][1] for i in component))
-        nums = [d[i][0] * (scale // d[i][1]) for i in component]
-        g = gcd(*nums)
-        for i, x in zip(component, nums):
-            out[i] = x // g
+        for i in component:
+            out[i] = d[i][0] * (scale // d[i][1])
     for i in range(n):
         for j in range(n):
             if out[i] * grid[i][j] != -out[j] * grid[j][i]:

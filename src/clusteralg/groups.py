@@ -6,8 +6,8 @@ permutation-periodic groups L and P, and equivariant bijections of a
 closed orbit together with its sign-fixing subgroup W.
 
 Cardinalities are never guessed: every order is either an exact integer
-from a closed enumeration (or a certified rank-2 argument) or an
-explicit unknown carrying the budget it failed at.
+from a closed enumeration (or, for P at rank 2, the rank-2 theorem)
+or an explicit unknown carrying the budget it failed at.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .exchange import (
     all_permutations,
     matrix_mutation_class,
 )
-from .periodicity import _walk, is_sigma_period
+from .periodicity import is_sigma_period
 from .seeds import LabeledSeed, OrbitGraph, apply_sequence, orbit, permute_seed
 from .symbolic import LaurentPoly
 
@@ -145,46 +145,36 @@ class LPResult:
         return not self.P_unknown
 
 
-def _denominator_degree(p: LaurentPoly) -> int:
-    return sum(max(0, -e) for e in p.min_exponents())
+_A2_SWAP_WITNESS = (1, 2, 1, 2, 1)
 
 
-def _rank2_membership(
-    s: LabeledSeed, target: LabeledSeed, steps: int = 16
-) -> tuple[bool | None, tuple[int, ...] | None]:
-    """Decide whether target sits on the rank-2 mutation line of s.
+def _rank2_swap(s: LabeledSeed, swapped: LabeledSeed) -> tuple[int, ...] | str:
+    """A witness that s reaches the swapped seed, or a certificate that it cannot.
 
-    Every essential rank-2 sequence alternates, so the reachable set is
-    two alternating rays.  Walk both; if the target never shows and the
-    new-variable denominator degrees grow with non-decreasing steps well
-    past the target's size, certify absence.  (True, witness) /
-    (False, None) / (None, None) for found / certified absent / unknown.
+    Read off bc = -b12 b21.  bc = 1 (type A2): the witness (1,2,1,2,1),
+    replayed before it is returned.  Otherwise the swap is not in P: if
+    b12 != -b21 it is not even in L, as the mutation class of a rank-2
+    matrix is {B, -B}; if bc >= 4 the exchange graph is an infinite path
+    with pairwise distinct cluster variables (Fomin-Zelevinsky, Cluster
+    algebras I, section 6), so s is the only seed on it with its cluster.
     """
-    if target == s:
-        return True, ()
-    target_size = max(_denominator_degree(p) for p in target.cluster)
-    rays: dict[int, list[int]] = {1: [], 2: []}
-    for seq, cur in _walk(s, 2, steps, lambda t, k: t.mutate(k)):
-        if cur == target:
-            return True, seq
-        rays[seq[0]].append(_denominator_degree(cur.cluster[seq[-1] - 1]))
-    for metrics in rays.values():
-        tail = metrics[-8:]
-        diffs = [b - a for a, b in zip(tail, tail[1:])]
-        growing = all(d > 0 for d in diffs) and all(
-            y >= x for x, y in zip(diffs, diffs[1:])
-        )
-        if not (growing and min(metrics[-2], metrics[-1]) > target_size):
-            return None, None
-    return False, None
+    b12, b21 = s.matrix.rows[0][1], s.matrix.rows[1][0]
+    bc = -b12 * b21
+    if bc == 1:
+        if apply_sequence(s, _A2_SWAP_WITNESS) != swapped:
+            raise InvariantViolation("A2 swap witness does not replay")
+        return _A2_SWAP_WITNESS
+    if b12 != -b21:
+        return f"rank 2, bc = {bc}: b12 != -b21, so the swap is not in L"
+    return f"rank 2, bc = {bc} >= 4: the exchange graph is an infinite path"
 
 
 def compute_L_P(s: LabeledSeed, budget: int) -> LPResult:
     """L = relabelings of B reachable by matrix mutation; P = same for the seed.
 
     Both are decided per permutation.  Closed searches give exact
-    answers; a non-closing rank-2 seed orbit falls back to the certified
-    line walk; anything else leaves the permutation unknown.
+    answers; a non-closing rank-2 seed orbit falls back to the rank-2
+    theorem (_rank2_swap); anything else leaves the permutation unknown.
     """
     _require_indecomposable(s.matrix)
     mclass = matrix_mutation_class(s.matrix, max_matrices=budget)
@@ -217,14 +207,12 @@ def _lp_from_closures(
         elif graph.complete:
             pass
         elif n == 2:
-            member, witness = _rank2_membership(s, target_s)
-            if member:
-                out.P_members.append(sigma)
-                out.P_witnesses[sigma.cycle_notation()] = witness
-            elif member is False:
-                out.P_certificates[sigma.cycle_notation()] = "monotone-growth-guard"
+            answer = _rank2_swap(s, target_s)
+            if isinstance(answer, str):
+                out.P_certificates[sigma.cycle_notation()] = answer
             else:
-                out.P_unknown.append(sigma)
+                out.P_members.append(sigma)
+                out.P_witnesses[sigma.cycle_notation()] = answer
         else:
             out.P_unknown.append(sigma)
     _verify_subgroups(out, n)

@@ -204,6 +204,15 @@ class TestGroupsCommand:
         assert payload["saut_order"] == "unknown(budget=12)"
         assert payload["exactness_verified"] is False
 
+    def test_rank2_large_product_finishes(self, tmp_path, capsys):
+        p = tmp_path / "k3.json"
+        p.write_text("[[0, 3], [-3, 0]]")
+        rc = main(["groups", "--seed", str(p), "--budget", "3"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["L_order"] == 2
+        assert payload["P_order"] == 1
+
 
 class TestRealizeCommand:
     def test_reversal_plan(self, files, capsys):
@@ -391,14 +400,10 @@ SIGMAS = st.sampled_from(["id", "(1 2)", "(1 2)(3 4)", "(1 5)", "(1 1)", "junk"]
 
 @st.composite
 def invocations(draw):
-    """A subcommand with {seed} and {seed2} file slots and drawn flag values.
-
-    groups is left out: its rank-2 membership walk is not bounded by
-    --budget, so a valid rank-2 matrix with a large product can run for
-    minutes.
-    """
+    """A subcommand with {seed} and {seed2} file slots and drawn flag values."""
     command = draw(st.sampled_from(
-        ["mutate", "orbit", "periods", "belt", "classify", "realize", "distinguish"]
+        ["mutate", "orbit", "periods", "belt", "classify", "groups", "realize",
+         "distinguish"]
     ))
     if command == "mutate":
         seq = draw(st.one_of(
@@ -417,6 +422,8 @@ def invocations(draw):
         return ["belt", "--seed", "{seed}", "--steps", draw(flags(3))]
     if command == "classify":
         return ["classify", "--matrix", "{seed}", "--budget", draw(flags(3))]
+    if command == "groups":
+        return ["groups", "--seed", "{seed}", "--budget", draw(flags(3))]
     if command == "realize":
         return ["realize", "--seed", "{seed}", "--sigma", draw(SIGMAS)]
     return ["distinguish", "--seed-a", "{seed}", "--seed-b", "{seed2}",

@@ -63,9 +63,30 @@ class TestExchangeMatrix:
 
     def test_mutation_rejects_a_wrong_parent_symmetrizer(self):
         B = b2_matrix()
-        B.symmetrizer = (1, 1)
+        # the matrix is immutable, so the corruption goes around the guard
+        object.__setattr__(B, "symmetrizer", (1, 1))
         with pytest.raises(InvariantViolation, match="^mutation broke the skew-symmetrizer$"):
             mutate_matrix(B, 1)
+
+    def test_immutable(self):
+        B = a2_matrix()
+        h = hash(B)
+        for name, value in [("rows", kronecker_matrix(2).rows), ("symmetrizer", (1, 1)),
+                            ("n", 3), ("_hash", 0), ("extra", 1)]:
+            with pytest.raises(AttributeError):
+                setattr(B, name, value)
+        assert B == a2_matrix() and hash(B) == h and B in {a2_matrix(): 0}
+
+    @pytest.mark.parametrize("B", [a2_matrix(), b2_matrix(), markov_matrix()],
+                             ids=["A2", "B2", "markov"])
+    def test_copy_and_pickle_round_trip(self, B):
+        import copy
+        import pickle
+
+        h = hash(B)
+        for C in (copy.copy(B), copy.deepcopy(B), pickle.loads(pickle.dumps(B))):
+            assert C == B and hash(C) == h
+            assert C.symmetrizer == B.symmetrizer and C.n == B.n
 
     def test_mutation_hand_value_rank2(self):
         # mutation negates everything in rank 2

@@ -9,6 +9,8 @@ from clusteralg.exchange import ExchangeMatrix, Permutation
 from clusteralg.fixtures import (
     a2_matrix,
     a3_path_matrix,
+    b2_matrix,
+    g2_matrix,
     kronecker_matrix,
     zero_matrix,
 )
@@ -84,6 +86,9 @@ class TestLP:
         r = compute_L_P(a2_seed(), budget=100)
         assert r.L_exact and r.P_exact
         assert len(r.L_members) == 2 and len(r.P_members) == 2
+        # the closed orbit answers first, with its BFS witness
+        assert r.P_witnesses == {"id": (), "(1 2)": (1, 2, 1, 2, 1)}
+        assert not r.P_certificates
 
     def test_rank3_path_L_and_P_are_S3(self):
         r = compute_L_P(LabeledSeed.initial(a3_path_matrix()), budget=300)
@@ -91,13 +96,46 @@ class TestLP:
         assert len(r.L_members) == 6 and len(r.P_members) == 6
 
     def test_double_arrow_P_is_trivial_by_certificate(self):
-        # L = S_2 at matrix level; the swap is certified outside P by a
-        # divergence argument, with no closed orbit available
+        # L = S_2 at matrix level; the seed orbit does not close, and the
+        # swap is certified outside P by the rank-2 theorem (bc = 4: the
+        # exchange graph is an infinite path)
         r = compute_L_P(LabeledSeed.initial(kronecker_matrix(2)), budget=30)
         assert r.L_exact and len(r.L_members) == 2
         assert r.P_exact and len(r.P_members) == 1
         assert r.P_members[0].is_identity()
         assert r.P_certificates
+
+    @pytest.mark.parametrize("budget", [1, 3, 5])
+    @pytest.mark.parametrize(
+        "s",
+        [
+            a2_seed(),
+            LabeledSeed.initial(-a2_matrix()),
+            a2_seed().apply((1,)),
+            LabeledSeed.initial(b2_matrix()),
+            LabeledSeed.initial(-b2_matrix()),
+            LabeledSeed.initial(g2_matrix()),
+            LabeledSeed.initial(kronecker_matrix(2)),
+            LabeledSeed.initial(kronecker_matrix(3)),
+            LabeledSeed.initial(ExchangeMatrix([[0, 1], [-4, 0]])),
+        ],
+        ids=["A2", "-A2", "A2-mu1", "B2", "-B2", "G2", "K2", "K3", "1x4"],
+    )
+    def test_rank2_P_is_exact_below_the_orbit(self, s, budget):
+        b12, b21 = s.matrix.entry(1, 2), s.matrix.entry(2, 1)
+        bc = -b12 * b21
+        r = compute_L_P(s, budget)
+        assert r.P_exact
+        assert len(r.P_members) == (2 if bc == 1 else 1)
+        for name, seq in r.P_witnesses.items():
+            sigma = Permutation.from_cycle_notation(2, name)
+            assert s.apply(seq) == s.permute(sigma)
+        if bc == 1:
+            assert r.P_witnesses["(1 2)"] == (1, 2, 1, 2, 1)
+        assert list(r.P_certificates) == ([] if bc == 1 else ["(1 2)"])
+        for certificate in r.P_certificates.values():
+            assert f"bc = {bc}" in certificate
+            assert ("not in L" in certificate) == (b12 != -b21)
 
     def test_membership_witnesses_replay(self):
         from clusteralg.periodicity import is_sigma_period
