@@ -227,10 +227,8 @@ def _find_symmetrizer(grid: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         scale = lcm(*(d[i][1] for i in component))
         for i in component:
             out[i] = d[i][0] * (scale // d[i][1])
-    for i in range(n):
-        for j in range(n):
-            if out[i] * grid[i][j] != -out[j] * grid[j][i]:
-                raise NotSkewSymmetrizable("no positive integer symmetrizer")
+    # no final d_i b_ij = -d_j b_ji pass: every edge was checked against
+    # its forced ratio above, and zero entries are paired by sign coherence
     return tuple(out)
 
 
@@ -257,7 +255,8 @@ def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Matrix mutation at direction k (1-based).
 
     b'_ij = -b_ij when i = k or j = k, else b_ij + sgn(b_ik) [b_ik b_kj]_+.
-    The parent's symmetrizer must keep working; anything else is a bug.
+    Mutation keeps each component of the underlying graph and its unique
+    minimal symmetrizer, so the child's must be the parent's; else a bug.
     """
     if not 1 <= k <= B.n:
         raise IndexError(f"mutation index {k} out of range [1,{B.n}]")
@@ -274,11 +273,8 @@ def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
                 row.append(old[i][j] + extra)
         new.append(row)
     out = ExchangeMatrix(new)
-    d = B.symmetrizer
-    for i in range(B.n):
-        for j in range(B.n):
-            if d[i] * out.rows[i][j] != -d[j] * out.rows[j][i]:
-                raise InvariantViolation("mutation broke the skew-symmetrizer")
+    if out.symmetrizer != B.symmetrizer:
+        raise InvariantViolation("mutation broke the skew-symmetrizer")
     return out
 
 
@@ -290,7 +286,7 @@ def apply_matrix_sequence(B: ExchangeMatrix, seq: Sequence[int]) -> ExchangeMatr
 
 
 class Permutation:
-    """A bijection of [1,n]; images[i-1] = sigma(i)."""
+    """A bijection of [1,n]; images[i-1] = sigma(i).  Instances are immutable."""
 
     __slots__ = ("images",)
 
@@ -302,7 +298,14 @@ class Permutation:
                 raise ValueError(f"permutation image {x!r} is not an integer")
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a permutation of [1,{len(imgs)}]: {imgs}")
-        self.images = imgs
+        object.__setattr__(self, "images", imgs)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"Permutation is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor
+        return Permutation, (self.images,)
 
     @property
     def n(self) -> int:

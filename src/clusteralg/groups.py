@@ -6,7 +6,7 @@ permutation-periodic groups L and P, and equivariant bijections of a
 closed orbit together with its sign-fixing subgroup W.
 
 Cardinalities are never guessed: every order is either an exact integer
-from a closed enumeration (or, for P at rank 2, the rank-2 theorem)
+from a closed enumeration (or, for L and P at rank 2, the rank-2 rules)
 or an explicit unknown carrying the budget it failed at.
 """
 
@@ -145,7 +145,22 @@ class LPResult:
         return not self.P_unknown
 
 
+_RANK2_L_WITNESS = (1,)
 _A2_SWAP_WITNESS = (1, 2, 1, 2, 1)
+
+
+def _rank2_swap_in_L(B: ExchangeMatrix, swapped: ExchangeMatrix) -> tuple[int, ...] | None:
+    """A witness that B reaches its swapped matrix, or None when it cannot.
+
+    The mutation class of a rank-2 matrix is {B, -B}, and the swapped
+    matrix is -B exactly when b12 = -b21; the witness (1,) is replayed
+    before it is returned.
+    """
+    if B.rows[0][1] != -B.rows[1][0]:
+        return None
+    if B.apply(_RANK2_L_WITNESS) != swapped:
+        raise InvariantViolation("rank-2 L swap witness does not replay")
+    return _RANK2_L_WITNESS
 
 
 def _rank2_swap(s: LabeledSeed, swapped: LabeledSeed) -> tuple[int, ...] | str:
@@ -173,8 +188,9 @@ def compute_L_P(s: LabeledSeed, budget: int) -> LPResult:
     """L = relabelings of B reachable by matrix mutation; P = same for the seed.
 
     Both are decided per permutation.  Closed searches give exact
-    answers; a non-closing rank-2 seed orbit falls back to the rank-2
-    theorem (_rank2_swap); anything else leaves the permutation unknown.
+    answers; a rank-2 search cut by the budget falls back to the rank-2
+    rules (_rank2_swap_in_L, _rank2_swap); anything else leaves the
+    permutation unknown.
     """
     _require_indecomposable(s.matrix)
     mclass = matrix_mutation_class(s.matrix, max_matrices=budget)
@@ -196,6 +212,11 @@ def _lp_from_closures(
             out.L_witnesses[sigma.cycle_notation()] = mclass.words[found]
         elif mclass.complete:
             pass
+        elif n == 2:
+            witness = _rank2_swap_in_L(s.matrix, target_m)
+            if witness is not None:
+                out.L_members.append(sigma)
+                out.L_witnesses[sigma.cycle_notation()] = witness
         else:
             out.L_unknown.append(sigma)
 

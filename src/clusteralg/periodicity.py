@@ -230,6 +230,10 @@ def bipartite_belt(seed: LabeledSeed, steps: int, mirror: bool = False) -> BeltR
     return report
 
 
+def _mutate_pair(pair: tuple[Target, Target], k: int) -> tuple[Target, Target]:
+    return pair[0].mutate(k), pair[1].mutate(k)
+
+
 @dataclass(frozen=True)
 class DistinguisherWitness:
     conjugator: tuple[int, ...]
@@ -254,9 +258,10 @@ def period_set_distinguisher(
     Conjugators are tried in (length, lex) order, essential ones only,
     one length at a time; a conjugated pair of seeds is computed only
     when its turn comes.  Candidate periods are walked in lexicographic
-    order and prefiltered at matrix level: a seed period is evaluated
-    only on a side where the matrix period already holds, and a
-    candidate with no matrix-side hit is skipped outright.
+    order on the two exchange matrices alone.  Only on a side whose
+    matrix returns is the seed period decided: first by the integer
+    tropical filter, then, if that passes, by exact Laurent replay.  A
+    candidate with no matrix-side hit costs no seed work at all.
     """
     if s1.rank != s2.rank:
         raise ValueError("rank mismatch")
@@ -266,12 +271,8 @@ def period_set_distinguisher(
         raise ValueError("period_len must be nonnegative")
     n = s1.rank
     ident = Permutation.identity(n)
-
-    def mutate_both(pair: tuple[LabeledSeed, LabeledSeed], k: int):
-        return pair[0].mutate(k), pair[1].mutate(k)
-
     for length in range(depth + 1):
-        walk = _walk((s1, s2), n, length, mutate_both) if length else [((), (s1, s2))]
+        walk = _walk((s1, s2), n, length, _mutate_pair) if length else [((), (s1, s2))]
         for conj, (t1, t2) in walk:
             if len(conj) == length:
                 hit = _search_separating_period(t1, t2, period_len, ident)
@@ -281,10 +282,6 @@ def period_set_distinguisher(
 
 
 _TropState = tuple[tuple[int, ...], ...]
-
-
-def _tropical_start(s: LabeledSeed) -> _TropState:
-    return tuple(p.min_exponents() for p in s.cluster)
 
 
 def _tropical_mutate(state: _TropState, M: ExchangeMatrix, k: int) -> _TropState:
@@ -320,7 +317,7 @@ def tropical_period_filter(t: LabeledSeed, seq: Sequence[int]) -> bool:
     of t, at integer-arithmetic cost; True says nothing either way and
     calls for the exact replay.
     """
-    start = _tropical_start(t)
+    start = tuple(p.min_exponents() for p in t.cluster)
     state = start
     M = t.matrix
     for k in seq:
@@ -332,28 +329,18 @@ def tropical_period_filter(t: LabeledSeed, seq: Sequence[int]) -> bool:
 def _search_separating_period(
     t1: LabeledSeed, t2: LabeledSeed, period_len: int, ident: Permutation
 ) -> tuple[tuple[int, ...], int] | None:
-    v1 = _tropical_start(t1)
-    v2 = _tropical_start(t2)
+    def seed_period(t: LabeledSeed, seq: tuple[int, ...]) -> bool:
+        # the tropical trajectory costs integers only, so the exact
+        # Laurent replay runs only on sequences that pass it
+        return tropical_period_filter(t, seq) and is_sigma_period(t, seq, ident).holds
 
-    # A seed period must restore the minimal-exponent vectors, so the
-    # exact Laurent replay runs only when the cheap tropical trajectory
-    # returns; deep walks with exploding variables are skipped outright.
-    def step(state, k: int):
-        m1, m2, w1, w2 = state
-        return (
-            m1.mutate(k),
-            m2.mutate(k),
-            _tropical_mutate(w1, m1, k),
-            _tropical_mutate(w2, m2, k),
-        )
-
-    start = (t1.matrix, t2.matrix, v1, v2)
-    for seq, (n1, n2, u1, u2) in _walk(start, t1.rank, period_len, step):
+    start = (t1.matrix, t2.matrix)
+    for seq, (n1, n2) in _walk(start, t1.rank, period_len, _mutate_pair):
         hit1 = n1 == t1.matrix
         hit2 = n2 == t2.matrix
         if hit1 or hit2:
-            p1 = hit1 and u1 == v1 and is_sigma_period(t1, seq, ident).holds
-            p2 = hit2 and u2 == v2 and is_sigma_period(t2, seq, ident).holds
+            p1 = hit1 and seed_period(t1, seq)
+            p2 = hit2 and seed_period(t2, seq)
             if p1 != p2:
                 return seq, 1 if p1 else 2
     return None

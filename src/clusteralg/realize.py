@@ -3,8 +3,9 @@
 On a seed whose quiver is connected with all edge weights 1, any
 permutation of the positions can be produced by pure mutation.  The
 construction routes one variable at a time along simple edges using the
-five-step swap gadget, shrinking the working subquiver each stage; every
-gadget and the finished plan are verified by exact replay.
+five-step swap gadget, shrinking the working subquiver each stage.  Each
+gadget is replayed once, in swap_gadget, and that chain of checked
+replays is the plan's exact replay.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ def realize_permutation(s: LabeledSeed, sigma: Permutation) -> RealizationPlan:
     Works stage by stage: pick the smallest removable vertex v of the
     working subquiver, route its variable to the position it must occupy
     by composing swap gadgets along a shortest path of simple edges,
-    then drop that position from play.  Gadget and whole-plan effects
-    are checked exactly; a failed check is a bug, not an input error.
+    then drop that position from play.  Each gadget and the end seed are
+    checked exactly; a failed check is a bug, not an input error.
     """
     B = s.matrix
     n = s.rank
@@ -146,7 +147,6 @@ def realize_permutation(s: LabeledSeed, sigma: Permutation) -> RealizationPlan:
     active = set(range(1, n + 1))
     stages: list[MutationSequence] = []
     finalized: list[int] = []
-    full: list[int] = []
 
     while len(active) > 1:
         cur_edges = current.matrix.underlying_edges()
@@ -165,21 +165,20 @@ def realize_permutation(s: LabeledSeed, sigma: Permutation) -> RealizationPlan:
         stage_seq: list[int] = []
         for wk in path[1:]:
             seq = swap_gadget(current, w0, wk)
-            current = apply_sequence(current, seq)
+            # swap_gadget has just replayed seq to this seed: no second replay
+            current = permute_seed(current, Permutation.transposition(n, w0, wk))
             content[w0], content[wk] = content[wk], content[w0]
             stage_seq.extend(seq)
         if content[w0] != sigma(w0):
             raise InvariantViolation("stage did not deliver the required variable")
         stages.append(tuple(stage_seq))
         finalized.append(w0)
-        full.extend(stage_seq)
         active.remove(w0)
 
     last = active.pop()
     if content[last] != sigma(last):
         raise InvariantViolation("final position holds the wrong variable")
 
-    target = permute_seed(s, sigma)
-    if apply_sequence(s, tuple(full)) != target or current != target:
+    if current != permute_seed(s, sigma):
         raise InvariantViolation("realization plan failed replay verification")
-    return RealizationPlan(sigma, tuple(stages), tuple(finalized), tuple(full), True)
+    return RealizationPlan(sigma, tuple(stages), tuple(finalized), sum(stages, ()), True)

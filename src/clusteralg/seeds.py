@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import InvariantViolation, NotDivisible
 from .exchange import ExchangeMatrix, Permutation, _closure, mutate_matrix
@@ -47,7 +47,10 @@ def inverse_sequence(seq: Sequence[int]) -> tuple[int, ...]:
 
 
 class LabeledSeed:
-    """An ordered cluster plus an exchange matrix, compared and hashed by value."""
+    """An ordered cluster plus an exchange matrix, compared and hashed by value.
+
+    Instances are immutable: they key every orbit index by value.
+    """
 
     __slots__ = ("cluster", "matrix", "_hash")
 
@@ -58,9 +61,16 @@ class LabeledSeed:
         nvars = {p.nvars for p in cluster}
         if len(nvars) > 1:
             raise ValueError("cluster entries disagree on ambient variable count")
-        self.cluster = cluster
-        self.matrix = matrix
-        self._hash: int | None = None
+        object.__setattr__(self, "cluster", cluster)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_hash", None)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"LabeledSeed is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor
+        return LabeledSeed, (self.cluster, self.matrix)
 
     @classmethod
     def initial(cls, B: ExchangeMatrix) -> "LabeledSeed":
@@ -90,7 +100,7 @@ class LabeledSeed:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.cluster, self.matrix))
+            object.__setattr__(self, "_hash", hash((self.cluster, self.matrix)))
         return self._hash
 
     def __repr__(self) -> str:

@@ -186,6 +186,25 @@ class TestPermutation:
         with pytest.raises(ValueError, match="not an integer"):
             Permutation(images)
 
+    def test_immutable(self):
+        sigma = Permutation.from_cycle_notation(3, "(1 2)")
+        h = hash(sigma)
+        for name, value in [("images", (1, 2, 3)), ("extra", 1)]:
+            with pytest.raises(AttributeError):
+                setattr(sigma, name, value)
+        assert sigma(1) == 2 and hash(sigma) == h
+        assert sigma in {Permutation.from_cycle_notation(3, "(1 2)"): 0}
+
+    @pytest.mark.parametrize("cycles", ["id", "(1 2)", "(1 3 2)"])
+    def test_copy_and_pickle_round_trip(self, cycles):
+        import copy
+        import pickle
+
+        sigma = Permutation.from_cycle_notation(3, cycles)
+        for tau in (copy.copy(sigma), copy.deepcopy(sigma), pickle.loads(pickle.dumps(sigma))):
+            assert tau == sigma and hash(tau) == hash(sigma)
+            assert tau.images == sigma.images
+
 
 class TestQuiverAndDiagram:
     """Quiver and diagram notions, read directly off the exchange matrix."""

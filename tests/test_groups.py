@@ -137,6 +137,32 @@ class TestLP:
             assert f"bc = {bc}" in certificate
             assert ("not in L" in certificate) == (b12 != -b21)
 
+    @pytest.mark.parametrize("budget", [1, 3])
+    @pytest.mark.parametrize(
+        "B",
+        [
+            a2_matrix(),
+            -a2_matrix(),
+            b2_matrix(),
+            g2_matrix(),
+            kronecker_matrix(2),
+            kronecker_matrix(3),
+            ExchangeMatrix([[0, 1], [-4, 0]]),
+        ],
+        ids=["A2", "-A2", "B2", "G2", "K2", "K3", "1x4"],
+    )
+    def test_rank2_L_is_exact_below_the_class(self, B, budget):
+        # a budget of 1 cuts the class {B, -B} before -B is admitted
+        skew = B.entry(1, 2) == -B.entry(2, 1)
+        r = compute_L_P(LabeledSeed.initial(B), budget)
+        assert r.L_exact
+        assert len(r.L_members) == (2 if skew else 1)
+        for name, seq in r.L_witnesses.items():
+            assert B.apply(seq) == B.permute(Permutation.from_cycle_notation(2, name))
+        if skew:
+            assert r.L_witnesses["(1 2)"] == (1,)
+        assert set(r.P_members) <= set(r.L_members)
+
     def test_membership_witnesses_replay(self):
         from clusteralg.periodicity import is_sigma_period
 

@@ -260,6 +260,26 @@ class TestDistinguisher:
         )
         assert w is not None and w.period_holds_on == 1
 
+    @pytest.mark.parametrize(
+        "B1, B2, expected",
+        [
+            (path3(1, 1), fork3(1, 1), ((), (1, 2, 1, 2, 3, 2, 3, 1, 2, 1), 2)),
+            (acyclic_triangle(1, 1, 2), fork_chord_triangle(1, 1, 2),
+             ((3,), (1, 2, 1, 2, 1, 2, 1, 2, 1, 2), 1)),
+            (acyclic_triangle(1, 1, 2), cyclic_triangle(1, 1, 2),
+             ((), (1, 2, 1, 3, 2, 1, 3, 1, 2, 3), 2)),
+            (path3(1, 1), cyclic_triangle(1, 1, 1), ((), (1, 2, 1, 2, 3, 2, 3, 1, 2, 1), 2)),
+        ],
+        ids=["path-fork", "acyclic-forkchord", "acyclic-cyclic", "path-cyclic"],
+    )
+    def test_first_witness_is_pinned(self, B1, B2, expected):
+        # the search order (conjugators by length then lex, periods lex)
+        # decides which witness comes first
+        w = period_set_distinguisher(
+            LabeledSeed.initial(B1), LabeledSeed.initial(B2), depth=3, period_len=10
+        )
+        assert (w.conjugator, w.period, w.period_holds_on) == expected
+
     def test_none_within_tiny_budget(self):
         w = period_set_distinguisher(
             LabeledSeed.initial(path3(1, 1)),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from clusteralg import seeds
 from clusteralg.errors import DecomposableMatrix
 from clusteralg.exchange import (
     ExchangeMatrix,
@@ -101,6 +102,31 @@ class TestRealizePermutation:
         for sigma in all_permutations(3):
             plan = realize_permutation(s, sigma)
             assert apply_sequence(s, plan.full_sequence) == permute_seed(s, sigma)
+
+    @pytest.mark.parametrize(
+        "B, sigmas",
+        [
+            (a4_path_matrix(), [Permutation.from_cycle_notation(4, "(1 4)(2 3)")]),
+            (a3_path_matrix(), list(all_permutations(3))),
+        ],
+        ids=["A4-reversal", "A3-all"],
+    )
+    def test_each_plan_mutation_is_made_once(self, B, sigmas, monkeypatch):
+        # every gadget is replayed by swap_gadget alone; the plan itself
+        # adds no second replay
+        calls = []
+        real = seeds.mutate_seed
+
+        def counted(s, k):
+            calls.append(k)
+            return real(s, k)
+
+        monkeypatch.setattr(seeds, "mutate_seed", counted)
+        s = LabeledSeed.initial(B)
+        for sigma in sigmas:
+            calls.clear()
+            plan = realize_permutation(s, sigma)
+            assert len(calls) == len(plan.full_sequence)
 
     def test_identity_needs_no_mutations(self):
         s = LabeledSeed.initial(a4_path_matrix())

@@ -193,6 +193,30 @@ class TestSeedIdentity:
         s = a2_seed().mutate(1)
         assert s.canonical_key() == (s.cluster, s.matrix.rows)
 
+    def test_immutable(self):
+        A = a2_seed()
+        C = LabeledSeed.initial(kronecker_matrix())
+        h = hash(A)
+        for name, value in [("matrix", C.matrix), ("cluster", C.cluster),
+                            ("_hash", 0), ("extra", 1)]:
+            with pytest.raises(AttributeError):
+                setattr(A, name, value)
+        assert A != C and hash(A) == h and A in {a2_seed(): 0}
+
+    @pytest.mark.parametrize(
+        "s",
+        [a2_seed(), a2_seed().apply((1, 2)), LabeledSeed.initial(markov_matrix()).mutate(1)],
+        ids=["A2", "A2-mu12", "markov-mu1"],
+    )
+    def test_copy_and_pickle_round_trip(self, s):
+        import copy
+        import pickle
+
+        h = hash(s)
+        for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert t == s and hash(t) == h
+            assert t.cluster == s.cluster and t.matrix == s.matrix
+
 
 class TestJsonRoundtrip:
     def test_roundtrip(self):
