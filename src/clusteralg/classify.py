@@ -20,6 +20,7 @@ from .exchange import (
     Permutation,
     _closure,
     _mutation_moves,
+    _require_count,
     apply_matrix_sequence,
     matrix_mutation_class,
 )
@@ -108,6 +109,7 @@ def _bound_decision(mclass: MatrixClass, bound: int, budget: int) -> Decision:
 
 def is_finite_mutation_type(B: ExchangeMatrix, budget: int) -> Decision:
     """Finitely many matrices in the class iff products stay <= 4 (rank >= 3)."""
+    _require_count("budget", budget, 1)
     if B.n <= 2:
         # class is {B, -B}
         return Decision("yes", None, budget)
@@ -116,6 +118,7 @@ def is_finite_mutation_type(B: ExchangeMatrix, budget: int) -> Decision:
 
 def is_finite_type(B: ExchangeMatrix, budget: int) -> Decision:
     """Finitely many seeds iff products stay <= 3 across the class."""
+    _require_count("budget", budget, 1)
     return _bounded_class_search(B, (3,), budget)[0]
 
 
@@ -338,8 +341,7 @@ def classify(B: ExchangeMatrix, budget: int) -> Classification:
     the first budget matrices.  Each field equals what the standalone
     functions return for the same budget.
     """
-    if budget < 1:
-        raise ValueError("budget must be positive")
+    _require_count("budget", budget, 1)
     mclass = matrix_mutation_class(B, budget + 1)
     ft = _bound_decision(mclass, 3, budget)
     if B.n <= 2:
@@ -441,6 +443,7 @@ def automorphism_finiteness_probe(
     source/sink composite of a bipartite matrix, and a short generic
     period search, in that order.
     """
+    _require_count("budget", budget, 1)
     B = s.matrix
     powers = min(powers, budget)
     # one walk answers both bounds; a product over 4 is also over 3

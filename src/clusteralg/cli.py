@@ -185,7 +185,7 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
     width = max(len(r.name) for r in results)
     for r in results:
         mark = "pass" if r.passed else "FAIL"
-        line = f"[{mark}] check {r.number:2d}  {r.name:<{width}}"
+        line = f"[{mark}] check {r.number:2d}  {r.name:<{width}}  {r.seconds:6.2f} s"
         if not r.passed and r.details:
             line += f"  ({r.details})"
         print(line)

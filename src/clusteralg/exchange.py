@@ -439,10 +439,20 @@ class MatrixClass:
         return len(self.matrices)
 
 
+def _require_count(name: str, value: Any, least: int) -> None:
+    """Reject a budget or length that is not an int at least `least`.
+
+    As for matrix entries, bool, float and str values are not coerced.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}")
+
+
 def matrix_mutation_class(B: ExchangeMatrix, max_matrices: int) -> MatrixClass:
     """All matrices mutation-equivalent to B, up to a size budget."""
-    if max_matrices < 1:
-        raise ValueError("max_matrices must be positive")
+    _require_count("max_matrices", max_matrices, 1)
     matrices, words, index, complete = _closure(B, (), _mutation_moves(B.n), max_matrices)
     return MatrixClass(matrices, words, complete, max_matrices, index)
 

@@ -22,6 +22,7 @@ from .exchange import (
     MatrixClass,
     Permutation,
     _closure,
+    _require_count,
     all_permutations,
     matrix_mutation_class,
 )
@@ -91,6 +92,7 @@ def enumerate_saut_plus(s: LabeledSeed, budget: int) -> SautEnumeration:
     An incomplete orbit yields a truncated, flagged enumeration; the
     elements found are still genuine.
     """
+    _require_count("budget", budget, 1)
     _require_indecomposable(s.matrix)
     return _saut_from_orbit(s, orbit(s, max_seeds=budget, with_permutations=False), budget)
 
@@ -192,6 +194,7 @@ def compute_L_P(s: LabeledSeed, budget: int) -> LPResult:
     rules (_rank2_swap_in_L, _rank2_swap); anything else leaves the
     permutation unknown.
     """
+    _require_count("budget", budget, 1)
     _require_indecomposable(s.matrix)
     mclass = matrix_mutation_class(s.matrix, max_matrices=budget)
     graph = orbit(s, max_seeds=budget, with_permutations=False)
@@ -307,6 +310,7 @@ def enumerate_aut_plus(s: LabeledSeed, budget: int) -> AutPlusEnumeration:
     The summary cross-checks |Aut+| against |SAut+| |L| / |P| when all
     four are exact; SAut+ and P share one mutation-only orbit.
     """
+    _require_count("budget", budget, 1)
     _require_indecomposable(s.matrix)
     graph = orbit(s, max_seeds=budget, with_permutations=True)
     elements = []

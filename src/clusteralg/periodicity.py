@@ -12,8 +12,16 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence, Union
 
 from .errors import InvariantViolation, NotBipartite
-from .exchange import ExchangeMatrix, Permutation
-from .seeds import LabeledSeed, apply_sequence, inverse_sequence, validate_sequence
+from .exchange import ExchangeMatrix, Permutation, _require_count
+from .seeds import (
+    LabeledSeed,
+    _moved_matrix,
+    _mutate_key,
+    _principal_key,
+    apply_sequence,
+    inverse_sequence,
+    validate_sequence,
+)
 
 Target = Union[ExchangeMatrix, LabeledSeed]
 
@@ -44,18 +52,61 @@ def find_periods(
 
     The search shares mutation prefixes, so the cost is one mutation per
     visited sequence node.  The empty sequence (a period of anything
-    when sigma is the identity) is never listed.
+    when sigma is the identity) is never listed.  A seed is walked on
+    its principal-coefficient keys (see seeds._principal_key), which
+    cost integers only; each sequence they return is replayed exactly
+    on the seed before it is listed, and replays share prefixes too.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    found = [
-        seq
-        for seq, state in _walk(
-            target, target.rank, max_len, lambda t, k: t.mutate(k), essential_only
-        )
-        if state.permute(sigma) == target
-    ]
+    _require_count("max_len", max_len, 0)
+    if isinstance(target, LabeledSeed):
+        found = _seed_periods(target, sigma, max_len, essential_only)
+    else:
+        found = [
+            seq
+            for seq, state in _walk(
+                target, target.rank, max_len, lambda t, k: t.mutate(k), essential_only
+            )
+            if state.permute(sigma) == target
+        ]
     return sorted(found, key=lambda t: (len(t), t))
+
+
+def _seed_periods(
+    s: LabeledSeed, sigma: Permutation, max_len: int, essential_only: bool
+) -> list[tuple[int, ...]]:
+    """Sequences whose key (B, C), relabeled by sigma, is the root key (B0, I)."""
+    if sigma.n != s.rank:
+        raise ValueError("permutation degree does not match seed rank")
+    memo: dict = {}
+    # relabeling by sigma sends C to I exactly when c_ij = [j = sigma(i)]
+    goal = tuple(
+        tuple(int(j == sigma(i)) for j in range(1, s.rank + 1)) for i in range(1, s.rank + 1)
+    )
+    found: list[tuple[int, ...]] = []
+    # trail[i] is the seed after the first i letters of the last replayed
+    # period; hits come in walk order, so a replay starts where it leaves
+    # the previous one and no walk node is mutated twice
+    trail = [s]
+    walk = _walk(
+        _principal_key(s.matrix),
+        s.rank,
+        max_len,
+        lambda key, k: _mutate_key(memo, key, k),
+        essential_only,
+    )
+    for seq, (B, C) in walk:
+        if C == goal and _moved_matrix(memo, B, sigma) == s.matrix:
+            last = found[-1] if found else ()
+            keep = 0
+            while keep < min(len(seq), len(last)) and seq[keep] == last[keep]:
+                keep += 1
+            del trail[keep + 1 :]
+            for k in seq[keep:]:
+                trail.append(trail[-1].mutate(k))
+            if trail[-1].permute(sigma) != s:
+                raise InvariantViolation(f"key period {seq} failed its exact replay")
+            found.append(seq)
+    return found
 
 
 def _walk(
@@ -197,8 +248,7 @@ def bipartite_belt(seed: LabeledSeed, steps: int, mirror: bool = False) -> BeltR
     the matrix, so position s carries (-1)^s B; the walk stops early at
     the first return to the starting seed.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    _require_count("steps", steps, 0)
     eps = seed.matrix.bipartition()
     if eps is None:
         raise NotBipartite("the exchange matrix has a vertex with arrows both ways")
@@ -265,10 +315,8 @@ def period_set_distinguisher(
     """
     if s1.rank != s2.rank:
         raise ValueError("rank mismatch")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if period_len < 0:
-        raise ValueError("period_len must be nonnegative")
+    _require_count("depth", depth, 0)
+    _require_count("period_len", period_len, 0)
     n = s1.rank
     ident = Permutation.identity(n)
     for length in range(depth + 1):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from .errors import InvariantViolation, NotDivisible
-from .exchange import ExchangeMatrix, Permutation, _closure, mutate_matrix
+from .exchange import ExchangeMatrix, Permutation, _closure, _require_count, mutate_matrix
 from .symbolic import LaurentPoly, exact_div, generators
 
 MutationSequence = tuple  # finite list of 1-based indices, applied left to right
@@ -117,15 +117,20 @@ class LabeledSeed:
 
 
 def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:
-    """Seed mutation: the exchange relation at k plus matrix mutation.
+    """Seed mutation: the exchange relation at k plus matrix mutation."""
+    if not 1 <= k <= s.rank:
+        raise IndexError(f"mutation index {k} out of range [1,{s.rank}]")
+    return _exchanged(s, k, mutate_matrix(s.matrix, k))
+
+
+def _exchanged(s: LabeledSeed, k: int, matrix: ExchangeMatrix) -> LabeledSeed:
+    """s with x_k replaced through the exchange relation, carrying matrix.
 
     x'_k = (prod_i x_i^[b_ik]_+ + prod_i x_i^[-b_ik]_+) / x_k.  The
     division is exact for every seed reachable from an initial one; a
     division failure therefore signals an implementation bug, not bad
     input, and surfaces as InvariantViolation.
     """
-    if not 1 <= k <= s.rank:
-        raise IndexError(f"mutation index {k} out of range [1,{s.rank}]")
     col = k - 1
     plus: LaurentPoly | None = None
     minus: LaurentPoly | None = None
@@ -146,7 +151,7 @@ def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:
         ) from exc
     cluster = list(s.cluster)
     cluster[col] = new_var
-    return LabeledSeed(cluster, mutate_matrix(s.matrix, k))
+    return LabeledSeed(cluster, matrix)
 
 
 def apply_sequence(s: LabeledSeed, seq: Sequence[int]) -> LabeledSeed:
@@ -229,6 +234,62 @@ class OrbitGraph:
         return sorted(s.key_string() for s in self.seeds)
 
 
+# -- principal-coefficient keys ---------------------------------------
+#
+# The key of a seed reached from a root is (B, C): its exchange matrix
+# and its c-vector block C, the n rows below B in the extended matrix
+# [B; C] with principal coefficients at the root (C = I there).  By
+# synchronicity (Nakanishi, arXiv:1906.12036), which rests on sign
+# coherence (Gross-Hacking-Keel-Kontsevich, arXiv:1411.1394), two
+# seeds reached from one root are equal exactly when their keys are,
+# provided the root's cluster entries are algebraically independent;
+# every seed the package builds (initial seeds and what mutation,
+# relabeling and subseed make of them) has that property.  Keys cost
+# integers only, and a memo shared by one search mutates each matrix
+# once per direction.
+
+
+def _principal_key(B: ExchangeMatrix) -> tuple:
+    """The root's key (B, I)."""
+    n = B.n
+    return B, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _moved_matrix(memo: dict, B: ExchangeMatrix, g: int | Permutation) -> ExchangeMatrix:
+    """B.mutate(g) for an index g, B.permute(g) for a permutation, once per search."""
+    out = memo.get((B, g))
+    if out is None:
+        out = memo[B, g] = mutate_matrix(B, g) if type(g) is int else B.permute(g)
+    return out
+
+
+def _mutate_key(memo: dict, key: tuple, k: int) -> tuple:
+    """Mutation of [B; C] at k: each row of C follows the rule for rows of B.
+
+    c'_ij = -c_ij when j = k, else c_ij + sgn(c_ik) [c_ik b_kj]_+.
+    """
+    B, C = key
+    a = k - 1
+    pivot = B.rows[a]
+    rows = []
+    for row in C:
+        c = row[a]
+        if c == 0:
+            rows.append(row)
+            continue
+        # sgn(c) [c b]_+ is |c| b when b has the sign of c, else 0
+        new = [x + abs(c) * b if b * c > 0 else x for x, b in zip(row, pivot)]
+        new[a] = -c
+        rows.append(tuple(new))
+    return _moved_matrix(memo, B, k), tuple(rows)
+
+
+def _permute_key(memo: dict, key: tuple, g: Permutation) -> tuple:
+    """Relabeling by g permutes B and only the columns of C."""
+    B, C = key
+    return _moved_matrix(memo, B, g), tuple(tuple(row[i - 1] for i in g.images) for row in C)
+
+
 def orbit(
     s: LabeledSeed,
     max_seeds: int,
@@ -237,29 +298,51 @@ def orbit(
     """Breadth-first closure under mu_1..mu_n (and adjacent transpositions).
 
     Stops as soon as the seed count would exceed max_seeds; the result
-    then carries complete=False and is never silently truncated.
+    then carries complete=False and is never silently truncated.  The
+    closure runs on principal-coefficient keys; each admitted seed is
+    then built once, from the edge that discovered it, with at most one
+    exchange relation.
     """
-    if max_seeds < 1:
-        raise ValueError("max_seeds must be positive")
+    _require_count("max_seeds", max_seeds, 1)
     n = s.rank
+    memo: dict = {}
+    gens: dict[str, int | Permutation] = {f"mu{k}": k for k in range(1, n + 1)}
     moves: list = [
-        (f"mu{k}", lambda t, k=k: mutate_seed(t, k), lambda w, k=k: (w[0] + (w[1](k),), w[1]))
-        for k in range(1, n + 1)
+        (label, lambda key, k=k: _mutate_key(memo, key, k), lambda w, k=k: (w[0] + (w[1](k),), w[1]))
+        for label, k in gens.items()
     ]
     if with_permutations:
-        swaps = [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
-        moves += [
-            (
-                g.cycle_notation(),
-                lambda t, g=g: permute_seed(t, g),
-                lambda w, g=g: (w[0], w[1].compose(g)),
+        for i in range(1, n):
+            g = Permutation.transposition(n, i, i + 1)
+            label = g.cycle_notation()
+            gens[label] = g
+            moves.append(
+                (
+                    label,
+                    lambda key, g=g: _permute_key(memo, key, g),
+                    lambda w, g=g: (w[0], w[1].compose(g)),
+                )
             )
-            for g in swaps
-        ]
     edges: list[tuple[int, str, int]] = []
-    seeds, words, index, complete = _closure(
-        s, ((), Permutation.identity(n)), moves, max_seeds, edges=edges
+    keys, words, _, complete = _closure(
+        _principal_key(s.matrix), ((), Permutation.identity(n)), moves, max_seeds, edges=edges
     )
+    seeds = [s]
+    index = {s: 0}
+    for source, label, target in edges:
+        if target < len(seeds):
+            continue
+        # edges are in discovery order, so this one discovered target
+        g = gens[label]
+        parent = seeds[source]
+        matrix = keys[target][0]
+        if type(g) is int:
+            t = _exchanged(parent, g, matrix)
+        else:
+            t = LabeledSeed(tuple(parent.cluster[i - 1] for i in g.images), matrix)
+        if index.setdefault(t, target) != target:
+            raise InvariantViolation("two principal-coefficient keys built one seed")
+        seeds.append(t)
     return OrbitGraph(seeds, words, edges, complete, with_permutations, max_seeds, index)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable
 
 from .classify import (
@@ -64,6 +65,7 @@ class CheckResult:
     name: str
     passed: bool
     details: str
+    seconds: float = 0.0  # wall time of the check, set by run_all
 
 
 def _fails(failures: list[str], cond: bool, label: str) -> None:
@@ -491,4 +493,10 @@ CHECKS: list[Callable[[], CheckResult]] = [
 
 
 def run_all() -> list[CheckResult]:
-    return [check() for check in CHECKS]
+    results = []
+    for check in CHECKS:
+        start = perf_counter()
+        result = check()
+        result.seconds = perf_counter() - start
+        results.append(result)
+    return results

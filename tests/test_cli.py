@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from clusteralg import cli
 from clusteralg.cli import main
 from clusteralg.fixtures import (
     a2_matrix,
@@ -19,6 +20,7 @@ from clusteralg.fixtures import (
 )
 from clusteralg.periodicity import period_set_distinguisher
 from clusteralg.seeds import LabeledSeed, seed_from_json, seed_to_json
+from clusteralg.verification import CheckResult
 
 
 @pytest.fixture
@@ -320,6 +322,21 @@ class TestNumericFlags:
             period_set_distinguisher(s, s, depth=-1, period_len=3)
         with pytest.raises(ValueError, match="period_len"):
             period_set_distinguisher(s, s, depth=0, period_len=-3)
+
+
+class TestVerifyPaperCommand:
+    def test_table_shows_each_check_time(self, monkeypatch, capsys):
+        results = [
+            CheckResult(1, "first", True, "", 0.125),
+            CheckResult(2, "second check", False, "a: broke", 12.5),
+        ]
+        monkeypatch.setattr(cli, "run_all", lambda: results)
+        assert main(["verify-paper"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "[pass] check  1  first           0.12 s",
+            "[FAIL] check  2  second check   12.50 s  (a: broke)",
+            "1/2 checks passed",
+        ]
 
 
 class TestDeepNesting:

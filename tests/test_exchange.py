@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from clusteralg.classify import classify, is_finite_mutation_type, is_finite_type
 from clusteralg.errors import InvariantViolation, NotSkewSymmetrizable
 from clusteralg.exchange import (
     ExchangeMatrix,
@@ -26,6 +27,9 @@ from clusteralg.fixtures import (
     rank4_v1_matrix,
     weighted_path3_matrix,
 )
+from clusteralg.groups import compute_L_P, enumerate_aut_plus, enumerate_saut_plus
+from clusteralg.periodicity import find_periods
+from clusteralg.seeds import LabeledSeed, orbit
 
 
 class TestExchangeMatrix:
@@ -239,3 +243,37 @@ class TestMatrixClass:
         cls = matrix_mutation_class(a3_path_matrix(), max_matrices=50)
         for M, word in zip(cls.matrices, cls.words):
             assert apply_matrix_sequence(a3_path_matrix(), word) == M
+
+
+_A3 = a3_path_matrix()
+_IDENT = Permutation.identity(3)
+# (parameter name, call with that parameter set to the value)
+COUNT_ARGUMENTS = {
+    "orbit": ("max_seeds", lambda v: orbit(LabeledSeed.initial(_A3), v)),
+    "matrix_mutation_class": ("max_matrices", lambda v: matrix_mutation_class(_A3, v)),
+    "classify": ("budget", lambda v: classify(_A3, v)),
+    "is_finite_type": ("budget", lambda v: is_finite_type(_A3, v)),
+    "is_finite_mutation_type": ("budget", lambda v: is_finite_mutation_type(_A3, v)),
+    "enumerate_saut_plus": ("budget", lambda v: enumerate_saut_plus(LabeledSeed.initial(_A3), v)),
+    "enumerate_aut_plus": ("budget", lambda v: enumerate_aut_plus(LabeledSeed.initial(_A3), v)),
+    "compute_L_P": ("budget", lambda v: compute_L_P(LabeledSeed.initial(_A3), v)),
+    "find_periods(seed)": ("max_len", lambda v: find_periods(LabeledSeed.initial(_A3), _IDENT, v)),
+    "find_periods(matrix)": ("max_len", lambda v: find_periods(_A3, _IDENT, v)),
+}
+
+
+class TestCountArguments:
+    """Budgets and lengths are ints: bool, float and str are rejected, not coerced."""
+
+    @pytest.mark.parametrize("value", [True, False, 2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("function", COUNT_ARGUMENTS)
+    def test_non_int_is_rejected_by_name(self, function, value):
+        name, call = COUNT_ARGUMENTS[function]
+        with pytest.raises(ValueError, match=f"^{name} must be an int, not "):
+            call(value)
+
+    @pytest.mark.parametrize("function", COUNT_ARGUMENTS)
+    def test_out_of_range_is_rejected_by_name(self, function):
+        name, call = COUNT_ARGUMENTS[function]
+        with pytest.raises(ValueError, match=f"^{name} must be (positive|nonnegative)$"):
+            call(-1)

@@ -1,0 +1,225 @@
+"""Principal-coefficient keys against the Laurent-keyed searches they replace.
+
+`orbit` and seed `find_periods` decide seed identity by the integer
+keys (B, C).  The references below are the searches keyed by the seeds
+themselves, one full Laurent exchange relation per edge; every output
+of the package must equal theirs.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+from clusteralg import fixtures, periodicity, seeds
+from clusteralg.errors import InvariantViolation
+from clusteralg.exchange import ExchangeMatrix, Permutation, _closure, all_permutations
+from clusteralg.periodicity import _walk, find_periods, is_sigma_period
+from clusteralg.seeds import (
+    LabeledSeed,
+    OrbitGraph,
+    apply_sequence,
+    mutate_seed,
+    orbit,
+    permute_seed,
+)
+
+
+def _laurent_orbit(s: LabeledSeed, max_seeds: int, with_permutations: bool) -> OrbitGraph:
+    """Reference orbit: the closure keyed by the seeds themselves."""
+    n = s.rank
+    moves = [
+        (f"mu{k}", lambda t, k=k: mutate_seed(t, k), lambda w, k=k: (w[0] + (w[1](k),), w[1]))
+        for k in range(1, n + 1)
+    ]
+    if with_permutations:
+        for i in range(1, n):
+            g = Permutation.transposition(n, i, i + 1)
+            moves.append(
+                (
+                    g.cycle_notation(),
+                    lambda t, g=g: permute_seed(t, g),
+                    lambda w, g=g: (w[0], w[1].compose(g)),
+                )
+            )
+    edges: list = []
+    found, words, index, complete = _closure(
+        s, ((), Permutation.identity(n)), moves, max_seeds, edges=edges
+    )
+    return OrbitGraph(found, words, edges, complete, with_permutations, max_seeds, index)
+
+
+def _laurent_periods(
+    s: LabeledSeed, sigma: Permutation, max_len: int, essential_only: bool
+) -> list[tuple[int, ...]]:
+    """Reference seed-period walk: every visited seed relabeled and compared."""
+    found = [
+        seq
+        for seq, t in _walk(s, s.rank, max_len, lambda t, k: t.mutate(k), essential_only)
+        if t.permute(sigma) == s
+    ]
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+B3 = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -2, 0]])
+D4 = ExchangeMatrix([[0, 1, 1, 1], [-1, 0, 0, 0], [-1, 0, 0, 0], [-1, 0, 0, 0]])
+
+# finite type: the closures are also compared at full size
+FINITE = {
+    "rank1": fixtures.rank1_matrix(),
+    "zero2": fixtures.zero_matrix(2),
+    "A2": fixtures.a2_matrix(),
+    "B2": fixtures.b2_matrix(),
+    "G2": fixtures.g2_matrix(),
+    "A3-path": fixtures.a3_path_matrix(),
+    "A3-alternating": fixtures.a3_alternating_matrix(),
+    "B3": B3,
+}
+INFINITE = {
+    "kronecker": fixtures.kronecker_matrix(),
+    "kronecker3": fixtures.kronecker_matrix(3),
+    "path3(1,2)": fixtures.path3(1, 2),
+    "weighted-path": fixtures.weighted_path3_matrix(),
+    "markov": fixtures.markov_matrix(),
+    "cyclic(1,1,1)": fixtures.cyclic_triangle(1, 1, 1),
+    "acyclic(1,1,2)": fixtures.acyclic_triangle(1, 1, 2),
+    "fork-chord(1,1,2)": fixtures.fork_chord_triangle(1, 1, 2),
+    "rank4-v1": fixtures.rank4_v1_matrix(),
+}
+FIXTURES = {**FINITE, **INFINITE}
+# budgets that cut each closure; on the rank-2 infinite paths the
+# Laurent references grow fastest, exponentially for Kronecker(3)
+CUT_BUDGETS = {"kronecker": (1, 7, 20), "kronecker3": (1, 5)}
+
+
+def _roots(B: ExchangeMatrix) -> list[LabeledSeed]:
+    s = LabeledSeed.initial(B)
+    return [s, apply_sequence(s, (1, 2))] if B.n >= 2 else [s]
+
+
+def _same_orbit(got: OrbitGraph, want: OrbitGraph) -> None:
+    assert got.seeds == want.seeds
+    assert got.words == want.words
+    assert got.edges == want.edges
+    assert got.index == want.index
+    assert got.complete == want.complete
+    assert got.dump_lines() == want.dump_lines()
+
+
+class TestOrbitKeys:
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("with_permutations", [False, True])
+    def test_budget_cut_orbits_match_the_laurent_orbit(self, name, with_permutations):
+        budgets = CUT_BUDGETS.get(name, (1, 7, 40))
+        for root, budget in itertools.product(_roots(FIXTURES[name]), budgets):
+            _same_orbit(
+                orbit(root, budget, with_permutations),
+                _laurent_orbit(root, budget, with_permutations),
+            )
+
+    @pytest.mark.parametrize("name", FINITE)
+    @pytest.mark.parametrize("with_permutations", [False, True])
+    def test_full_orbits_match_the_laurent_orbit(self, name, with_permutations):
+        for root in _roots(FINITE[name]):
+            got = orbit(root, 2000, with_permutations)
+            assert got.complete
+            _same_orbit(got, _laurent_orbit(root, 2000, with_permutations))
+
+    @pytest.mark.parametrize("B", [fixtures.a4_path_matrix(), D4], ids=["A4", "D4"])
+    def test_rank4_orbits_match_the_laurent_orbit(self, B):
+        s = LabeledSeed.initial(B)
+        _same_orbit(orbit(s, 2000), _laurent_orbit(s, 2000, False))
+        root = apply_sequence(s, (1, 2))
+        _same_orbit(orbit(root, 300, True), _laurent_orbit(root, 300, True))
+
+    def test_a_subseed_root_keeps_its_orbit(self):
+        # the cluster entries of a subseed live in a larger ambient ring
+        sub = periodicity.subseed(LabeledSeed.initial(fixtures.a4_path_matrix()), (2, 3, 4))
+        assert sub.nvars == 4
+        _same_orbit(orbit(sub, 2000, True), _laurent_orbit(sub, 2000, True))
+
+    def test_each_seed_and_matrix_move_is_computed_once(self, monkeypatch):
+        counts = {"_exchanged": 0, "mutate_matrix": 0}
+        for name in counts:
+            original = getattr(seeds, name)
+
+            def counted(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(seeds, name, counted)
+        g = orbit(LabeledSeed.initial(fixtures.a3_path_matrix()), 2000)
+        assert g.complete and len(g) == 84
+        # one exchange relation per admitted seed, one mutation per
+        # matrix of the class (14 for A3) and direction
+        assert counts == {"_exchanged": 83, "mutate_matrix": 14 * 3}
+
+    def test_two_keys_for_one_seed_raise(self, monkeypatch):
+        # a key step that never repeats a key admits every seed twice over
+        tick = itertools.count()
+        original = seeds._mutate_key
+
+        def fresh(memo, key, k):
+            B, C = original(memo, key, k)
+            return B, C + ((next(tick),) * len(C[0]),)
+
+        monkeypatch.setattr(seeds, "_mutate_key", fresh)
+        with pytest.raises(InvariantViolation, match="built one seed"):
+            orbit(LabeledSeed.initial(fixtures.a2_matrix()), 50)
+
+
+def _period_cases():
+    for name, B in FIXTURES.items():
+        max_len = {1: 6, 2: 7, 3: 4, 4: 3}[B.n]
+        if name in INFINITE and (B.n >= 3 or name == "kronecker3"):
+            max_len = 3  # the Laurent references grow fast off finite type
+        yield pytest.param(B, max_len, id=name)
+    yield pytest.param(fixtures.a4_path_matrix(), 3, id="A4")
+    yield pytest.param(D4, 3, id="D4")
+
+
+class TestPeriodKeys:
+    @pytest.mark.parametrize("B, max_len", _period_cases())
+    def test_seed_periods_match_the_laurent_walk(self, B, max_len):
+        for root in _roots(B):
+            for sigma in all_permutations(B.n):
+                for essential_only in (True, False):
+                    assert find_periods(root, sigma, max_len, essential_only) == (
+                        _laurent_periods(root, sigma, max_len, essential_only)
+                    ), (sigma, essential_only)
+
+    @pytest.mark.parametrize("images", [(2, 3, 1), (3, 1, 2)])
+    def test_three_cycle_periods_match_the_laurent_walk(self, images):
+        # an involution is its own inverse, so only a longer cycle tells
+        # sigma from sigma^-1; on A3 its shortest seed periods have length 8
+        s = LabeledSeed.initial(fixtures.a3_path_matrix())
+        sigma = Permutation(images)
+        found = find_periods(s, sigma, 8)
+        assert len(found) == 14 and found == _laurent_periods(s, sigma, 8, True)
+
+    def test_weighted_path_nonessential_periods_replay(self):
+        s = apply_sequence(LabeledSeed.initial(fixtures.weighted_path3_matrix()), (2, 1))
+        ident = Permutation.identity(3)
+        found = find_periods(s, ident, 4, essential_only=False)
+        assert len(found) == 18
+        assert all(is_sigma_period(s, seq, ident).holds for seq in found)
+
+    def test_replays_share_prefixes(self, monkeypatch):
+        # every even-length word over {1} is a period of a rank-1 seed
+        calls = []
+        original = seeds.mutate_seed
+        monkeypatch.setattr(
+            seeds, "mutate_seed", lambda *args: calls.append(1) or original(*args)
+        )
+        s = LabeledSeed.initial(fixtures.rank1_matrix())
+        found = find_periods(s, Permutation.identity(1), 200, essential_only=False)
+        assert found == [(1,) * m for m in range(2, 201, 2)]
+        assert len(calls) == 200
+
+    def test_a_false_key_hit_fails_its_replay(self, monkeypatch):
+        # a key step that stays at the root makes every sequence a hit
+        monkeypatch.setattr(periodicity, "_mutate_key", lambda memo, key, k: key)
+        s = LabeledSeed.initial(fixtures.a2_matrix())
+        with pytest.raises(InvariantViolation, match="failed its exact replay"):
+            find_periods(s, Permutation.identity(2), 1)
