@@ -4,6 +4,12 @@ A sequence i is a sigma-period of a target T when relabeling the
 mutated target by sigma gives T back: permute(apply(T, i), sigma) == T.
 The same predicate drives period searches, the bipartite belt, the
 restriction/extension harness, and the period-set distinguisher.
+
+Seed searches (seed find_periods, the distinguisher) walk integer
+principal-coefficient keys (B, C) instead of seeds (see
+seeds._principal_key): by synchronicity a seed returns along a
+sequence exactly when its key does.  Laurent arithmetic is spent only
+on the exact replay of what a search reports.
 """
 
 from __future__ import annotations
@@ -12,10 +18,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence, Union
 
 from .errors import InvariantViolation, NotBipartite
-from .exchange import ExchangeMatrix, Permutation, _require_count
+from .exchange import ExchangeMatrix, Permutation, _require_count, mutate_matrix
 from .seeds import (
     LabeledSeed,
     _moved_matrix,
+    _mutate_c,
     _mutate_key,
     _principal_key,
     apply_sequence,
@@ -280,10 +287,6 @@ def bipartite_belt(seed: LabeledSeed, steps: int, mirror: bool = False) -> BeltR
     return report
 
 
-def _mutate_pair(pair: tuple[Target, Target], k: int) -> tuple[Target, Target]:
-    return pair[0].mutate(k), pair[1].mutate(k)
-
-
 @dataclass(frozen=True)
 class DistinguisherWitness:
     conjugator: tuple[int, ...]
@@ -306,89 +309,65 @@ def period_set_distinguisher(
     the period sets are equal.
 
     Conjugators are tried in (length, lex) order, essential ones only,
-    one length at a time; a conjugated pair of seeds is computed only
-    when its turn comes.  Candidate periods are walked in lexicographic
-    order on the two exchange matrices alone.  Only on a side whose
-    matrix returns is the seed period decided: first by the integer
-    tropical filter, then, if that passes, by exact Laurent replay.  A
-    candidate with no matrix-side hit costs no seed work at all.
+    one length at a time, and candidate periods in lexicographic order.
+    Both walks run on the principal-coefficient keys of the two roots:
+    a side holds a candidate exactly when its key returns to the key it
+    had after the conjugator.  Only the side that holds the witness is
+    replayed, exactly, before it is reported, so a search costs one
+    Laurent replay when it finds a witness and none when it does not.
     """
     if s1.rank != s2.rank:
         raise ValueError("rank mismatch")
     _require_count("depth", depth, 0)
     _require_count("period_len", period_len, 0)
     n = s1.rank
-    ident = Permutation.identity(n)
+    roots = (_principal_key(s1.matrix), _principal_key(s2.matrix))
     for length in range(depth + 1):
-        walk = _walk((s1, s2), n, length, _mutate_pair) if length else [((), (s1, s2))]
-        for conj, (t1, t2) in walk:
+        walk = _walk(roots, n, length, _mutate_key_pair) if length else [((), roots)]
+        for conj, keys in walk:
             if len(conj) == length:
-                hit = _search_separating_period(t1, t2, period_len, ident)
+                hit = _search_separating_period(keys, n, period_len)
                 if hit is not None:
-                    return DistinguisherWitness(conj, hit[0], hit[1])
+                    seq, side = hit
+                    t = (s1, s2)[side - 1].apply(conj)
+                    if not is_sigma_period(t, seq, Permutation.identity(n)).holds:
+                        raise InvariantViolation(f"key period {seq} failed its exact replay")
+                    return DistinguisherWitness(conj, seq, side)
     return None
 
 
-_TropState = tuple[tuple[int, ...], ...]
+def _mutate_key_pair(keys: tuple, k: int) -> tuple:
+    return _key_step(keys[0], k), _key_step(keys[1], k)
 
 
-def _tropical_mutate(state: _TropState, M: ExchangeMatrix, k: int) -> _TropState:
-    """Image of the minimal-exponent vectors under the exchange at k.
-
-    Minimal exponents add on products and take componentwise minima on
-    cancellation-free sums; cluster variables have positive
-    coefficients, so the exchange relation acts on them exactly with
-    the products replaced by weighted sums and the sum by a min.
-    """
-    n = M.n
-    plus = [0] * n
-    minus = [0] * n
-    for j in range(1, n + 1):
-        b = M.entry(j, k)
-        if b > 0:
-            w = state[j - 1]
-            for t in range(n):
-                plus[t] += b * w[t]
-        elif b < 0:
-            w = state[j - 1]
-            for t in range(n):
-                minus[t] += (-b) * w[t]
-    old = state[k - 1]
-    new = tuple(min(plus[t], minus[t]) - old[t] for t in range(n))
-    return state[: k - 1] + (new,) + state[k:]
-
-
-def tropical_period_filter(t: LabeledSeed, seq: Sequence[int]) -> bool:
-    """Whether the minimal-exponent trajectory of t returns along seq.
-
-    False certifies that seq is not an identity-relabeling seed period
-    of t, at integer-arithmetic cost; True says nothing either way and
-    calls for the exact replay.
-    """
-    start = tuple(p.min_exponents() for p in t.cluster)
-    state = start
-    M = t.matrix
-    for k in seq:
-        state = _tropical_mutate(state, M, k)
-        M = M.mutate(k)
-    return state == start and M == t.matrix
+def _key_step(key: tuple, k: int) -> tuple:
+    """Mutation of a principal-coefficient key at k, with no memo."""
+    B, C = key
+    return mutate_matrix(B, k), _mutate_c(B, C, k)
 
 
 def _search_separating_period(
-    t1: LabeledSeed, t2: LabeledSeed, period_len: int, ident: Permutation
+    start: tuple, n: int, period_len: int
 ) -> tuple[tuple[int, ...], int] | None:
-    def seed_period(t: LabeledSeed, seq: tuple[int, ...]) -> bool:
-        # the tropical trajectory costs integers only, so the exact
-        # Laurent replay runs only on sequences that pass it
-        return tropical_period_filter(t, seq) and is_sigma_period(t, seq, ident).holds
-
-    start = (t1.matrix, t2.matrix)
-    for seq, (n1, n2) in _walk(start, t1.rank, period_len, _mutate_pair):
-        hit1 = n1 == t1.matrix
-        hit2 = n2 == t2.matrix
-        if hit1 or hit2:
-            p1 = hit1 and seed_period(t1, seq)
-            p2 = hit2 and seed_period(t2, seq)
-            if p1 != p2:
-                return seq, 1 if p1 else 2
+    """The first sequence, in walk order, whose key returns on one side only."""
+    for seq, (key1, key2) in _walk(start, n, period_len, _mutate_key_pair):
+        p1 = key1 == start[0]
+        if p1 != (key2 == start[1]):
+            return seq, 1 if p1 else 2
     return None
+
+
+def tropical_period_filter(t: LabeledSeed, seq: Sequence[int]) -> bool:
+    """Whether the c-vectors of t return along seq.
+
+    The c-vectors are the tropical y-seed of t with principal
+    coefficients: the key (B, C) walks from (t.matrix, I) along seq and
+    its end is compared with its start.  False certifies that seq is
+    not an identity-relabeling seed period of t, at integer cost.  By
+    synchronicity True is exact as well, though callers still replay a
+    period before they report it.
+    """
+    start = key = _principal_key(t.matrix)
+    for k in seq:
+        key = _key_step(key, k)
+    return key == start

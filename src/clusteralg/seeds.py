@@ -9,6 +9,7 @@ matrix rank (that is how subseeds on an index subset are represented).
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
@@ -19,12 +20,18 @@ from .symbolic import LaurentPoly, exact_div, generators
 
 MutationSequence = tuple  # finite list of 1-based indices, applied left to right
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
 
 def parse_sequence(text: str) -> tuple[int, ...]:
+    """Parse "1, 2,1" into (1, 2, 1); the empty string is the empty sequence."""
     s = text.strip()
     if not s:
         return ()
-    return tuple(int(x) for x in s.replace(" ", "").split(","))
+    parts = [x.strip() for x in s.split(",")]
+    if not all(_INTEGER.fullmatch(x) for x in parts):
+        raise ValueError(f"sequence {text!r} is not comma-separated integers")
+    return tuple(int(x) for x in parts)
 
 
 def format_sequence(seq: Sequence[int]) -> str:
@@ -127,9 +134,12 @@ def _exchanged(s: LabeledSeed, k: int, matrix: ExchangeMatrix) -> LabeledSeed:
     """s with x_k replaced through the exchange relation, carrying matrix.
 
     x'_k = (prod_i x_i^[b_ik]_+ + prod_i x_i^[-b_ik]_+) / x_k.  The
-    division is exact for every seed reachable from an initial one; a
-    division failure therefore signals an implementation bug, not bad
-    input, and surfaces as InvariantViolation.
+    division is exact for every seed reachable from an initial one, so
+    when the cluster spans the ambient variables a division failure
+    signals an implementation bug and surfaces as InvariantViolation.
+    A seed with more ambient variables than its rank (a subseed) may
+    have an exchange relation that is not Laurent in those variables;
+    that is a property of the input and raises ValueError.
     """
     col = k - 1
     plus: LaurentPoly | None = None
@@ -146,6 +156,10 @@ def _exchanged(s: LabeledSeed, k: int, matrix: ExchangeMatrix) -> LabeledSeed:
     try:
         new_var = exact_div((plus or one) + (minus or one), s.cluster[col])
     except NotDivisible as exc:
+        if s.nvars > s.rank:
+            raise ValueError(
+                f"exchange relation at {k} is not Laurent in the {s.nvars} ambient variables"
+            ) from exc
         raise InvariantViolation(
             f"exchange relation at {k} did not divide exactly"
         ) from exc
@@ -243,10 +257,10 @@ class OrbitGraph:
 # coherence (Gross-Hacking-Keel-Kontsevich, arXiv:1411.1394), two
 # seeds reached from one root are equal exactly when their keys are,
 # provided the root's cluster entries are algebraically independent;
-# every seed the package builds (initial seeds and what mutation,
-# relabeling and subseed make of them) has that property.  Keys cost
-# integers only, and a memo shared by one search mutates each matrix
-# once per direction.
+# every seed the package builds has that property (a subseed's entries
+# are part of a cluster), though a subseed of a non-initial seed may
+# not mutate at all (see _exchanged).  Keys cost integers only, and a
+# memo shared by one search mutates each matrix once per direction.
 
 
 def _principal_key(B: ExchangeMatrix) -> tuple:
@@ -264,11 +278,16 @@ def _moved_matrix(memo: dict, B: ExchangeMatrix, g: int | Permutation) -> Exchan
 
 
 def _mutate_key(memo: dict, key: tuple, k: int) -> tuple:
-    """Mutation of [B; C] at k: each row of C follows the rule for rows of B.
+    """Mutation of [B; C] at k."""
+    B, C = key
+    return _moved_matrix(memo, B, k), _mutate_c(B, C, k)
+
+
+def _mutate_c(B: ExchangeMatrix, C: tuple, k: int) -> tuple:
+    """The rows C below B in [B; C], mutated at k by the rule for rows of B.
 
     c'_ij = -c_ij when j = k, else c_ij + sgn(c_ik) [c_ik b_kj]_+.
     """
-    B, C = key
     a = k - 1
     pivot = B.rows[a]
     rows = []
@@ -281,7 +300,7 @@ def _mutate_key(memo: dict, key: tuple, k: int) -> tuple:
         new = [x + abs(c) * b if b * c > 0 else x for x, b in zip(row, pivot)]
         new[a] = -c
         rows.append(tuple(new))
-    return _moved_matrix(memo, B, k), tuple(rows)
+    return tuple(rows)
 
 
 def _permute_key(memo: dict, key: tuple, g: Permutation) -> tuple:

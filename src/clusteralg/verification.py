@@ -412,7 +412,7 @@ def check_property_battery() -> CheckResult:
             continue
         ta = apply_sequence(sa, w.conjugator)
         tb = apply_sequence(sb, w.conjugator)
-        # a failed valuation return certifies non-periodicity without
+        # c-vectors that do not return certify non-periodicity without
         # replaying the exploding exact cluster
         pa = tropical_period_filter(ta, w.period) and is_sigma_period(
             ta, w.period, ident3).holds

@@ -62,6 +62,13 @@ class TestMutate:
         assert main(["mutate", "--seed", str(p), "--sequence", "1"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "x[1] = (1 + b)/a"
 
+    @pytest.mark.parametrize("text", ["1,,2", "1;2"])
+    def test_malformed_sequence_exits_one(self, files, capsys, text):
+        assert main(["mutate", "--seed", files["a2"], "--sequence", text]) == 1
+        err = capsys.readouterr().err
+        assert f"'{text}'" in err and "comma-separated integers" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "payload",
         [

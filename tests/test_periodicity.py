@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from clusteralg import seeds
 from clusteralg.errors import NotBipartite
 from clusteralg.exchange import (
     Permutation,
@@ -33,6 +34,7 @@ from clusteralg.fixtures import (
     zero_matrix,
 )
 from clusteralg.periodicity import (
+    _walk,
     bipartite_belt,
     conjugate_period,
     find_periods,
@@ -42,7 +44,7 @@ from clusteralg.periodicity import (
     subseed,
     tropical_period_filter,
 )
-from clusteralg.seeds import LabeledSeed, apply_sequence, permute_seed
+from clusteralg.seeds import LabeledSeed, apply_sequence, is_essential, orbit, permute_seed
 
 
 def a2_seed() -> LabeledSeed:
@@ -187,6 +189,21 @@ class TestSubseeds:
         assert r.restricted_matrix_period
         assert not r.full_matrix_period
 
+    def test_subseed_of_an_initial_seed_closes_its_orbit(self):
+        # A3 inside A4: 14 clusters, each in 3! orders
+        sub = subseed(LabeledSeed.initial(a4_path_matrix()), (1, 2, 3))
+        g = orbit(sub, 1000)
+        assert g.complete and len(g) == 84
+
+    def test_non_laurent_exchange_is_an_input_error(self):
+        # the exchange relation at 3 of this subseed omits x4, so its
+        # new variable is not Laurent in x1..x4: bad input, not a bug
+        sub = subseed(apply_sequence(LabeledSeed.initial(a4_path_matrix()), (2, 3)), (1, 2, 3))
+        with pytest.raises(ValueError, match="not Laurent"):
+            sub.mutate(3)
+        with pytest.raises(ValueError, match="not Laurent"):
+            orbit(sub, 100)
+
     def test_sequence_must_stay_inside(self):
         s = LabeledSeed.initial(a3_path_matrix())
         with pytest.raises(ValueError):
@@ -221,6 +238,36 @@ class TestBelt:
             bipartite_belt(LabeledSeed.initial(a3_path_matrix()), steps=2)
 
 
+def _min_exponent_filter(t: LabeledSeed, seq) -> bool:
+    """The filter before principal-coefficient keys: minimal exponents of the cluster.
+
+    Minimal exponents add on products and take componentwise minima on
+    cancellation-free sums, so the exchange relation acts on them with
+    the products replaced by weighted sums and the sum by a min.  A
+    return is necessary for a seed period, not sufficient.
+    """
+    n = t.rank
+    start = state = tuple(p.min_exponents() for p in t.cluster)
+    M = t.matrix
+    for k in seq:
+        plus = [0] * n
+        minus = [0] * n
+        for j in range(1, n + 1):
+            b = M.entry(j, k)
+            for total, w in ((plus, b), (minus, -b)):
+                if w > 0:
+                    for c in range(n):
+                        total[c] += w * state[j - 1][c]
+        new = tuple(min(plus[c], minus[c]) - state[k - 1][c] for c in range(n))
+        state = state[: k - 1] + (new,) + state[k:]
+        M = M.mutate(k)
+    return state == start and M == t.matrix
+
+
+def _essential_words(n: int, max_len: int):
+    return [w for w in _words(n, max_len) if is_essential(w)]
+
+
 class TestTropicalFilter:
     def test_true_on_real_periods(self):
         s = LabeledSeed.initial(b2_matrix())
@@ -232,6 +279,118 @@ class TestTropicalFilter:
         assert not is_sigma_period(
             s, (1, 2, 1, 2), Permutation.identity(2)
         ).holds
+
+    @pytest.mark.parametrize("conj", [(), (1, 2)], ids=["initial", "after-1,2"])
+    @pytest.mark.parametrize(
+        "B",
+        [a2_matrix(), b2_matrix(), g2_matrix(), a3_path_matrix()],
+        ids=["A2", "B2", "G2", "A3"],
+    )
+    def test_exact_on_finite_types(self, B, conj):
+        # by synchronicity the c-vectors return exactly on the seed periods
+        t = LabeledSeed.initial(B).apply(conj)
+        ident = Permutation.identity(B.n)
+        for w in _essential_words(B.n, 10 if B.n == 2 else 6):
+            assert tropical_period_filter(t, w) == is_sigma_period(t, w, ident).holds, w
+
+    @pytest.mark.parametrize("conj", [(), (1, 2)], ids=["initial", "after-1,2"])
+    @pytest.mark.parametrize(
+        "B",
+        [
+            kronecker_matrix(2),
+            acyclic_triangle(1, 1, 2),
+            fork_chord_triangle(1, 1, 2),
+            cyclic_triangle(1, 1, 2),
+        ],
+        ids=["kronecker", "acyclic(1,1,2)", "fork-chord(1,1,2)", "cyclic(1,1,2)"],
+    )
+    def test_at_least_as_strict_as_minimal_exponents(self, B, conj):
+        t = LabeledSeed.initial(B).apply(conj)
+        ident = Permutation.identity(B.n)
+        for w in _essential_words(B.n, 10 if B.n == 2 else 6):
+            if tropical_period_filter(t, w):
+                assert _min_exponent_filter(t, w), w
+                assert is_sigma_period(t, w, ident).holds, w
+
+
+def _reference_distinguisher(s1: LabeledSeed, s2: LabeledSeed, depth: int, period_len: int):
+    """The distinguisher before principal-coefficient keys.
+
+    Conjugates Laurent seed pairs, walks the two exchange matrices, and
+    decides a seed period only where a matrix returns: the minimal-
+    exponent filter first, then exact replay.  Same search order.
+    """
+    n = s1.rank
+    ident = Permutation.identity(n)
+
+    def pair(p, k):
+        return p[0].mutate(k), p[1].mutate(k)
+
+    def seed_period(t, seq):
+        return _min_exponent_filter(t, seq) and is_sigma_period(t, seq, ident).holds
+
+    for length in range(depth + 1):
+        walk = _walk((s1, s2), n, length, pair) if length else [((), (s1, s2))]
+        for conj, (t1, t2) in walk:
+            if len(conj) != length:
+                continue
+            for seq, (m1, m2) in _walk((t1.matrix, t2.matrix), n, period_len, pair):
+                p1 = m1 == t1.matrix and seed_period(t1, seq)
+                p2 = m2 == t2.matrix and seed_period(t2, seq)
+                if p1 != p2:
+                    return conj, seq, 1 if p1 else 2
+    return None
+
+
+RANK3_GRID = [(0, 10), (2, 8), (3, 10)]
+RANK2_GRID = [(0, 12), (2, 12)]
+DISTINGUISHER_PAIRS = {
+    "path-fork": (path3(1, 1), fork3(1, 1)),
+    "acyclic-forkchord": (acyclic_triangle(1, 1, 2), fork_chord_triangle(1, 1, 2)),
+    "acyclic-cyclic": (acyclic_triangle(1, 1, 2), cyclic_triangle(1, 1, 2)),
+    "path-cyclic": (path3(1, 1), cyclic_triangle(1, 1, 1)),
+    "acyclic-cyclic(1,1,1)": (acyclic_triangle(1, 1, 1), cyclic_triangle(1, 1, 1)),
+    "path-acyclic(1,1,1)": (path3(1, 1), acyclic_triangle(1, 1, 1)),
+    "A2-B2": (a2_matrix(), b2_matrix()),
+    "B2-G2": (b2_matrix(), g2_matrix()),
+    "A2-kronecker": (a2_matrix(), kronecker_matrix(2)),
+}
+
+
+class TestDistinguisherAgainstReference:
+    @pytest.mark.parametrize(
+        "B1, B2", DISTINGUISHER_PAIRS.values(), ids=DISTINGUISHER_PAIRS.keys()
+    )
+    def test_witnesses_match_the_reference(self, B1, B2):
+        # every relabeling at rank 2; at rank 3 the identity and a
+        # 3-cycle, which keeps the reference's Laurent walks to seconds
+        if B1.n == 2:
+            sigmas, grid = all_permutations(2), RANK2_GRID
+        else:
+            sigmas, grid = [Permutation.identity(3), Permutation([3, 1, 2])], RANK3_GRID
+        for sigma in sigmas:
+            s1 = LabeledSeed.initial(B1).permute(sigma)
+            s2 = LabeledSeed.initial(B2).permute(sigma)
+            for depth, period_len in grid:
+                w = period_set_distinguisher(s1, s2, depth, period_len)
+                got = None if w is None else (w.conjugator, w.period, w.period_holds_on)
+                assert got == _reference_distinguisher(s1, s2, depth, period_len), (
+                    sigma, depth, period_len
+                )
+
+
+@pytest.fixture
+def seed_mutations(monkeypatch):
+    """The indices of every seeds.mutate_seed call made after the fixture starts."""
+    calls: list[int] = []
+    real = seeds.mutate_seed
+
+    def counting(s, k):
+        calls.append(k)
+        return real(s, k)
+
+    monkeypatch.setattr(seeds, "mutate_seed", counting)
+    return calls
 
 
 class TestDistinguisher:
@@ -272,15 +431,16 @@ class TestDistinguisher:
         ],
         ids=["path-fork", "acyclic-forkchord", "acyclic-cyclic", "path-cyclic"],
     )
-    def test_first_witness_is_pinned(self, B1, B2, expected):
+    def test_first_witness_is_pinned(self, B1, B2, expected, seed_mutations):
         # the search order (conjugators by length then lex, periods lex)
         # decides which witness comes first
-        w = period_set_distinguisher(
-            LabeledSeed.initial(B1), LabeledSeed.initial(B2), depth=3, period_len=10
-        )
+        s1, s2 = LabeledSeed.initial(B1), LabeledSeed.initial(B2)
+        w = period_set_distinguisher(s1, s2, depth=3, period_len=10)
         assert (w.conjugator, w.period, w.period_holds_on) == expected
+        # only the witness is replayed, on the side it holds for
+        assert len(seed_mutations) == len(w.conjugator) + len(w.period)
 
-    def test_none_within_tiny_budget(self):
+    def test_none_within_tiny_budget(self, seed_mutations):
         w = period_set_distinguisher(
             LabeledSeed.initial(path3(1, 1)),
             LabeledSeed.initial(cyclic_triangle(1, 1, 1)),
@@ -288,3 +448,4 @@ class TestDistinguisher:
             period_len=2,
         )
         assert w is None
+        assert seed_mutations == []

@@ -39,6 +39,12 @@ class TestSequences:
         assert parse_sequence("") == ()
         assert inverse_sequence((1, 2, 3)) == (3, 2, 1)
 
+    @pytest.mark.parametrize("text", ["1,,2", "1;2", ",", "1 2", "1_0", "x"])
+    def test_parse_rejects_non_integer_lists(self, text):
+        with pytest.raises(ValueError, match="comma-separated integers") as info:
+            parse_sequence(text)
+        assert repr(text) in str(info.value)
+
     def test_is_essential(self):
         assert is_essential((1, 2, 1))
         assert not is_essential((1, 1, 2))
