@@ -21,6 +21,7 @@ from .exchange import (
     _closure,
     _mutation_moves,
     _require_count,
+    _require_indecomposable,
     apply_matrix_sequence,
     matrix_mutation_class,
 )
@@ -441,10 +442,12 @@ def automorphism_finiteness_probe(
     whose first `powers` powers fixes the seed certifies an infinite
     group; candidates come from the bound-violation walk, the
     source/sink composite of a bipartite matrix, and a short generic
-    period search, in that order.
+    period search, in that order.  A decomposable matrix is refused with
+    DecomposableMatrix, as the group enumerations refuse it.
     """
     _require_count("budget", budget, 1)
     B = s.matrix
+    _require_indecomposable(B, "the finiteness probe")
     powers = min(powers, budget)
     # one walk answers both bounds; a product over 4 is also over 3
     ft, fmt = _bounded_class_search(B, (3, 4), budget)
@@ -462,7 +465,7 @@ def automorphism_finiteness_probe(
         word = _alternating_return_word(B, w.sequence, w.i, w.j, budget)
         if word is not None:
             candidates.append(word)
-    if B.bipartition() is not None and B.is_indecomposable():
+    if B.bipartition() is not None:
         eps = B.bipartition()
         sinks = [k for k in range(1, B.n + 1) if eps[k - 1] == -1]
         sources = [k for k in range(1, B.n + 1) if eps[k - 1] == +1]

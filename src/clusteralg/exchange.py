@@ -8,12 +8,13 @@ hashable so they can serve directly as keys in orbit searches.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from math import gcd, lcm
 from typing import Any, Callable, Iterable, Sequence
 
-from .errors import InvariantViolation, NotSkewSymmetrizable
+from .errors import DecomposableMatrix, InvariantViolation, NotSkewSymmetrizable
 
 
 def _sgn(x: int) -> int:
@@ -285,6 +286,12 @@ def apply_matrix_sequence(B: ExchangeMatrix, seq: Sequence[int]) -> ExchangeMatr
     return B
 
 
+# one cycle: ASCII-digit entries separated by spaces or by commas
+_CYCLE = re.compile(r"\( *[0-9]+(?:(?: *, *| +)[0-9]+)* *\)")
+_CYCLES = re.compile(f"(?:{_CYCLE.pattern})+")
+_ENTRY = re.compile(r"[0-9]+")
+
+
 class Permutation:
     """A bijection of [1,n]; images[i-1] = sigma(i).  Instances are immutable."""
 
@@ -376,19 +383,19 @@ class Permutation:
 
     @classmethod
     def from_cycle_notation(cls, n: int, text: str) -> "Permutation":
-        """Parse "(1 2)(3 4)"; "id", "()" and "" all mean the identity."""
+        """Parse "(1 2)(3 4)"; "id", "()" and "" all mean the identity.
+
+        Entries are ASCII digits separated by spaces or commas, and cycles
+        are written next to each other with nothing between them.
+        """
         s = text.strip()
         if s in ("", "id", "()", "e"):
             return cls.identity(n)
-        if s.count("(") != s.count(")") or not s.startswith("("):
+        if not _CYCLES.fullmatch(s):
             raise ValueError(f"bad cycle notation: {text!r}")
         imgs = list(range(1, n + 1))
-        for chunk in s.replace(")(", ")|(").split("|"):
-            chunk = chunk.strip()
-            if not (chunk.startswith("(") and chunk.endswith(")")):
-                raise ValueError(f"bad cycle notation: {text!r}")
-            body = chunk[1:-1].replace(",", " ").split()
-            cyc = [int(x) for x in body]
+        for chunk in _CYCLE.findall(s):
+            cyc = [int(x) for x in _ENTRY.findall(chunk)]
             if len(cyc) != len(set(cyc)) or any(not 1 <= x <= n for x in cyc):
                 raise ValueError(f"bad cycle {chunk} for degree {n}")
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
@@ -448,6 +455,11 @@ def _require_count(name: str, value: Any, least: int) -> None:
         raise ValueError(f"{name} must be an int, not {value!r}")
     if value < least:
         raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}")
+
+
+def _require_indecomposable(B: ExchangeMatrix, what: str) -> None:
+    if not B.is_indecomposable():
+        raise DecomposableMatrix(f"{what} needs an indecomposable exchange matrix")
 
 
 def matrix_mutation_class(B: ExchangeMatrix, max_matrices: int) -> MatrixClass:

@@ -1,9 +1,11 @@
 """Group machinery over mutation periodicity.
 
 Membership tests for the mutation-periodic groups, enumeration of
-strict and direct automorphism groups through orbit search, the
-permutation-periodic groups L and P, and equivariant bijections of a
-closed orbit together with its sign-fixing subgroup W.
+strict and direct automorphism groups, the permutation-periodic groups
+L and P, and equivariant bijections of a closed orbit together with its
+sign-fixing subgroup W.  SAut+, P and Aut+ are all read off one
+mutation-only orbit, and L off the matrix mutation class; only the
+equivariant bijections need the orbit closed under relabeling too.
 
 Cardinalities are never guessed: every order is either an exact integer
 from a closed enumeration (or, for L and P at rank 2, the rank-2 rules)
@@ -16,13 +18,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import DecomposableMatrix, InvariantViolation
+from .errors import InvariantViolation
 from .exchange import (
     ExchangeMatrix,
     MatrixClass,
     Permutation,
     _closure,
     _require_count,
+    _require_indecomposable,
     all_permutations,
     matrix_mutation_class,
 )
@@ -48,13 +51,6 @@ def same_saut_element(s: LabeledSeed, i: Sequence[int], j: Sequence[int]) -> boo
     if not in_G(s.matrix, j):
         raise ValueError("second sequence is not a matrix period")
     return apply_sequence(s, i).cluster == apply_sequence(s, j).cluster
-
-
-def _require_indecomposable(B: ExchangeMatrix) -> None:
-    if not B.is_indecomposable():
-        raise DecomposableMatrix(
-            "group enumeration needs an indecomposable exchange matrix"
-        )
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,7 @@ def enumerate_saut_plus(s: LabeledSeed, budget: int) -> SautEnumeration:
     elements found are still genuine.
     """
     _require_count("budget", budget, 1)
-    _require_indecomposable(s.matrix)
+    _require_indecomposable(s.matrix, "group enumeration")
     return _saut_from_orbit(s, orbit(s, max_seeds=budget, with_permutations=False), budget)
 
 
@@ -195,7 +191,7 @@ def compute_L_P(s: LabeledSeed, budget: int) -> LPResult:
     permutation unknown.
     """
     _require_count("budget", budget, 1)
-    _require_indecomposable(s.matrix)
+    _require_indecomposable(s.matrix, "group enumeration")
     mclass = matrix_mutation_class(s.matrix, max_matrices=budget)
     graph = orbit(s, max_seeds=budget, with_permutations=False)
     return _lp_from_closures(s, mclass, graph, budget)
@@ -296,6 +292,8 @@ class GroupSummary:
 
 @dataclass
 class AutPlusEnumeration:
+    """Aut+ with its summary; orbit_size counts the mutation-only orbit."""
+
     elements: list[DirectAutomorphism]
     complete: bool
     orbit_size: int
@@ -303,34 +301,41 @@ class AutPlusEnumeration:
 
 
 def enumerate_aut_plus(s: LabeledSeed, budget: int) -> AutPlusEnumeration:
-    """Direct automorphisms via the mutation-plus-relabeling orbit.
+    """Direct automorphisms read off the mutation-only orbit.
 
-    One element per orbit seed with matrix exactly B; witnesses are the
-    normalized orbit words and both witness conditions are re-verified.
-    The summary cross-checks |Aut+| against |SAut+| |L| / |P| when all
-    four are exact; SAut+ and P share one mutation-only orbit.
+    A direct automorphism sends the initial seed to a seed t of the
+    mutation-only orbit relabeled by some pi with t^pi carrying B, that
+    is t.matrix == B^(pi^-1) with pi^-1 in L.  One element per distinct
+    relabeled seed, witnessed by the orbit word of the first t reaching
+    it; both witness conditions are re-verified.  The count is exact
+    whenever SAut+ and L are, and the summary cross-checks it against
+    |SAut+| |L| / |P| when all four are exact.  The orbit is shared by
+    SAut+, P and Aut+; the matrix class by L.
     """
     _require_count("budget", budget, 1)
-    _require_indecomposable(s.matrix)
-    graph = orbit(s, max_seeds=budget, with_permutations=True)
-    elements = []
-    for idx, t in enumerate(graph.seeds):
-        if t.matrix != s.matrix:
-            continue
-        word, pi = graph.words[idx]
-        moved = apply_sequence(s, word)
-        if permute_seed(moved, pi) != t:
-            raise InvariantViolation("orbit word does not replay to its seed")
-        if moved.matrix != s.matrix.permute(pi.inverse()):
-            raise InvariantViolation("direct witness matrix condition failed")
-        elements.append(DirectAutomorphism(t.cluster, pi, word))
-
+    _require_indecomposable(s.matrix, "group enumeration")
     plain = orbit(s, max_seeds=budget, with_permutations=False)
     saut = _saut_from_orbit(s, plain, budget)
     lp = _lp_from_closures(
         s, matrix_mutation_class(s.matrix, max_matrices=budget), plain, budget
     )
-    aut_order = len(elements) if graph.complete else None
+    relabelings: dict[ExchangeMatrix, list[Permutation]] = {}
+    for tau in lp.L_members:
+        relabelings.setdefault(s.matrix.permute(tau), []).append(tau.inverse())
+    witnesses: dict[LabeledSeed, tuple[tuple[int, ...], Permutation]] = {}
+    for idx, t in enumerate(plain.seeds):
+        for pi in relabelings.get(t.matrix, ()):
+            witnesses.setdefault(permute_seed(t, pi), (plain.words[idx][0], pi))
+    elements = []
+    for image, (word, pi) in witnesses.items():
+        moved = apply_sequence(s, word)
+        if permute_seed(moved, pi) != image:
+            raise InvariantViolation("orbit word does not replay to its seed")
+        if moved.matrix != s.matrix.permute(pi.inverse()):
+            raise InvariantViolation("direct witness matrix condition failed")
+        elements.append(DirectAutomorphism(image.cluster, pi, word))
+
+    aut_order = len(elements) if plain.complete and lp.L_exact else None
     saut_order = saut.order
     l_order = len(lp.L_members) if lp.L_exact else None
     p_order = len(lp.P_members) if lp.P_exact else None
@@ -352,7 +357,7 @@ def enumerate_aut_plus(s: LabeledSeed, budget: int) -> AutPlusEnumeration:
         verified,
         budget,
     )
-    return AutPlusEnumeration(elements, graph.complete, len(graph), summary)
+    return AutPlusEnumeration(elements, aut_order is not None, len(plain), summary)
 
 
 @dataclass
@@ -408,7 +413,7 @@ def equivariant_automorphisms(S: OrbitGraph) -> EquivariantResult:
     if not S.complete:
         raise ValueError("refusing an orbit that was truncated by its budget")
     base = S.seeds[0]
-    _require_indecomposable(base.matrix)
+    _require_indecomposable(base.matrix, "group enumeration")
     N = len(S)
 
     by_label: dict[str, list[int]] = {}

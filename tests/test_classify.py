@@ -17,16 +17,20 @@ from clusteralg.classify import (
     main1_conditions,
     search_m_and_acyclic,
 )
-from clusteralg.exchange import apply_matrix_sequence, matrix_mutation_class
+from clusteralg.errors import DecomposableMatrix
+from clusteralg.exchange import ExchangeMatrix, apply_matrix_sequence, matrix_mutation_class
 from clusteralg.fixtures import (
     a2_matrix,
     a3_path_matrix,
+    acyclic_triangle,
     b2_matrix,
     g2_matrix,
     kronecker_matrix,
     markov_matrix,
+    path3,
     rank4_v1_matrix,
     weighted_path3_matrix,
+    zero_matrix,
 )
 from clusteralg.seeds import LabeledSeed
 
@@ -301,6 +305,18 @@ class TestFinitenessProbe:
         p = automorphism_finiteness_probe(LabeledSeed.initial(fixture()), 60, powers=2)
         assert p.status == "infinite"
         assert walks == [fixture()]
+
+    def test_decomposable_rejected(self):
+        # the block sum of path3(1,1) and acyclic_triangle(1,1,2): the probe
+        # used to answer "infinite" with witness (1, 2, 3) checked to 5
+        # powers, although that word applied six times returns the seed
+        a, b = path3(1, 1).rows, acyclic_triangle(1, 1, 2).rows
+        B = ExchangeMatrix([list(r) + [0] * 3 for r in a] + [[0] * 3 + list(r) for r in b])
+        s = LabeledSeed.initial(B)
+        assert s.apply((1, 2, 3) * 6) == s
+        for seed in (s, LabeledSeed.initial(zero_matrix(2))):
+            with pytest.raises(DecomposableMatrix, match="indecomposable"):
+                automorphism_finiteness_probe(seed, 200)
 
     def test_undecided_when_type_is_open(self):
         p = automorphism_finiteness_probe(LabeledSeed.initial(a3_path_matrix()), 5)

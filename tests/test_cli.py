@@ -153,6 +153,13 @@ class TestPeriods:
         assert out[1] == "  1,1"
         assert out[-1] == "  " + ",".join(["1"] * 1500)
 
+    @pytest.mark.parametrize("text", ["(+1 2)", "(\u0661 2)", "(1 a)", "(1 2) (3)"])
+    def test_malformed_sigma_exits_one(self, files, capsys, text):
+        rc = main(["periods", "--seed", files["path3"], "--sigma", text, "--max-len", "4"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bad cycle notation: {text!r}\n"
+
     def test_matrix_only(self, files, capsys):
         rc = main(["periods", "--seed", files["a2"], "--max-len", "2",
                    "--matrix-only"])

@@ -181,6 +181,17 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation.from_cycle_notation(3, "(1 1)")
 
+    # a sign, a non-ASCII digit, a letter, and a space between cycles
+    @pytest.mark.parametrize("text", ["(+1 2)", "(\u0661 2)", "(1 a)", "(1 2) (3)"])
+    def test_only_ascii_digit_entries_parse(self, text):
+        with pytest.raises(ValueError) as exc:
+            Permutation.from_cycle_notation(3, text)
+        assert str(exc.value) == f"bad cycle notation: {text!r}"
+
+    def test_commas_and_inner_spaces_separate_entries(self):
+        for text in ("(1,2)(3)", "( 1 , 2 )", "(1  2)"):
+            assert Permutation.from_cycle_notation(3, text).images == (2, 1, 3)
+
     @pytest.mark.parametrize(
         "images",
         [[1.9, 2], [2.0, 1], ["2", "1"], [True, 2]],

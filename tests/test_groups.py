@@ -8,13 +8,19 @@ from clusteralg.errors import DecomposableMatrix, InvariantViolation
 from clusteralg.exchange import ExchangeMatrix, Permutation
 from clusteralg.fixtures import (
     a2_matrix,
+    a3_alternating_matrix,
     a3_path_matrix,
+    a4_path_matrix,
     b2_matrix,
     g2_matrix,
     kronecker_matrix,
+    markov_matrix,
+    rank4_v1_matrix,
+    weighted_path3_matrix,
     zero_matrix,
 )
 from clusteralg.groups import (
+    GroupSummary,
     compose_strict,
     compute_L_P,
     enumerate_aut_plus,
@@ -201,6 +207,106 @@ class TestAutPlus:
         assert data["aut_plus_order"] == 5 and data["exactness_verified"] is True
 
 
+def _reference_aut_plus(s: LabeledSeed, budget: int):
+    """Aut+ read off the relabeling orbit, with the summary built from it.
+
+    The enumeration the package used before Aut+ came from the
+    mutation-only orbit: one element per seed of the orbit closed under
+    mutation and relabeling that carries B.  Returns the image clusters,
+    whether that orbit closed, and the summary JSON.
+    """
+    graph = orbit(s, max_seeds=budget, with_permutations=True)
+    images = [t.cluster for t in graph.seeds if t.matrix == s.matrix]
+    saut = enumerate_saut_plus(s, budget).order
+    lp = compute_L_P(s, budget)
+    orders = (
+        saut,
+        len(images) if graph.complete else None,
+        len(lp.L_members) if lp.L_exact else None,
+        len(lp.P_members) if lp.P_exact else None,
+    )
+    exact = None not in orders
+    assert not exact or orders[1] * orders[3] == orders[0] * orders[2]
+    fields = [x if x is not None else f"unknown(budget={budget})" for x in orders]
+    summary = GroupSummary(*fields, exact, budget).to_json()
+    return images, graph.complete, summary
+
+
+def _assert_elements_replay(s: LabeledSeed, e) -> None:
+    for el in e.elements:
+        moved = s.apply(el.witness_sequence)
+        assert moved.matrix == s.matrix.permute(el.witness_sigma.inverse())
+        image = moved.permute(el.witness_sigma)
+        assert image.matrix == s.matrix and image.cluster == el.image_cluster
+    assert len({el.image_cluster for el in e.elements}) == len(e.elements)
+
+
+# B3 with the weight-2 edge between 2 and 3; its relabeling orbit has 120 seeds
+B3 = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -2, 0]])
+D4 = ExchangeMatrix([[0, 1, 1, 1], [-1, 0, 0, 0], [-1, 0, 0, 0], [-1, 0, 0, 0]])
+FINITE = {
+    "A2": a2_matrix(),
+    "B2": b2_matrix(),
+    "G2": g2_matrix(),
+    "A3": a3_path_matrix(),
+    "A3alt": a3_alternating_matrix(),
+    "B3": B3,
+    "A4": a4_path_matrix(),
+    "D4": D4,
+}
+
+
+class TestAutPlusAgainstReference:
+    """Aut+ from the mutation-only orbit against the relabeling-orbit reference."""
+
+    @pytest.mark.parametrize("start", [(), (1, 2)], ids=["initial", "after12"])
+    @pytest.mark.parametrize("name", list(FINITE))
+    def test_finite_types(self, name, start):
+        s = LabeledSeed.initial(FINITE[name]).apply(start)
+        full = orbit(s, max_seeds=2000, with_permutations=True)
+        assert full.complete
+        # the smallest budget at which the reference closes, one below it,
+        # and a budget well past it
+        for budget in (len(full) - 1, len(full), 2000):
+            images, closed, summary = _reference_aut_plus(s, budget)
+            e = enumerate_aut_plus(s, budget)
+            _assert_elements_replay(s, e)
+            found = {el.image_cluster for el in e.elements}
+            if closed:
+                assert e.summary.to_json() == summary
+                assert e.summary.exactness_verified
+            if closed and e.complete:
+                assert found == set(images)
+            elif e.complete:
+                assert found >= set(images)
+
+    @pytest.mark.parametrize("budget", [1, 3, 7, 12])
+    @pytest.mark.parametrize(
+        "B",
+        [kronecker_matrix(2), markov_matrix(), weighted_path3_matrix(), rank4_v1_matrix()],
+        ids=["kronecker", "markov", "weighted_path", "rank4_v1"],
+    )
+    def test_infinite_types(self, B, budget):
+        s = LabeledSeed.initial(B)
+        images, closed, summary = _reference_aut_plus(s, budget)
+        e = enumerate_aut_plus(s, budget)
+        _assert_elements_replay(s, e)
+        assert not closed and not e.complete
+        assert e.summary.to_json() == summary
+
+    @pytest.mark.parametrize(
+        "B, budget, order",
+        [(b2_matrix(), 7, 3), (g2_matrix(), 12, 4), (B3, 50, 4)],
+        ids=["B2", "G2", "B3"],
+    )
+    def test_exact_where_the_relabeling_orbit_is_cut(self, B, budget, order):
+        s = LabeledSeed.initial(B)
+        assert not orbit(s, max_seeds=budget, with_permutations=True).complete
+        summary = enumerate_aut_plus(s, budget).summary
+        assert summary.aut_plus_order == order
+        assert summary.exactness_verified
+
+
 class TestEquivariant:
     def test_requires_permutation_closed_orbit(self):
         g = orbit(a2_seed(), max_seeds=50, with_permutations=False)
@@ -224,10 +330,6 @@ class TestEquivariant:
                 left = g.seeds[f[g.find(s.mutate(k))]]
                 right = g.seeds[f[idx]].mutate(k)
                 assert left == right
-
-
-# B3 with the weight-2 edge between 2 and 3; its relabeling orbit has 120 seeds
-B3 = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -2, 0]])
 
 
 class TestClosureSharing:
@@ -257,7 +359,7 @@ class TestClosureSharing:
         [(a2_matrix(), 100), (a3_path_matrix(), 300), (kronecker_matrix(2), 12)],
         ids=["A2", "A3", "kronecker"],
     )
-    def test_aut_plus_builds_three_closures(self, monkeypatch, B, budget):
+    def test_aut_plus_builds_two_closures(self, monkeypatch, B, budget):
         import clusteralg.groups as groups
 
         s = LabeledSeed.initial(B)
@@ -266,7 +368,7 @@ class TestClosureSharing:
 
         def spy(name, fn):
             def wrapped(*args, **kwargs):
-                calls.append(name)
+                calls.append((name, kwargs))
                 result = fn(*args, **kwargs)
                 seen[name] = result
                 return result
@@ -276,8 +378,11 @@ class TestClosureSharing:
         for name in ("orbit", "matrix_mutation_class", "_saut_from_orbit", "_lp_from_closures"):
             spy(name, getattr(groups, name))
         enumerate_aut_plus(s, budget)
-        assert calls.count("orbit") == 2
-        assert calls.count("matrix_mutation_class") == 1
+        names = [name for name, _ in calls]
+        assert names.count("orbit") == 1 and names.count("matrix_mutation_class") == 1
+        assert [kw for name, kw in calls if name == "orbit"] == [
+            {"max_seeds": budget, "with_permutations": False}
+        ]
         monkeypatch.undo()
 
         saut = enumerate_saut_plus(s, budget)

@@ -1,9 +1,11 @@
-"""Every module-level private name in the package is used somewhere in it.
+"""Every module-level private name and every import in the package is used.
 
 A private function, class or constant that nothing loads is dead code
 left behind by a refactor; importing it into another module does not
 count as a use.  The public API is exempt, since callers outside the
-package use it.
+package use it.  Likewise every name a module imports must be loaded in
+that module; only the package's __init__.py imports names to re-export
+them.
 """
 
 from __future__ import annotations
@@ -46,4 +48,29 @@ def test_no_unused_private_module_names():
         for name in _private_definitions(tree)
         if name not in loaded
     ]
+    assert unused == []
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.extend(a.asname or a.name for a in node.names)
+    return names
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [f"{path.name}:{x}" for x in _imported_names(tree) if x not in loaded]
     assert unused == []
