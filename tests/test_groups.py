@@ -395,3 +395,20 @@ class TestClosureSharing:
         assert shared.P_witnesses == lp.P_witnesses
         assert (shared.L_members, shared.P_members) == (lp.L_members, lp.P_members)
         assert shared.P_certificates == lp.P_certificates
+
+    def test_aut_plus_replays_each_distinct_word_once(self, monkeypatch):
+        # the 24 elements of Aut+ of D4 share 4 orbit words
+        import clusteralg.seeds
+
+        original = clusteralg.seeds.mutate_seed
+        mutations = []
+
+        def counted(s, k):
+            mutations.append(k)
+            return original(s, k)
+
+        monkeypatch.setattr(clusteralg.seeds, "mutate_seed", counted)
+        r = enumerate_aut_plus(LabeledSeed.initial(D4), 2000)
+        words = {e.witness_sequence for e in r.elements}
+        assert (len(r.elements), len(words)) == (24, 4)
+        assert len(mutations) == sum(len(w) for w in words) == 14

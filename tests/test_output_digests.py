@@ -1,0 +1,99 @@
+"""Byte-identity pins on the outputs of the finite-type fixtures.
+
+Orbit dumps, witness words and edge tables, and the Aut+ records of A3,
+B3, A4 and D4, are serialized and hashed.  The digests were taken
+before the per-search exchange memo went into `seeds.orbit`; a change
+that only makes these searches faster must leave every one of them as
+it is.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from clusteralg import fixtures
+from clusteralg.exchange import ExchangeMatrix
+from clusteralg.groups import enumerate_aut_plus
+from clusteralg.seeds import LabeledSeed, OrbitGraph, apply_sequence, format_sequence, orbit
+
+FAMILIES = {
+    "A3": fixtures.a3_path_matrix(),
+    "B3": ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -2, 0]]),
+    "A4": fixtures.a4_path_matrix(),
+    "D4": ExchangeMatrix([[0, 1, 1, 1], [-1, 0, 0, 0], [-1, 0, 0, 0], [-1, 0, 0, 0]]),
+}
+BUDGET = 2000
+
+ORBIT_DIGESTS = {
+    "A3/initial/plain": "4d3cf72df24fd94ce519d48afd8b3281b750de8801a81850c167625e95b0a3a2",  # 84 seeds
+    "A3/initial/relabel": "7456e6d03f4c99fb86c05ce7325add426f8a7fadec9f0de19f86e3cff692d751",  # 84 seeds
+    "A3/after-1-2/plain": "e22efd4b41fdab744f2b3510b8299c3287de12847d598b0978e9e4a230636b64",  # 84 seeds
+    "A3/after-1-2/relabel": "879b4336b3d018bf2d3ccce698fd6beb4128e68a4d005987742b6d15d2de520b",  # 84 seeds
+    "B3/initial/plain": "6f5907b677594e6a4b3a5863afb3b86a1ecc044c65653d2d231130bd35e33b03",  # 40 seeds
+    "B3/initial/relabel": "81a7e96951a80918b1942a19d3ed2b45c07c6658534cadc98e4e116673df8e5c",  # 120 seeds
+    "B3/after-1-2/plain": "31f07ba7082286f1e600fdc212a843b0e7c148c5cd413797098aee959e2e63c2",  # 40 seeds
+    "B3/after-1-2/relabel": "346c3cd679e52f0ed04aec24a70981a3af57dd43e0bd7a8d4288f70b340b020f",  # 120 seeds
+    "A4/initial/plain": "b2ea183c231a0843062eb5e8560a9d8388bee2c3333ce151af2d9a0defab1a83",  # 1008 seeds
+    "A4/initial/relabel": "d90c7af93e6823817d243c8ae523809daffc3000feeda5c491f35f88a2bf721c",  # 1008 seeds
+    "A4/after-1-2/plain": "282a24f2ee071a35e84bbb4a0fd3e0147c1c6ca3619d23ce4dfba5982524c032",  # 1008 seeds
+    "A4/after-1-2/relabel": "0a699f0337f064e5c21bfc8fb167a25b2028dbd2ec139140f326494025a35bb6",  # 1008 seeds
+    "D4/initial/plain": "0a6e017844fd51db82a52feeda79e8534d640895f1554e974e5ff04eaa40582c",  # 1200 seeds
+    "D4/initial/relabel": "25ff67c661decd391b8835069eab89e27b4701bd6bd3ddc67f416f5465f5b9ef",  # 1200 seeds
+    "D4/after-1-2/plain": "e4a93c2659b2f9c4002584d23ee7eb7728e0e7b70727ecc34acbb0bbdbe89a01",  # 1200 seeds
+    "D4/after-1-2/relabel": "85b53549ec3dc601fec21f98e2504c05a7970e20eb6d91372210c75aea971a23",  # 1200 seeds
+}
+AUT_PLUS_DIGESTS = {
+    "A3": "d2caf242c283980717d75c53a44fff005539c7eca0d7750b211f8353416115be",  # 84-seed orbit, 6 elements
+    "B3": "966e48c1e8785cecbaac25f0ba337f9401fdcff63ded1437ddcfdf8e9f00a637",  # 40-seed orbit, 4 elements
+    "A4": "16e032f878f2acaa2d1efd7f4a91b5f54b34ca144e5c13c4a9e548f140259ac3",  # 1008-seed orbit, 7 elements
+    "D4": "9d8677c4ca07693a76e035e4fca7528bf0dd2abca86dfcf20fb4f34c79a496ba",  # 1200-seed orbit, 24 elements
+}
+
+
+def _digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _orbit_lines(g: OrbitGraph) -> list[str]:
+    lines = [f"complete {g.complete} size {len(g)}"]
+    lines += g.dump_lines()
+    lines += [f"{format_sequence(word)} {pi.images}" for word, pi in g.words]
+    lines += [f"{source} {label} {target}" for source, label, target in g.edges]
+    return lines
+
+
+def _aut_plus_lines(s: LabeledSeed) -> list[str]:
+    r = enumerate_aut_plus(s, BUDGET)
+    lines = [r.summary.to_json(), f"complete {r.complete} orbit {r.orbit_size}"]
+    for e in r.elements:
+        cluster = "|".join(p.canonical_string() for p in e.image_cluster)
+        lines.append(f"{format_sequence(e.witness_sequence)} {e.witness_sigma.images} {cluster}")
+    return lines
+
+
+def _orbit_cases():
+    for name in FAMILIES:
+        for root in ("initial", "after-1-2"):
+            for with_permutations in (False, True):
+                yield f"{name}/{root}/{'relabel' if with_permutations else 'plain'}"
+
+
+def _orbit_of(case: str) -> OrbitGraph:
+    name, root, mode = case.split("/")
+    s = LabeledSeed.initial(FAMILIES[name])
+    if root == "after-1-2":
+        s = apply_sequence(s, (1, 2))
+    return orbit(s, BUDGET, mode == "relabel")
+
+
+@pytest.mark.parametrize("case", list(_orbit_cases()))
+def test_orbit_outputs_are_pinned(case):
+    assert _digest(_orbit_lines(_orbit_of(case))) == ORBIT_DIGESTS[case]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_aut_plus_records_are_pinned(name):
+    s = LabeledSeed.initial(FAMILIES[name])
+    assert _digest(_aut_plus_lines(s)) == AUT_PLUS_DIGESTS[name]

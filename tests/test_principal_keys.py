@@ -14,7 +14,13 @@ import pytest
 
 from clusteralg import fixtures, periodicity, seeds
 from clusteralg.errors import InvariantViolation
-from clusteralg.exchange import ExchangeMatrix, Permutation, _closure, all_permutations
+from clusteralg.exchange import (
+    ExchangeMatrix,
+    Permutation,
+    _closure,
+    all_permutations,
+    mutate_matrix,
+)
 from clusteralg.periodicity import _walk, find_periods, is_sigma_period
 from clusteralg.seeds import (
     LabeledSeed,
@@ -24,6 +30,7 @@ from clusteralg.seeds import (
     orbit,
     permute_seed,
 )
+from clusteralg.symbolic import generators
 
 
 def _laurent_orbit(s: LabeledSeed, max_seeds: int, with_permutations: bool) -> OrbitGraph:
@@ -88,6 +95,26 @@ INFINITE = {
     "rank4-v1": fixtures.rank4_v1_matrix(),
 }
 FIXTURES = {**FINITE, **INFINITE}
+# pairs of seeds that exchange x1 against the same neighbours through
+# different relations, so a relation memo must keep them apart: x2 as a
+# repeated factor, (x2^2 + 1)/x1 against (x2 + 1)/x1; another exponent,
+# (x2 + 1)/x1 against (x2^2 + 1)/x1; another sign, (x2 x3 + 1)/x1
+# against (x2 + x3)/x1
+_x = generators(3)
+RELATION_PAIRS = {
+    "repeated-factor": [
+        LabeledSeed((_x[0], _x[1], _x[1]), ExchangeMatrix([[0, -1, -1], [1, 0, 0], [1, 0, 0]])),
+        LabeledSeed((_x[0], _x[1], _x[1]), ExchangeMatrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]])),
+    ],
+    "exponent": [
+        LabeledSeed(_x[:2], ExchangeMatrix([[0, 1], [-1, 0]])),
+        LabeledSeed(_x[:2], ExchangeMatrix([[0, 1], [-2, 0]])),
+    ],
+    "sign": [
+        LabeledSeed(_x, ExchangeMatrix([[0, 1, 1], [-1, 0, 0], [-1, 0, 0]])),
+        LabeledSeed(_x, ExchangeMatrix([[0, 1, -1], [-1, 0, 0], [1, 0, 0]])),
+    ],
+}
 # budgets that cut each closure; on the rank-2 infinite paths the
 # Laurent references grow fastest, exponentially for Kronecker(3)
 CUT_BUDGETS = {"kronecker": (1, 7, 20), "kronecker3": (1, 5)}
@@ -140,6 +167,19 @@ class TestOrbitKeys:
         _same_orbit(orbit(sub, 2000, True), _laurent_orbit(sub, 2000, True))
 
     def test_each_seed_and_matrix_move_is_computed_once(self, monkeypatch):
+        # one exchange relation per exchange pair (x_k, x'_k) met on an
+        # edge that discovers a seed of the reference orbit, one
+        # mutation per matrix of the class (14 for A3) and direction
+        s = LabeledSeed.initial(fixtures.a3_path_matrix())
+        ref = _laurent_orbit(s, 2000, False)
+        discovered = {0}
+        pairs = set()
+        for source, label, target in ref.edges:
+            if target not in discovered:
+                discovered.add(target)
+                k = int(label[2:])
+                pairs.add((ref.seeds[source].cluster[k - 1], ref.seeds[target].cluster[k - 1]))
+        assert len(pairs) == 29
         counts = {"_exchanged": 0, "mutate_matrix": 0}
         for name in counts:
             original = getattr(seeds, name)
@@ -149,11 +189,34 @@ class TestOrbitKeys:
                 return original(*args)
 
             monkeypatch.setattr(seeds, name, counted)
-        g = orbit(LabeledSeed.initial(fixtures.a3_path_matrix()), 2000)
+        g = orbit(s, 2000)
         assert g.complete and len(g) == 84
-        # one exchange relation per admitted seed, one mutation per
-        # matrix of the class (14 for A3) and direction
-        assert counts == {"_exchanged": 83, "mutate_matrix": 14 * 3}
+        assert counts == {"_exchanged": len(pairs), "mutate_matrix": 14 * 3}
+
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("case", RELATION_PAIRS)
+    def test_the_relation_memo_tells_relations_apart(self, case, first):
+        pair = RELATION_PAIRS[case]
+        memo: dict = {}
+        got = {
+            t: seeds._exchanged_once(memo, t, 1, mutate_matrix(t.matrix, 1))
+            for t in pair[first:] + pair[:first]
+        }
+        assert len(memo) == 2
+        for t in pair:
+            assert got[t] == mutate_seed(t, 1)
+        assert got[pair[0]].cluster[0] != got[pair[1]].cluster[0]
+
+    def test_the_relation_memo_stores_no_failed_relation(self):
+        # a subseed relation that is not Laurent raises every time
+        sub = periodicity.subseed(
+            apply_sequence(LabeledSeed.initial(fixtures.a4_path_matrix()), (2, 3)), (1, 2, 3)
+        )
+        memo: dict = {}
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not Laurent"):
+                seeds._exchanged_once(memo, sub, 3, mutate_matrix(sub.matrix, 3))
+            assert memo == {}
 
     def test_two_keys_for_one_seed_raise(self, monkeypatch):
         # a key step that never repeats a key admits every seed twice over
