@@ -10,11 +10,21 @@ principal-coefficient keys (B, C) instead of seeds (see
 seeds._principal_key): by synchronicity a seed returns along a
 sequence exactly when its key does.  Laurent arithmetic is spent only
 on the exact replay of what a search reports.
+
+These key walks also carry H = C^-1, whose rows are the g-vectors by
+tropical duality (Nakanishi-Zelevinsky, arXiv:1101.3736).  Mutation at
+k rewrites row k of H only, a step that rests on the sign coherence of
+the c-vectors (Gross-Hacking-Keel-Kontsevich, arXiv:1411.1394).  So a
+key whose H differs from the goal's in d rows needs at least d more
+letters to return, and the walks skip every subtree where no return
+fits in the letters left.  A skipped subtree holds no hit, so the
+outputs and their order are those of the full walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ne
 from typing import Any, Callable, Iterator, Sequence, Union
 
 from .errors import InvariantViolation, NotBipartite
@@ -63,6 +73,9 @@ def find_periods(
     its principal-coefficient keys (see seeds._principal_key), which
     cost integers only; each sequence they return is replayed exactly
     on the seed before it is listed, and replays share prefixes too.
+    The seed walk carries the g-vector rows H = C^-1 and skips every
+    subtree whose H differs from the goal's in more rows than it has
+    letters left; a matrix is walked in full.
     """
     _require_count("max_len", max_len, 0)
     if isinstance(target, LabeledSeed):
@@ -85,23 +98,26 @@ def _seed_periods(
     if sigma.n != s.rank:
         raise ValueError("permutation degree does not match seed rank")
     memo: dict = {}
-    # relabeling by sigma sends C to I exactly when c_ij = [j = sigma(i)]
+    # relabeling by sigma sends C to I exactly when c_ij = [j = sigma(i)];
+    # that C is a permutation matrix, so its inverse is its transpose
     goal = tuple(
         tuple(int(j == sigma(i)) for j in range(1, s.rank + 1)) for i in range(1, s.rank + 1)
     )
+    goal_h = tuple(zip(*goal))
     found: list[tuple[int, ...]] = []
     # trail[i] is the seed after the first i letters of the last replayed
     # period; hits come in walk order, so a replay starts where it leaves
     # the previous one and no walk node is mutated twice
     trail = [s]
     walk = _walk(
-        _principal_key(s.matrix),
+        _principal_side(s.matrix),
         s.rank,
         max_len,
-        lambda key, k: _mutate_key(memo, key, k),
+        lambda side, k: (_mutate_key(memo, side[0], k), _mutate_h(side[0], side[1], k)),
         essential_only,
+        bound=lambda side: _rows_apart(side[1], goal_h),
     )
-    for seq, (B, C) in walk:
+    for seq, ((B, C), _) in walk:
         if C == goal and _moved_matrix(memo, B, sigma) == s.matrix:
             last = found[-1] if found else ()
             keep = 0
@@ -122,6 +138,7 @@ def _walk(
     max_len: int,
     step: Callable[[Any, int], Any],
     essential_only: bool = True,
+    bound: Callable[[Any], int] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], Any]]:
     """Yield (seq, state) for every sequence of length 1..max_len over [1,n].
 
@@ -131,8 +148,14 @@ def _walk(
     its extensions.  Iterative, because max_len may exceed the
     interpreter's recursion limit, and lazy: a sequence's state is
     computed only when the walk reaches it.
+
+    bound(state), when given, is a lower bound on the further letters
+    after which a state can be a hit.  A sequence (the empty one too) is
+    not extended when fewer letters are left than its bound, so the
+    walk yields every sequence except those the bound proves are no
+    hits, in the same order.
     """
-    if max_len < 1:
+    if max_len < 1 or (bound is not None and bound(start) > max_len):
         return
     stack = [(start, (), iter(range(1, n + 1)))]
     while stack:
@@ -143,7 +166,8 @@ def _walk(
             seq = prefix + (k,)
             nxt = step(state, k)
             yield seq, nxt
-            if len(seq) < max_len:
+            left = max_len - len(seq)
+            if left and (bound is None or bound(nxt) <= left):
                 stack.append((nxt, seq, iter(range(1, n + 1))))
             break
         else:
@@ -312,21 +336,26 @@ def period_set_distinguisher(
     one length at a time, and candidate periods in lexicographic order.
     Both walks run on the principal-coefficient keys of the two roots:
     a side holds a candidate exactly when its key returns to the key it
-    had after the conjugator.  Only the side that holds the witness is
-    replayed, exactly, before it is reported, so a search costs one
-    Laurent replay when it finds a witness and none when it does not.
+    had after the conjugator.  Each side carries its g-vector rows
+    H = C^-1 as well, and the period walk skips every subtree where
+    neither side's H can return in the letters left: a separating
+    period needs only one side to return, so the bound is the smaller
+    of the two sides' counts of rows that differ from their start.  Only
+    the side that holds the witness is replayed, exactly, before it is
+    reported, so a search costs one Laurent replay when it finds a
+    witness and none when it does not.
     """
     if s1.rank != s2.rank:
         raise ValueError("rank mismatch")
     _require_count("depth", depth, 0)
     _require_count("period_len", period_len, 0)
     n = s1.rank
-    roots = (_principal_key(s1.matrix), _principal_key(s2.matrix))
+    roots = (_principal_side(s1.matrix), _principal_side(s2.matrix))
     for length in range(depth + 1):
-        walk = _walk(roots, n, length, _mutate_key_pair) if length else [((), roots)]
-        for conj, keys in walk:
+        walk = _walk(roots, n, length, _mutate_pair) if length else [((), roots)]
+        for conj, sides in walk:
             if len(conj) == length:
-                hit = _search_separating_period(keys, n, period_len)
+                hit = _search_separating_period(sides, n, period_len)
                 if hit is not None:
                     seq, side = hit
                     t = (s1, s2)[side - 1].apply(conj)
@@ -336,8 +365,19 @@ def period_set_distinguisher(
     return None
 
 
-def _mutate_key_pair(keys: tuple, k: int) -> tuple:
-    return _key_step(keys[0], k), _key_step(keys[1], k)
+def _principal_side(B: ExchangeMatrix) -> tuple:
+    """The root's key (B, I) and its H = I."""
+    key = _principal_key(B)
+    return key, key[1]
+
+
+def _mutate_pair(sides: tuple, k: int) -> tuple:
+    return _side_step(sides[0], k), _side_step(sides[1], k)
+
+
+def _side_step(side: tuple, k: int) -> tuple:
+    key, H = side
+    return _key_step(key, k), _mutate_h(key, H, k)
 
 
 def _key_step(key: tuple, k: int) -> tuple:
@@ -346,13 +386,46 @@ def _key_step(key: tuple, k: int) -> tuple:
     return mutate_matrix(B, k), _mutate_c(B, C, k)
 
 
+def _mutate_h(key: tuple, H: tuple, k: int) -> tuple:
+    """H = C^-1 of the key after its mutation at k: row k changes, no other.
+
+    With eps the sign of column k of C and m_j = [eps b_kj]_+, the
+    mutation is C' = C M_k for the involution M_k that is the identity
+    but in row k, which is (m_1, ..., -1, ..., m_n); so H' = M_k H, and
+    h'_k = -h_k + sum_j m_j h_j.  That is the rule of seeds._mutate_c
+    exactly when column k of C is sign-coherent.
+    """
+    B, C = key
+    a = k - 1
+    column = [row[a] for row in C]
+    if min(column) < 0 < max(column):
+        raise InvariantViolation(f"column {k} of C is not sign-coherent: {column}")
+    eps = 1 if max(column) > 0 else -1
+    new = [-x for x in H[a]]
+    for b, h in zip(B.rows[a], H):
+        m = eps * b
+        if m > 0:
+            new = [x + m * y for x, y in zip(new, h)]
+    return H[:a] + (tuple(new),) + H[k:]
+
+
+def _rows_apart(H: tuple, goal: tuple) -> int:
+    """The rows where H and goal differ: each letter rewrites one."""
+    return sum(map(ne, H, goal))
+
+
 def _search_separating_period(
     start: tuple, n: int, period_len: int
 ) -> tuple[tuple[int, ...], int] | None:
     """The first sequence, in walk order, whose key returns on one side only."""
-    for seq, (key1, key2) in _walk(start, n, period_len, _mutate_key_pair):
-        p1 = key1 == start[0]
-        if p1 != (key2 == start[1]):
+    (key1, h1), (key2, h2) = start
+
+    def bound(sides: tuple) -> int:
+        return min(_rows_apart(sides[0][1], h1), _rows_apart(sides[1][1], h2))
+
+    for seq, ((end1, _), (end2, _)) in _walk(start, n, period_len, _mutate_pair, bound=bound):
+        p1 = end1 == key1
+        if p1 != (end2 == key2):
             return seq, 1 if p1 else 2
     return None
 

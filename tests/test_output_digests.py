@@ -1,10 +1,12 @@
-"""Byte-identity pins on the outputs of the finite-type fixtures.
+"""Byte-identity pins on the outputs of the fixtures.
 
-Orbit dumps, witness words and edge tables, and the Aut+ records of A3,
-B3, A4 and D4, are serialized and hashed.  The digests were taken
-before the per-search exchange memo went into `seeds.orbit`; a change
-that only makes these searches faster must leave every one of them as
-it is.
+Orbit dumps, witness words and edge tables, the Aut+ records and the
+seed period lists of A3, B3, A4 and D4, and the distinguisher witnesses
+on the reference grid, are serialized and hashed.  The orbit and Aut+
+digests were taken before the per-search exchange memo went into
+`seeds.orbit`, the period and witness digests before the seed key walks
+carried H = C^-1 and pruned on it; a change that only makes these
+searches faster must leave every one of them as it is.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import hashlib
 import pytest
 
 from clusteralg import fixtures
-from clusteralg.exchange import ExchangeMatrix
+from clusteralg.exchange import ExchangeMatrix, Permutation, all_permutations
 from clusteralg.groups import enumerate_aut_plus
+from clusteralg.periodicity import find_periods, period_set_distinguisher
 from clusteralg.seeds import LabeledSeed, OrbitGraph, apply_sequence, format_sequence, orbit
 
 FAMILIES = {
@@ -49,6 +52,46 @@ AUT_PLUS_DIGESTS = {
     "B3": "966e48c1e8785cecbaac25f0ba337f9401fdcff63ded1437ddcfdf8e9f00a637",  # 40-seed orbit, 4 elements
     "A4": "16e032f878f2acaa2d1efd7f4a91b5f54b34ca144e5c13c4a9e548f140259ac3",  # 1008-seed orbit, 7 elements
     "D4": "9d8677c4ca07693a76e035e4fca7528bf0dd2abca86dfcf20fb4f34c79a496ba",  # 1200-seed orbit, 24 elements
+}
+
+# sigma-periods to length 6 of each initial seed, for the identity and
+# the swap of the simple arrow 1 -> 2
+PERIOD_DIGESTS = {
+    "A3": "73504cb03321305c05ae7b118d527ec517a7648696dd671131e05b52e5c0bf73",
+    "B3": "8de31d6feb0e3ee0dfaab13e3f012a92e4bcdcc039b092bf2ffc12e9d021568c",
+    "A4": "befd387b4a46a4362db12912f347e5141b0d2081cdc23e1b59e4c3b99dd64639",
+    "D4": "2220f3f4b8c2170df69d67e7f308e650666caab5034d6eaf6065a02d04a04518",
+}
+PERIOD_LEN = 6
+# the grid of the Laurent reference distinguisher: every relabeling at
+# rank 2; at rank 3 the identity and a 3-cycle
+DISTINGUISHER_PAIRS = {
+    "path-fork": (fixtures.path3(1, 1), fixtures.fork3(1, 1)),
+    "acyclic-forkchord": (
+        fixtures.acyclic_triangle(1, 1, 2),
+        fixtures.fork_chord_triangle(1, 1, 2),
+    ),
+    "acyclic-cyclic": (fixtures.acyclic_triangle(1, 1, 2), fixtures.cyclic_triangle(1, 1, 2)),
+    "path-cyclic": (fixtures.path3(1, 1), fixtures.cyclic_triangle(1, 1, 1)),
+    "acyclic-cyclic(1,1,1)": (
+        fixtures.acyclic_triangle(1, 1, 1),
+        fixtures.cyclic_triangle(1, 1, 1),
+    ),
+    "path-acyclic(1,1,1)": (fixtures.path3(1, 1), fixtures.acyclic_triangle(1, 1, 1)),
+    "A2-B2": (fixtures.a2_matrix(), fixtures.b2_matrix()),
+    "B2-G2": (fixtures.b2_matrix(), fixtures.g2_matrix()),
+    "A2-kronecker": (fixtures.a2_matrix(), fixtures.kronecker_matrix(2)),
+}
+DISTINGUISHER_DIGESTS = {
+    "path-fork": "aa585b83d67acac13139eadf1623a26bd211e9e3828a25c05dc6396d5118ebf7",
+    "acyclic-forkchord": "ecfbc9d080447643a8b2d71497454e5d745aa6f9d0a37c5cf3d17ba00c85275f",
+    "acyclic-cyclic": "e2b977acea24b4c4edd7f07f4b27f9cfd5e62c3efa2dfadeb6994426f984abea",
+    "path-cyclic": "9e2753b6d40e257a517a38c25d1a924e1e5c08aa5d9f66d96e900a096878c213",
+    "acyclic-cyclic(1,1,1)": "884d73dd73603a0af39662a0bbe91540b0462b753132d49cc586ce1a99d1342c",
+    "path-acyclic(1,1,1)": "f5dd4a600316bc75386467ec2317b284d0d9efdf16be0055da0a09c5180e3564",
+    "A2-B2": "4395dafa935108b150f88a486ccaa61fcade24b52489478f701403111fff0d8e",
+    "B2-G2": "3ac9cf65d75cc0ffd2b7ce4705accccdca9f1fb521a30aa70f32f3e0cc1d2bcc",
+    "A2-kronecker": "2b7d6b79a3bb0c524c442089411953764ba53b8cd6b6e016600e076c8ef49135",
 }
 
 
@@ -97,3 +140,43 @@ def test_orbit_outputs_are_pinned(case):
 def test_aut_plus_records_are_pinned(name):
     s = LabeledSeed.initial(FAMILIES[name])
     assert _digest(_aut_plus_lines(s)) == AUT_PLUS_DIGESTS[name]
+
+
+def _period_lines(name: str) -> list[str]:
+    s = LabeledSeed.initial(FAMILIES[name])
+    lines = []
+    for sigma in (Permutation.identity(s.rank), Permutation.transposition(s.rank, 1, 2)):
+        found = find_periods(s, sigma, PERIOD_LEN)
+        lines.append(f"{sigma.images} {len(found)}")
+        lines += [format_sequence(seq) for seq in found]
+    return lines
+
+
+def _distinguisher_lines(B1: ExchangeMatrix, B2: ExchangeMatrix) -> list[str]:
+    if B1.n == 2:
+        sigmas, grid = all_permutations(2), ((0, 12), (2, 12))
+    else:
+        sigmas = [Permutation.identity(3), Permutation([3, 1, 2])]
+        grid = ((0, 10), (2, 8), (3, 10))
+    lines = []
+    for sigma in sigmas:
+        s1 = LabeledSeed.initial(B1).permute(sigma)
+        s2 = LabeledSeed.initial(B2).permute(sigma)
+        for depth, period_len in grid:
+            w = period_set_distinguisher(s1, s2, depth, period_len)
+            found = "none" if w is None else (
+                f"({format_sequence(w.conjugator)}) ({format_sequence(w.period)}) "
+                f"{w.period_holds_on}"
+            )
+            lines.append(f"{sigma.images} {depth} {period_len} {found}")
+    return lines
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_seed_period_lists_are_pinned(name):
+    assert _digest(_period_lines(name)) == PERIOD_DIGESTS[name]
+
+
+@pytest.mark.parametrize("pair", DISTINGUISHER_PAIRS)
+def test_distinguisher_witnesses_are_pinned(pair):
+    assert _digest(_distinguisher_lines(*DISTINGUISHER_PAIRS[pair])) == DISTINGUISHER_DIGESTS[pair]

@@ -6,8 +6,8 @@ import itertools
 
 import pytest
 
-from clusteralg import seeds
-from clusteralg.errors import NotBipartite
+from clusteralg import periodicity, seeds
+from clusteralg.errors import InvariantViolation, NotBipartite
 from clusteralg.exchange import (
     Permutation,
     all_permutations,
@@ -357,26 +357,48 @@ DISTINGUISHER_PAIRS = {
 }
 
 
+def _distinguisher_grid(B1, B2):
+    """(s1, s2, depth, period_len) over the reference grid of a pair.
+
+    Every relabeling at rank 2; at rank 3 the identity and a 3-cycle,
+    which keeps the reference's Laurent walks to seconds.
+    """
+    if B1.n == 2:
+        sigmas, grid = all_permutations(2), RANK2_GRID
+    else:
+        sigmas, grid = [Permutation.identity(3), Permutation([3, 1, 2])], RANK3_GRID
+    for sigma in sigmas:
+        s1 = LabeledSeed.initial(B1).permute(sigma)
+        s2 = LabeledSeed.initial(B2).permute(sigma)
+        for depth, period_len in grid:
+            yield s1, s2, depth, period_len
+
+
 class TestDistinguisherAgainstReference:
     @pytest.mark.parametrize(
         "B1, B2", DISTINGUISHER_PAIRS.values(), ids=DISTINGUISHER_PAIRS.keys()
     )
     def test_witnesses_match_the_reference(self, B1, B2):
-        # every relabeling at rank 2; at rank 3 the identity and a
-        # 3-cycle, which keeps the reference's Laurent walks to seconds
-        if B1.n == 2:
-            sigmas, grid = all_permutations(2), RANK2_GRID
-        else:
-            sigmas, grid = [Permutation.identity(3), Permutation([3, 1, 2])], RANK3_GRID
-        for sigma in sigmas:
-            s1 = LabeledSeed.initial(B1).permute(sigma)
-            s2 = LabeledSeed.initial(B2).permute(sigma)
-            for depth, period_len in grid:
-                w = period_set_distinguisher(s1, s2, depth, period_len)
-                got = None if w is None else (w.conjugator, w.period, w.period_holds_on)
-                assert got == _reference_distinguisher(s1, s2, depth, period_len), (
-                    sigma, depth, period_len
-                )
+        for s1, s2, depth, period_len in _distinguisher_grid(B1, B2):
+            w = period_set_distinguisher(s1, s2, depth, period_len)
+            got = None if w is None else (w.conjugator, w.period, w.period_holds_on)
+            assert got == _reference_distinguisher(s1, s2, depth, period_len), (
+                s1.matrix, depth, period_len
+            )
+
+
+@pytest.fixture
+def matrix_mutations(monkeypatch):
+    """The indices of every mutate_matrix call of the distinguisher's key walks."""
+    calls: list[int] = []
+    real = periodicity.mutate_matrix
+
+    def counting(B, k):
+        calls.append(k)
+        return real(B, k)
+
+    monkeypatch.setattr(periodicity, "mutate_matrix", counting)
+    return calls
 
 
 @pytest.fixture
@@ -420,18 +442,21 @@ class TestDistinguisher:
         assert w is not None and w.period_holds_on == 1
 
     @pytest.mark.parametrize(
-        "B1, B2, expected",
+        "B1, B2, expected, moves",
         [
-            (path3(1, 1), fork3(1, 1), ((), (1, 2, 1, 2, 3, 2, 3, 1, 2, 1), 2)),
+            (path3(1, 1), fork3(1, 1), ((), (1, 2, 1, 2, 3, 2, 3, 1, 2, 1), 2), 82),
             (acyclic_triangle(1, 1, 2), fork_chord_triangle(1, 1, 2),
-             ((3,), (1, 2, 1, 2, 1, 2, 1, 2, 1, 2), 1)),
+             ((3,), (1, 2, 1, 2, 1, 2, 1, 2, 1, 2), 1), 4916),
             (acyclic_triangle(1, 1, 2), cyclic_triangle(1, 1, 2),
-             ((), (1, 2, 1, 3, 2, 1, 3, 1, 2, 3), 2)),
-            (path3(1, 1), cyclic_triangle(1, 1, 1), ((), (1, 2, 1, 2, 3, 2, 3, 1, 2, 1), 2)),
+             ((), (1, 2, 1, 3, 2, 1, 3, 1, 2, 3), 2), 132),
+            (path3(1, 1), cyclic_triangle(1, 1, 1),
+             ((), (1, 2, 1, 2, 3, 2, 3, 1, 2, 1), 2), 82),
         ],
         ids=["path-fork", "acyclic-forkchord", "acyclic-cyclic", "path-cyclic"],
     )
-    def test_first_witness_is_pinned(self, B1, B2, expected, seed_mutations):
+    def test_first_witness_is_pinned(
+        self, B1, B2, expected, moves, seed_mutations, matrix_mutations
+    ):
         # the search order (conjugators by length then lex, periods lex)
         # decides which witness comes first
         s1, s2 = LabeledSeed.initial(B1), LabeledSeed.initial(B2)
@@ -439,6 +464,9 @@ class TestDistinguisher:
         assert (w.conjugator, w.period, w.period_holds_on) == expected
         # only the witness is replayed, on the side it holds for
         assert len(seed_mutations) == len(w.conjugator) + len(w.period)
+        # the key walks skip what cannot return (238, 18440, 432 and 238
+        # matrix mutations when they walked every word)
+        assert len(matrix_mutations) == moves
 
     def test_none_within_tiny_budget(self, seed_mutations):
         w = period_set_distinguisher(
@@ -449,3 +477,110 @@ class TestDistinguisher:
         )
         assert w is None
         assert seed_mutations == []
+
+
+def _identity_rows(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _product(X: tuple, Y: tuple) -> tuple:
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*Y)) for row in X)
+
+
+def _side_walk(B, max_len: int) -> dict:
+    """{seq: (key, H)} for every essential word to max_len from (B, I), the root too."""
+    root = periodicity._principal_side(B)
+    nodes = {(): root}
+    nodes.update(_walk(root, B.n, max_len, periodicity._side_step))
+    return nodes
+
+
+def _without_bound(monkeypatch, search, *args):
+    """search(*args) with every _walk it starts ignoring its bound."""
+    walk = periodicity._walk
+    with monkeypatch.context() as m:
+        m.setattr(periodicity, "_walk", lambda *a, bound=None: walk(*a))
+        return search(*args)
+
+
+# the fixtures with a key that returns to an ancestor within the walk
+RETURNS_WITHIN_THE_WALK = {
+    "B2", "zero2", "A3-path", "A3-alternating", "weighted-path3", "cyclic-triangle",
+    "A4-path", "rank4-v1",
+}
+
+
+class TestKeyWalkBound:
+    """H = C^-1 rides along the key walks and prunes them without loss."""
+
+    @pytest.mark.parametrize("B", ACTION_FIXTURES.values(), ids=ACTION_FIXTURES.keys())
+    def test_h_inverts_c_and_a_letter_rewrites_one_row(self, B):
+        nodes = _side_walk(B, 4 if B.n == 4 else 6)
+        for seq, ((_, C), H) in nodes.items():
+            assert _product(C, H) == _identity_rows(B.n), seq
+            if seq:
+                before = nodes[seq[:-1]][1]
+                k = seq[-1]
+                assert H[: k - 1] == before[: k - 1] and H[k:] == before[k:], seq
+
+    @pytest.mark.parametrize("name", ACTION_FIXTURES)
+    def test_no_node_before_a_return_is_farther_than_its_letters_left(self, name):
+        # the bound: a key whose H differs from the goal's in d rows is
+        # at least d letters from the goal
+        B = ACTION_FIXTURES[name]
+        nodes = _side_walk(B, 4 if B.n == 4 else 6)
+        returns = 0
+        for seq, (key, _) in nodes.items():
+            for start in range(len(seq)):
+                goal_key, goal_h = nodes[seq[:start]]
+                if goal_key != key:
+                    continue
+                returns += 1
+                for at in range(start + 1, len(seq)):
+                    apart = periodicity._rows_apart(nodes[seq[:at]][1], goal_h)
+                    assert apart <= len(seq) - at, (seq, start, at)
+        assert returns > 0 or name not in RETURNS_WITHIN_THE_WALK
+
+    @pytest.mark.parametrize("B", ACTION_FIXTURES.values(), ids=ACTION_FIXTURES.keys())
+    def test_seed_periods_do_not_depend_on_the_bound(self, B, monkeypatch):
+        max_len = 4 if B.n == 4 else 6
+        sigmas = all_permutations(B.n) if B.n <= 3 else [
+            Permutation.identity(4), Permutation.transposition(4, 1, 2), Permutation([2, 3, 4, 1])
+        ]
+        s = LabeledSeed.initial(B)
+        for sigma in sigmas:
+            for essential_only in (True, False):
+                args = (s, sigma, max_len, essential_only)
+                assert find_periods(*args) == _without_bound(monkeypatch, find_periods, *args), (
+                    sigma, essential_only
+                )
+
+    @pytest.mark.parametrize(
+        "B1, B2", DISTINGUISHER_PAIRS.values(), ids=DISTINGUISHER_PAIRS.keys()
+    )
+    def test_witnesses_do_not_depend_on_the_bound(self, B1, B2, monkeypatch):
+        for args in _distinguisher_grid(B1, B2):
+            assert period_set_distinguisher(*args) == _without_bound(
+                monkeypatch, period_set_distinguisher, *args
+            ), args
+
+    def test_a4_seed_periods_skip_half_the_matrix_moves(self, monkeypatch):
+        # distinct (B, k) moves of the memo; 444 when every word is walked
+        calls = []
+        real = seeds.mutate_matrix
+        monkeypatch.setattr(seeds, "mutate_matrix", lambda B, k: calls.append(k) or real(B, k))
+        found = find_periods(LabeledSeed.initial(a4_path_matrix()), Permutation.identity(4), 6)
+        assert len(found) == 26
+        assert len(calls) == 214
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_mixed_sign_column_of_c_is_refused(self, side):
+        # no walk builds such a key: c-vectors are sign-coherent
+        B = a2_matrix()
+        good = periodicity._principal_side(B)
+        C = ((1, 0), (-1, 1))
+        bad = ((B, C), ((1, 0), (1, 1)))
+        sides = (bad, good) if side == 0 else (good, bad)
+        with pytest.raises(InvariantViolation, match="column 1 of C"):
+            periodicity._mutate_pair(sides, 1)
+        periodicity._mutate_pair(sides, 2)  # column 2 is (0, 1)
