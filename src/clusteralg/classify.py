@@ -25,8 +25,8 @@ from .exchange import (
     apply_matrix_sequence,
     matrix_mutation_class,
 )
-from .periodicity import find_periods, is_sigma_period
-from .seeds import LabeledSeed, apply_sequence, inverse_sequence
+from .periodicity import _return_power, find_periods, is_sigma_period
+from .seeds import LabeledSeed, inverse_sequence
 
 
 @dataclass(frozen=True)
@@ -383,9 +383,11 @@ def classify(B: ExchangeMatrix, budget: int) -> Classification:
 class ProbeResult:
     """Outcome of the automorphism-finiteness probe.
 
-    An "infinite" answer carries a matrix-period whose 1st..Nth powers
-    were all checked to move the seed; replaying means redoing exactly
-    those checks.
+    An "infinite" answer carries a matrix period none of whose first
+    powers_checked (the budget) powers returns the seed.  The powers are
+    checked on principal-coefficient keys, exact by synchronicity; that
+    shows an order above the budget, not an infinite group.  Replaying
+    redoes both checks: the matrix period exactly, the powers on keys.
     """
 
     status: str  # finite | infinite | unknown
@@ -397,14 +399,10 @@ class ProbeResult:
         if self.status != "infinite":
             return True
         ident = Permutation.identity(s.rank)
-        if not is_sigma_period(s.matrix, self.witness, ident).holds:
-            return False
-        t = s
-        for _ in range(self.powers_checked):
-            t = apply_sequence(t, self.witness)
-            if t == s:
-                return False
-        return True
+        return (
+            is_sigma_period(s.matrix, self.witness, ident).holds
+            and _return_power(s.matrix, self.witness, self.powers_checked) is None
+        )
 
 
 def _alternating_return_word(
@@ -417,38 +415,36 @@ def _alternating_return_word(
     to B.
     """
     M = apply_matrix_sequence(B, access)
-    seen = {M.rows: 0}
+    seen = {M: 0}
     walk: list[int] = []
     cur = M
     for step in range(2 * budget):
         k = i if step % 2 == 0 else j
         cur = cur.mutate(k)
         walk.append(k)
-        pos = seen.get(cur.rows)
+        pos = seen.get(cur)
         if pos is not None:
             prefix = access + tuple(walk[:pos])
             segment = tuple(walk[pos:])
             return prefix + segment + inverse_sequence(prefix)
-        seen[cur.rows] = step + 1
+        seen[cur] = step + 1
     return None
 
 
-def automorphism_finiteness_probe(
-    s: LabeledSeed, budget: int, powers: int = 5
-) -> ProbeResult:
+def automorphism_finiteness_probe(s: LabeledSeed, budget: int) -> ProbeResult:
     """finite / infinite(witness) / unknown for the automorphism group.
 
-    Finite type forces a finite group.  Otherwise a matrix-period none of
-    whose first `powers` powers fixes the seed certifies an infinite
-    group; candidates come from the bound-violation walk, the
+    Finite type forces a finite group.  Otherwise the answer is
+    "infinite" with the first candidate matrix period none of whose
+    first `budget` powers, checked on keys (see ProbeResult), returns
+    the seed; candidates come from the bound-violation walk, the
     source/sink composite of a bipartite matrix, and a short generic
-    period search, in that order.  A decomposable matrix is refused with
-    DecomposableMatrix, as the group enumerations refuse it.
+    period search, in that order.  A decomposable matrix is refused
+    with DecomposableMatrix, as the group enumerations refuse it.
     """
     _require_count("budget", budget, 1)
     B = s.matrix
     _require_indecomposable(B, "the finiteness probe")
-    powers = min(powers, budget)
     # one walk answers both bounds; a product over 4 is also over 3
     ft, fmt = _bounded_class_search(B, (3, 4), budget)
     if B.n <= 2:
@@ -465,8 +461,8 @@ def automorphism_finiteness_probe(
         word = _alternating_return_word(B, w.sequence, w.i, w.j, budget)
         if word is not None:
             candidates.append(word)
-    if B.bipartition() is not None:
-        eps = B.bipartition()
+    eps = B.bipartition()
+    if eps is not None:
         sinks = [k for k in range(1, B.n + 1) if eps[k - 1] == -1]
         sources = [k for k in range(1, B.n + 1) if eps[k - 1] == +1]
         candidates.append(tuple(sinks + sources))
@@ -475,7 +471,6 @@ def automorphism_finiteness_probe(
     for word in candidates:
         if not is_sigma_period(B, word, ident).holds:
             raise InvariantViolation("constructed witness is not a matrix period")
-        found = ProbeResult("infinite", word, powers, budget)
-        if found.replay(s):
-            return found
-    return ProbeResult("unknown", None, powers, budget)
+        if _return_power(B, word, budget) is None:
+            return ProbeResult("infinite", word, budget, budget)
+    return ProbeResult("unknown", None, budget, budget)

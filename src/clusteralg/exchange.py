@@ -386,7 +386,8 @@ class Permutation:
         """Parse "(1 2)(3 4)"; "id", "()" and "" all mean the identity.
 
         Entries are ASCII digits separated by spaces or commas, and cycles
-        are written next to each other with nothing between them.
+        are disjoint and written next to each other with nothing between
+        them.
         """
         s = text.strip()
         if s in ("", "id", "()", "e"):
@@ -394,10 +395,15 @@ class Permutation:
         if not _CYCLES.fullmatch(s):
             raise ValueError(f"bad cycle notation: {text!r}")
         imgs = list(range(1, n + 1))
+        used: set[int] = set()
         for chunk in _CYCLE.findall(s):
             cyc = [int(x) for x in _ENTRY.findall(chunk)]
             if len(cyc) != len(set(cyc)) or any(not 1 <= x <= n for x in cyc):
                 raise ValueError(f"bad cycle {chunk} for degree {n}")
+            shared = [x for x in cyc if x in used]
+            if shared:
+                raise ValueError(f"cycles are not disjoint: {shared[0]} is in two of them")
+            used.update(cyc)
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 imgs[a - 1] = b
         return cls(imgs)

@@ -75,18 +75,20 @@ def find_periods(
     on the seed before it is listed, and replays share prefixes too.
     The seed walk carries the g-vector rows H = C^-1 and skips every
     subtree whose H differs from the goal's in more rows than it has
-    letters left; a matrix is walked in full.
+    letters left; a matrix is walked in full, each node compared with
+    the one goal target.permute(sigma^-1).
     """
     _require_count("max_len", max_len, 0)
     if isinstance(target, LabeledSeed):
         found = _seed_periods(target, sigma, max_len, essential_only)
     else:
+        goal = target.permute(sigma.inverse())
         found = [
             seq
             for seq, state in _walk(
                 target, target.rank, max_len, lambda t, k: t.mutate(k), essential_only
             )
-            if state.permute(sigma) == target
+            if state == goal
         ]
     return sorted(found, key=lambda t: (len(t), t))
 
@@ -440,7 +442,19 @@ def tropical_period_filter(t: LabeledSeed, seq: Sequence[int]) -> bool:
     synchronicity True is exact as well, though callers still replay a
     period before they report it.
     """
-    start = key = _principal_key(t.matrix)
-    for k in seq:
-        key = _key_step(key, k)
-    return key == start
+    return _return_power(t.matrix, seq, 1) == 1
+
+
+def _return_power(B: ExchangeMatrix, word: Sequence[int], most: int) -> int | None:
+    """The least p <= most at which the key (B, I) is back after word^p, else None.
+
+    By synchronicity this is the least power of word that returns a seed
+    with matrix B, read off integer keys with no Laurent arithmetic.
+    """
+    start = key = _principal_key(B)
+    for p in range(1, most + 1):
+        for k in word:
+            key = _key_step(key, k)
+        if key == start:
+            return p
+    return None

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from clusteralg.classify import (
+    ProbeResult,
     automorphism_finiteness_probe,
     classify,
     dynkin_type,
@@ -18,10 +19,16 @@ from clusteralg.classify import (
     search_m_and_acyclic,
 )
 from clusteralg.errors import DecomposableMatrix
-from clusteralg.exchange import ExchangeMatrix, apply_matrix_sequence, matrix_mutation_class
+from clusteralg.exchange import (
+    ExchangeMatrix,
+    Permutation,
+    apply_matrix_sequence,
+    matrix_mutation_class,
+)
 from clusteralg.fixtures import (
     a2_matrix,
     a3_path_matrix,
+    a4_path_matrix,
     acyclic_triangle,
     b2_matrix,
     g2_matrix,
@@ -32,6 +39,7 @@ from clusteralg.fixtures import (
     weighted_path3_matrix,
     zero_matrix,
 )
+from clusteralg.periodicity import _return_power, find_periods
 from clusteralg.seeds import LabeledSeed
 
 # the package exports a function of the same name
@@ -170,6 +178,8 @@ CLASSIFY_FIXTURES = [
 # rank4_v1 and the weighted path have infinite classes; sweep them this far
 SWEEP_CAP = 40
 
+FINITE_TYPE_FIXTURES = {a2_matrix, a3_path_matrix, a4_path_matrix, b2_matrix, g2_matrix}
+
 
 def _render(decision):
     if decision.status == "unknown":
@@ -236,11 +246,11 @@ class TestClassifyBudgetSweep:
         mclass = matrix_mutation_class(B, SWEEP_CAP)
         top = len(mclass) + 2 if mclass.complete else SWEEP_CAP
         for budget in range(1, top + 1):
-            probe = automorphism_finiteness_probe(s, budget, powers=2)
+            probe = automorphism_finiteness_probe(s, budget)
             decisions = (is_finite_type(B, budget), is_finite_mutation_type(B, budget))
             with monkeypatch.context() as m:
                 m.setattr(classify_module, "_bounded_class_search", lambda *a: decisions)
-                assert probe == automorphism_finiteness_probe(s, budget, powers=2), budget
+                assert probe == automorphism_finiteness_probe(s, budget), budget
 
     def test_violation_just_past_the_budget(self):
         # the first bound-4 violation is the sixth matrix the walk meets:
@@ -273,7 +283,7 @@ class TestFinitenessProbe:
         p = automorphism_finiteness_probe(s, 50)
         assert p.status == "infinite"
         assert p.witness == (1, 2)
-        assert p.powers_checked == 5
+        assert p.powers_checked == 50
         assert p.replay(s)
 
     def test_markov_infinite_with_replay(self):
@@ -284,13 +294,53 @@ class TestFinitenessProbe:
         assert p.replay(s)
 
     def test_weighted_path_uses_bipartite_composite(self):
-        # low power cap: entries grow doubly exponentially on this matrix
         s = LabeledSeed.initial(weighted_path3_matrix())
-        p = automorphism_finiteness_probe(s, 60, powers=2)
+        p = automorphism_finiteness_probe(s, 60)
         assert p.status == "infinite"
         assert p.witness == (1, 2, 3)
-        assert p.powers_checked == 2
+        assert p.powers_checked == 60
         assert p.replay(s)
+
+    @pytest.mark.parametrize(
+        "fixture, witness",
+        [(rank4_v1_matrix, (1, 2, 4, 3)), (weighted_path3_matrix, (1, 2, 3))],
+        ids=["rank4_v1", "weighted_path3"],
+    )
+    def test_powers_checked_to_the_budget(self, fixture, witness):
+        s = LabeledSeed.initial(fixture())
+        p = automorphism_finiteness_probe(s, 200)
+        assert (p.status, p.witness, p.powers_checked) == ("infinite", witness, 200)
+        assert p.replay(s)
+
+    def test_a_return_within_the_budget_rejects_the_word(self):
+        # (1, 2, 3) is a matrix period of A3 whose sixth power returns the
+        # seed: a result claiming more powers than that fails its replay
+        s = LabeledSeed.initial(a3_path_matrix())
+        assert _return_power(s.matrix, (1, 2, 3), 8) == 6
+        assert ProbeResult("infinite", (1, 2, 3), 5, 5).replay(s)
+        assert not ProbeResult("infinite", (1, 2, 3), 6, 6).replay(s)
+        assert not ProbeResult("infinite", (1, 2), 1, 1).replay(s)
+
+    @pytest.mark.parametrize(
+        "fixture", CLASSIFY_FIXTURES + [a4_path_matrix], ids=lambda f: f.__name__
+    )
+    def test_return_power_matches_the_laurent_powers(self, fixture):
+        # the key walk against the seeds themselves: up to 8 powers on the
+        # finite types, where the words return (orders 6 and 7 on A3 and
+        # A4), and 2 elsewhere, where Laurent entries grow fast
+        B = fixture()
+        s = LabeledSeed.initial(B)
+        most = 8 if fixture in FINITE_TYPE_FIXTURES else 2
+        words = find_periods(B, Permutation.identity(B.n), max_len=min(B.n + 1, 4))
+        assert words
+        for w in words:
+            t, least = s, None
+            for p in range(1, most + 1):
+                t = t.apply(w)
+                if t == s:
+                    least = p
+                    break
+            assert _return_power(B, w, most) == least, w
 
     @pytest.mark.parametrize("fixture", [markov_matrix, weighted_path3_matrix])
     def test_one_class_walk(self, fixture, monkeypatch):
@@ -302,7 +352,7 @@ class TestFinitenessProbe:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(classify_module, "_closure", counting)
-        p = automorphism_finiteness_probe(LabeledSeed.initial(fixture()), 60, powers=2)
+        p = automorphism_finiteness_probe(LabeledSeed.initial(fixture()), 60)
         assert p.status == "infinite"
         assert walks == [fixture()]
 

@@ -160,6 +160,13 @@ class TestPeriods:
         err = capsys.readouterr().err
         assert err == f"error: bad cycle notation: {text!r}\n"
 
+    def test_overlapping_cycles_exit_one(self, files, capsys):
+        rc = main(["periods", "--seed", files["path3"], "--sigma", "(1 2)(1 2)",
+                   "--max-len", "4"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: cycles are not disjoint: 1 is in two of them\n"
+
     def test_matrix_only(self, files, capsys):
         rc = main(["periods", "--seed", files["a2"], "--max-len", "2",
                    "--matrix-only"])

@@ -180,6 +180,10 @@ class TestPermutation:
             Permutation.from_cycle_notation(3, "(1 4)")
         with pytest.raises(ValueError):
             Permutation.from_cycle_notation(3, "(1 1)")
+        # cycles that share an entry are not read as a product
+        for text, entry in (("(1 2)(1 2)", 1), ("(1 2 3)(1 2 3)", 1), ("(1 2)(2 3)", 2)):
+            with pytest.raises(ValueError, match=f"not disjoint: {entry} "):
+                Permutation.from_cycle_notation(3, text)
 
     # a sign, a non-ASCII digit, a letter, and a space between cycles
     @pytest.mark.parametrize("text", ["(+1 2)", "(\u0661 2)", "(1 a)", "(1 2) (3)"])

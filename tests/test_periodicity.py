@@ -152,6 +152,13 @@ class TestFindPeriods:
         found = find_periods(a2_matrix(), ident, max_len=2, essential_only=False)
         assert (1, 1) in found and (2, 2) in found
 
+    @pytest.mark.parametrize("max_len", [0, 2])
+    def test_sigma_of_the_wrong_degree_is_refused(self, max_len):
+        sigma = Permutation.identity(3)
+        for target in (a2_matrix(), a2_seed()):
+            with pytest.raises(ValueError, match="degree does not match"):
+                find_periods(target, sigma, max_len)
+
 
 class TestConjugation:
     def test_transported_period_verifies(self):
