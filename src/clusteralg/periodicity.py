@@ -5,11 +5,15 @@ mutated target by sigma gives T back: permute(apply(T, i), sigma) == T.
 The same predicate drives period searches, the bipartite belt, the
 restriction/extension harness, and the period-set distinguisher.
 
-Seed searches (seed find_periods, the distinguisher) walk integer
-principal-coefficient keys (B, C) instead of seeds (see
-seeds._principal_key): by synchronicity a seed returns along a
-sequence exactly when its key does.  Laurent arithmetic is spent only
-on the exact replay of what a search reports.
+Seed searches (seed find_periods, the distinguisher) and the seed
+predicate walk integer principal-coefficient keys (B, C) instead of
+seeds (see seeds._principal_key): by synchronicity a seed returns along
+a sequence exactly when its key does.  A key walk carries the extended
+matrix [B; C] as 2n plain integer rows and builds no ExchangeMatrix;
+each step checks the new B against the root's symmetrizer, as
+mutate_matrix does.  So a seed is_sigma_period answers "no" from the
+key alone, with no seed mutated, and Laurent arithmetic is spent only
+on the exact replay of a "yes" and of what a search reports.
 
 These key walks also carry H = C^-1, whose rows are the g-vectors by
 tropical duality (Nakanishi-Zelevinsky, arXiv:1101.3736).  Mutation at
@@ -28,12 +32,10 @@ from operator import ne
 from typing import Any, Callable, Iterator, Sequence, Union
 
 from .errors import InvariantViolation, NotBipartite
-from .exchange import ExchangeMatrix, Permutation, _require_count, mutate_matrix
+from .exchange import ExchangeMatrix, Permutation, _require_count
 from .seeds import (
     LabeledSeed,
-    _moved_matrix,
     _mutate_c,
-    _mutate_key,
     _principal_key,
     apply_sequence,
     inverse_sequence,
@@ -52,11 +54,30 @@ class PeriodReport:
 
 
 def is_sigma_period(target: Target, seq: Sequence[int], sigma: Permutation) -> PeriodReport:
-    """Does mutating along seq return target up to relabeling by sigma?"""
+    """Does mutating along seq return target up to relabeling by sigma?
+
+    A seed is decided on its principal-coefficient key first.  When the
+    key does not reach the hit of _seed_periods the answer is no, exact
+    by synchronicity, and no seed is mutated: this holds for a subseed
+    too, even one whose exchange relations are not Laurent.  When it
+    does, the answer is the exact Laurent replay, and a replay that
+    disagrees with the key raises InvariantViolation.
+    """
     seq = tuple(seq)
     validate_sequence(seq, target.rank)
-    kind = "seed-period" if isinstance(target, LabeledSeed) else "matrix-period"
-    return PeriodReport(seq, sigma, kind, target.apply(seq).permute(sigma) == target)
+    if isinstance(target, LabeledSeed):
+        goal = _seed_goal(target.matrix, sigma)
+        side = _principal_side(target.matrix)
+        for k in seq:
+            side = _side_step(side, k)
+        if side[0] != goal:
+            return PeriodReport(seq, sigma, "seed-period", False)
+        if target.apply(seq).permute(sigma) != target:
+            raise InvariantViolation(f"key period {seq} failed its exact replay")
+        return PeriodReport(seq, sigma, "seed-period", True)
+    if sigma.n != target.rank:
+        raise ValueError("permutation degree does not match matrix rank")
+    return PeriodReport(seq, sigma, "matrix-period", target.apply(seq).permute(sigma) == target)
 
 
 def find_periods(
@@ -70,9 +91,10 @@ def find_periods(
     The search shares mutation prefixes, so the cost is one mutation per
     visited sequence node.  The empty sequence (a period of anything
     when sigma is the identity) is never listed.  A seed is walked on
-    its principal-coefficient keys (see seeds._principal_key), which
-    cost integers only; each sequence they return is replayed exactly
-    on the seed before it is listed, and replays share prefixes too.
+    its principal-coefficient keys (see seeds._principal_key), plain
+    integer rows with no ExchangeMatrix per node; each sequence they
+    return is replayed exactly on the seed before it is listed, and
+    replays share prefixes too.
     The seed walk carries the g-vector rows H = C^-1 and skips every
     subtree whose H differs from the goal's in more rows than it has
     letters left; a matrix is walked in full, each node compared with
@@ -93,19 +115,26 @@ def find_periods(
     return sorted(found, key=lambda t: (len(t), t))
 
 
+def _seed_goal(B: ExchangeMatrix, sigma: Permutation) -> tuple:
+    """The rows of the key [B'; C] that relabeling by sigma sends to [B; I].
+
+    Relabeling sends B' to B exactly when B' = B.permute(sigma^-1), and
+    C to I exactly when c_ij = [j = sigma(i)].
+    """
+    if sigma.n != B.n:
+        raise ValueError("permutation degree does not match seed rank")
+    n = B.n
+    C = tuple(tuple(int(j == sigma(i)) for j in range(1, n + 1)) for i in range(1, n + 1))
+    return B.permute(sigma.inverse()).rows + C
+
+
 def _seed_periods(
     s: LabeledSeed, sigma: Permutation, max_len: int, essential_only: bool
 ) -> list[tuple[int, ...]]:
-    """Sequences whose key (B, C), relabeled by sigma, is the root key (B0, I)."""
-    if sigma.n != s.rank:
-        raise ValueError("permutation degree does not match seed rank")
-    memo: dict = {}
-    # relabeling by sigma sends C to I exactly when c_ij = [j = sigma(i)];
-    # that C is a permutation matrix, so its inverse is its transpose
-    goal = tuple(
-        tuple(int(j == sigma(i)) for j in range(1, s.rank + 1)) for i in range(1, s.rank + 1)
-    )
-    goal_h = tuple(zip(*goal))
+    """Sequences whose key [B; C], relabeled by sigma, is the root key [B0; I]."""
+    goal = _seed_goal(s.matrix, sigma)
+    # the goal's C is a permutation matrix, so its inverse is its transpose
+    goal_h = tuple(zip(*goal[s.rank :]))
     found: list[tuple[int, ...]] = []
     # trail[i] is the seed after the first i letters of the last replayed
     # period; hits come in walk order, so a replay starts where it leaves
@@ -115,12 +144,12 @@ def _seed_periods(
         _principal_side(s.matrix),
         s.rank,
         max_len,
-        lambda side, k: (_mutate_key(memo, side[0], k), _mutate_h(side[0], side[1], k)),
+        _side_step,
         essential_only,
         bound=lambda side: _rows_apart(side[1], goal_h),
     )
-    for seq, ((B, C), _) in walk:
-        if C == goal and _moved_matrix(memo, B, sigma) == s.matrix:
+    for seq, (rows, _, _) in walk:
+        if rows == goal:
             last = found[-1] if found else ()
             keep = 0
             while keep < min(len(seq), len(last)) and seq[keep] == last[keep]:
@@ -229,7 +258,11 @@ def restriction_extension_check(
     seq must stay inside I, and sigma must permute I while fixing its
     complement.  Restriction (full period implies restricted period) is
     a theorem at both levels and enforced; the extension direction is
-    only reported, since for matrices it genuinely fails.
+    only reported, since for matrices it genuinely fails.  The subseed
+    is decided like any seed (see is_sigma_period): a "no" comes from
+    its key, exact by synchronicity, even when an exchange relation of
+    the subseed is not Laurent; a "yes" is replayed, and on such a
+    subseed the replay raises ValueError.
     """
     idx = sorted(set(I))
     seq = tuple(seq)
@@ -368,9 +401,12 @@ def period_set_distinguisher(
 
 
 def _principal_side(B: ExchangeMatrix) -> tuple:
-    """The root's key (B, I) and its H = I."""
-    key = _principal_key(B)
-    return key, key[1]
+    """The root's walk state: the 2n rows of its key [B; I], H = I, and d.
+
+    d is the symmetrizer of B, which every mutation keeps.
+    """
+    identity = _principal_key(B)[1]
+    return B.rows + identity, identity, B.symmetrizer
 
 
 def _mutate_pair(sides: tuple, k: int) -> tuple:
@@ -378,18 +414,27 @@ def _mutate_pair(sides: tuple, k: int) -> tuple:
 
 
 def _side_step(side: tuple, k: int) -> tuple:
-    key, H = side
-    return _key_step(key, k), _mutate_h(key, H, k)
+    """A walk state mutated at k, on plain integer rows.
+
+    The pivot row k of [B; C] is negated and every other row follows
+    seeds._mutate_c.  As in mutate_matrix, the new B must keep the
+    root's symmetrizer, d_i b'_ij = -d_j b'_ji, or the step raises.
+    """
+    rows, H, d = side
+    a = k - 1
+    pivot = rows[a]
+    new = _mutate_c(pivot, rows, k)
+    new = new[:a] + (tuple(-x for x in pivot),) + new[k:]
+    for i, di in enumerate(d):
+        row = new[i]
+        for j in range(i + 1, len(d)):
+            if di * row[j] != -d[j] * new[j][i]:
+                raise InvariantViolation("mutation broke the skew-symmetrizer")
+    return new, _mutate_h(rows, H, k), d
 
 
-def _key_step(key: tuple, k: int) -> tuple:
-    """Mutation of a principal-coefficient key at k, with no memo."""
-    B, C = key
-    return mutate_matrix(B, k), _mutate_c(B, C, k)
-
-
-def _mutate_h(key: tuple, H: tuple, k: int) -> tuple:
-    """H = C^-1 of the key after its mutation at k: row k changes, no other.
+def _mutate_h(rows: tuple, H: tuple, k: int) -> tuple:
+    """H = C^-1 after the mutation at k of the key rows [B; C]: row k changes, no other.
 
     With eps the sign of column k of C and m_j = [eps b_kj]_+, the
     mutation is C' = C M_k for the involution M_k that is the identity
@@ -397,14 +442,13 @@ def _mutate_h(key: tuple, H: tuple, k: int) -> tuple:
     h'_k = -h_k + sum_j m_j h_j.  That is the rule of seeds._mutate_c
     exactly when column k of C is sign-coherent.
     """
-    B, C = key
     a = k - 1
-    column = [row[a] for row in C]
+    column = [row[a] for row in rows[len(H) :]]
     if min(column) < 0 < max(column):
         raise InvariantViolation(f"column {k} of C is not sign-coherent: {column}")
     eps = 1 if max(column) > 0 else -1
     new = [-x for x in H[a]]
-    for b, h in zip(B.rows[a], H):
+    for b, h in zip(rows[a], H):
         m = eps * b
         if m > 0:
             new = [x + m * y for x, y in zip(new, h)]
@@ -420,12 +464,14 @@ def _search_separating_period(
     start: tuple, n: int, period_len: int
 ) -> tuple[tuple[int, ...], int] | None:
     """The first sequence, in walk order, whose key returns on one side only."""
-    (key1, h1), (key2, h2) = start
+    (key1, h1, _), (key2, h2, _) = start
 
     def bound(sides: tuple) -> int:
         return min(_rows_apart(sides[0][1], h1), _rows_apart(sides[1][1], h2))
 
-    for seq, ((end1, _), (end2, _)) in _walk(start, n, period_len, _mutate_pair, bound=bound):
+    for seq, ((end1, _, _), (end2, _, _)) in _walk(
+        start, n, period_len, _mutate_pair, bound=bound
+    ):
         p1 = end1 == key1
         if p1 != (end2 == key2):
             return seq, 1 if p1 else 2
@@ -433,28 +479,30 @@ def _search_separating_period(
 
 
 def tropical_period_filter(t: LabeledSeed, seq: Sequence[int]) -> bool:
-    """Whether the c-vectors of t return along seq.
+    """Whether the c-vectors of t return along seq: is_sigma_period's key half.
 
     The c-vectors are the tropical y-seed of t with principal
-    coefficients: the key (B, C) walks from (t.matrix, I) along seq and
-    its end is compared with its start.  False certifies that seq is
-    not an identity-relabeling seed period of t, at integer cost.  By
-    synchronicity True is exact as well, though callers still replay a
-    period before they report it.
+    coefficients: the key [B; C] walks from [t.matrix; I] along seq and
+    its end is compared with its start.  This is the test that
+    is_sigma_period(t, seq, identity) makes before it replays anything,
+    so False certifies that seq is not an identity-relabeling seed
+    period of t.  By synchronicity True is exact as well, though
+    is_sigma_period still replays it.
     """
     return _return_power(t.matrix, seq, 1) == 1
 
 
 def _return_power(B: ExchangeMatrix, word: Sequence[int], most: int) -> int | None:
-    """The least p <= most at which the key (B, I) is back after word^p, else None.
+    """The least p <= most at which the key [B; I] is back after word^p, else None.
 
     By synchronicity this is the least power of word that returns a seed
     with matrix B, read off integer keys with no Laurent arithmetic.
     """
-    start = key = _principal_key(B)
+    validate_sequence(word, B.n)
+    start = side = _principal_side(B)
     for p in range(1, most + 1):
         for k in word:
-            key = _key_step(key, k)
-        if key == start:
+            side = _side_step(side, k)
+        if side[0] == start[0]:
             return p
     return None

@@ -303,16 +303,18 @@ def _moved_matrix(memo: dict, B: ExchangeMatrix, g: int | Permutation) -> Exchan
 def _mutate_key(memo: dict, key: tuple, k: int) -> tuple:
     """Mutation of [B; C] at k."""
     B, C = key
-    return _moved_matrix(memo, B, k), _mutate_c(B, C, k)
+    return _moved_matrix(memo, B, k), _mutate_c(B.rows[k - 1], C, k)
 
 
-def _mutate_c(B: ExchangeMatrix, C: tuple, k: int) -> tuple:
-    """The rows C below B in [B; C], mutated at k by the rule for rows of B.
+def _mutate_c(pivot: tuple, C: tuple, k: int) -> tuple:
+    """Rows of an extended matrix [B; C] mutated at k, given row k of B as pivot.
 
+    Every row but the pivot, of B or of C, takes
     c'_ij = -c_ij when j = k, else c_ij + sgn(c_ik) [c_ik b_kj]_+.
+    The pivot row has b_kk = 0 and comes back unchanged: negating it is
+    the caller's part.
     """
     a = k - 1
-    pivot = B.rows[a]
     rows = []
     for row in C:
         c = row[a]

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from clusteralg import periodicity, seeds
+from clusteralg import exchange, periodicity, seeds
 from clusteralg.errors import InvariantViolation, NotBipartite
 from clusteralg.exchange import (
     Permutation,
@@ -160,6 +160,95 @@ class TestFindPeriods:
                 find_periods(target, sigma, max_len)
 
 
+# rank 2 and rank 3 seeds whose seed predicate is checked word by word
+PREDICATE_FIXTURES = {
+    "A2": a2_matrix(),
+    "B2": b2_matrix(),
+    "G2": g2_matrix(),
+    "A3": a3_path_matrix(),
+    "kronecker": kronecker_matrix(2),
+    "acyclic(1,1,2)": acyclic_triangle(1, 1, 2),
+    "fork-chord(1,1,2)": fork_chord_triangle(1, 1, 2),
+    "cyclic(1,1,2)": cyclic_triangle(1, 1, 2),
+}
+
+
+# a prime for evaluating Laurent polynomials at a point
+_PRIME = 2**61 - 1
+
+
+def _evaluated(t: LabeledSeed) -> tuple:
+    """(matrix, cluster of t at x_i = i + 1, mod _PRIME)."""
+    values = []
+    for poly in t.cluster:
+        total = 0
+        for exp, coeff in poly.terms.items():
+            term = coeff
+            for i, e in enumerate(exp):
+                term = term * pow(i + 2, e, _PRIME) % _PRIME
+            total += term
+        values.append(total % _PRIME)
+    return t.matrix, tuple(values)
+
+
+def _evaluated_step(state: tuple, k: int) -> tuple:
+    """The exchange relation at k on the values of a cluster."""
+    B, x = state
+    plus = minus = 1
+    for value, row in zip(x, B.rows):
+        b = row[k - 1]
+        if b > 0:
+            plus = plus * pow(value, b, _PRIME) % _PRIME
+        elif b < 0:
+            minus = minus * pow(value, -b, _PRIME) % _PRIME
+    assert x[k - 1], "a cluster variable vanishes at the point"
+    new = (plus + minus) * pow(x[k - 1], -1, _PRIME) % _PRIME
+    return B.mutate(k), x[: k - 1] + (new,) + x[k:]
+
+
+class TestSeedPredicate:
+    """A seed is_sigma_period says no from keys and yes after a replay."""
+
+    @pytest.mark.parametrize("conj", [(), (1, 2)], ids=["initial", "after-1,2"])
+    @pytest.mark.parametrize(
+        "B", PREDICATE_FIXTURES.values(), ids=PREDICATE_FIXTURES.keys()
+    )
+    def test_matches_the_laurent_predicate(self, B, conj, seed_mutations):
+        # every essential word, to length 10 at rank 2 and 6 at rank 3
+        t = LabeledSeed.initial(B).apply(conj)
+        B0, x0 = root = _evaluated(t)
+        ends = {(): root}
+        ends.update(_walk(root, B.n, 10 if B.n == 2 else 6, _evaluated_step))
+        sigmas = list(all_permutations(B.n))
+        for w, (M, x) in ends.items():
+            for sigma in sigmas:
+                # t.apply(w).permute(sigma) == t; evaluation at a point is a
+                # ring map, so only ends whose values match t's are built
+                holds = (
+                    M.permute(sigma) == B0
+                    and all(x[sigma(i) - 1] == x0[i - 1] for i in range(1, B.n + 1))
+                    and t.apply(w).permute(sigma) == t
+                )
+                before = len(seed_mutations)
+                assert is_sigma_period(t, w, sigma).holds == holds, (w, sigma)
+                assert len(seed_mutations) - before == (len(w) if holds else 0), (w, sigma)
+
+    def test_a_key_that_fakes_a_return_fails_its_replay(self, monkeypatch):
+        # a key step that stays put makes every sequence return
+        monkeypatch.setattr(periodicity, "_side_step", lambda side, k: side)
+        with pytest.raises(InvariantViolation, match="failed its exact replay"):
+            is_sigma_period(a2_seed(), (1, 2), Permutation.identity(2))
+
+    @pytest.mark.parametrize("seq", [(), (1, 2)])
+    def test_sigma_of_the_wrong_degree_is_refused_first(
+        self, seq, seed_mutations, matrix_mutations, key_steps
+    ):
+        for target in (a2_matrix(), a2_seed()):
+            with pytest.raises(ValueError, match="degree does not match"):
+                is_sigma_period(target, seq, Permutation.identity(3))
+        assert seed_mutations == matrix_mutations == key_steps == []
+
+
 class TestConjugation:
     def test_transported_period_verifies(self):
         swap = Permutation.transposition(2, 1, 2)
@@ -210,6 +299,20 @@ class TestSubseeds:
             sub.mutate(3)
         with pytest.raises(ValueError, match="not Laurent"):
             orbit(sub, 100)
+
+    def test_a_no_on_a_non_laurent_subseed_comes_from_keys(self, seed_mutations):
+        # the subseed above, whose relation at 3 is not Laurent: its key
+        # does not return along (3,), so the restricted answer is no,
+        # exact by synchronicity, with no replay
+        full = apply_sequence(LabeledSeed.initial(a4_path_matrix()), (2, 3))
+        ident = Permutation.identity(4)
+        del seed_mutations[:]
+        r = restriction_extension_check(full, (1, 2, 3), (3,), ident)
+        assert not (r.full_seed_period or r.restricted_seed_period)
+        assert seed_mutations == []
+        # a yes is replayed, and the replay of this one is not Laurent
+        with pytest.raises(ValueError, match="not Laurent"):
+            restriction_extension_check(full, (1, 2, 3), (3, 3), ident)
 
     def test_sequence_must_stay_inside(self):
         s = LabeledSeed.initial(a3_path_matrix())
@@ -395,16 +498,31 @@ class TestDistinguisherAgainstReference:
 
 
 @pytest.fixture
-def matrix_mutations(monkeypatch):
-    """The indices of every mutate_matrix call of the distinguisher's key walks."""
+def key_steps(monkeypatch):
+    """The indices of every step of a key walk, one per side of a pair walk."""
     calls: list[int] = []
-    real = periodicity.mutate_matrix
+    real = periodicity._side_step
+
+    def counting(side, k):
+        calls.append(k)
+        return real(side, k)
+
+    monkeypatch.setattr(periodicity, "_side_step", counting)
+    return calls
+
+
+@pytest.fixture
+def matrix_mutations(monkeypatch):
+    """The indices of every mutate_matrix call, from a seed or from a matrix."""
+    calls: list[int] = []
+    real = exchange.mutate_matrix
 
     def counting(B, k):
         calls.append(k)
         return real(B, k)
 
-    monkeypatch.setattr(periodicity, "mutate_matrix", counting)
+    monkeypatch.setattr(exchange, "mutate_matrix", counting)
+    monkeypatch.setattr(seeds, "mutate_matrix", counting)
     return calls
 
 
@@ -462,18 +580,21 @@ class TestDistinguisher:
         ids=["path-fork", "acyclic-forkchord", "acyclic-cyclic", "path-cyclic"],
     )
     def test_first_witness_is_pinned(
-        self, B1, B2, expected, moves, seed_mutations, matrix_mutations
+        self, B1, B2, expected, moves, seed_mutations, matrix_mutations, key_steps
     ):
         # the search order (conjugators by length then lex, periods lex)
         # decides which witness comes first
         s1, s2 = LabeledSeed.initial(B1), LabeledSeed.initial(B2)
         w = period_set_distinguisher(s1, s2, depth=3, period_len=10)
         assert (w.conjugator, w.period, w.period_holds_on) == expected
-        # only the witness is replayed, on the side it holds for
+        # only the witness is replayed, on the side it holds for, and the
+        # key walks build no exchange matrix
         assert len(seed_mutations) == len(w.conjugator) + len(w.period)
-        # the key walks skip what cannot return (238, 18440, 432 and 238
-        # matrix mutations when they walked every word)
-        assert len(matrix_mutations) == moves
+        assert len(matrix_mutations) == len(seed_mutations)
+        # the pair walks skip what cannot return (238, 18440, 432 and 238
+        # key steps when they walked every word); the witness's replay
+        # walks its key once more first
+        assert len(key_steps) == moves + len(w.period)
 
     def test_none_within_tiny_budget(self, seed_mutations):
         w = period_set_distinguisher(
@@ -495,7 +616,7 @@ def _product(X: tuple, Y: tuple) -> tuple:
 
 
 def _side_walk(B, max_len: int) -> dict:
-    """{seq: (key, H)} for every essential word to max_len from (B, I), the root too."""
+    """{seq: (rows, H, d)} for every essential word to max_len from [B; I], the root too."""
     root = periodicity._principal_side(B)
     nodes = {(): root}
     nodes.update(_walk(root, B.n, max_len, periodicity._side_step))
@@ -523,8 +644,8 @@ class TestKeyWalkBound:
     @pytest.mark.parametrize("B", ACTION_FIXTURES.values(), ids=ACTION_FIXTURES.keys())
     def test_h_inverts_c_and_a_letter_rewrites_one_row(self, B):
         nodes = _side_walk(B, 4 if B.n == 4 else 6)
-        for seq, ((_, C), H) in nodes.items():
-            assert _product(C, H) == _identity_rows(B.n), seq
+        for seq, (rows, H, _) in nodes.items():
+            assert _product(rows[B.n :], H) == _identity_rows(B.n), seq
             if seq:
                 before = nodes[seq[:-1]][1]
                 k = seq[-1]
@@ -537,10 +658,10 @@ class TestKeyWalkBound:
         B = ACTION_FIXTURES[name]
         nodes = _side_walk(B, 4 if B.n == 4 else 6)
         returns = 0
-        for seq, (key, _) in nodes.items():
+        for seq, (rows, _, _) in nodes.items():
             for start in range(len(seq)):
-                goal_key, goal_h = nodes[seq[:start]]
-                if goal_key != key:
+                goal_rows, goal_h, _ = nodes[seq[:start]]
+                if goal_rows != rows:
                     continue
                 returns += 1
                 for at in range(start + 1, len(seq)):
@@ -571,14 +692,19 @@ class TestKeyWalkBound:
                 monkeypatch, period_set_distinguisher, *args
             ), args
 
-    def test_a4_seed_periods_skip_half_the_matrix_moves(self, monkeypatch):
-        # distinct (B, k) moves of the memo; 444 when every word is walked
-        calls = []
-        real = seeds.mutate_matrix
-        monkeypatch.setattr(seeds, "mutate_matrix", lambda B, k: calls.append(k) or real(B, k))
-        found = find_periods(LabeledSeed.initial(a4_path_matrix()), Permutation.identity(4), 6)
+    def test_a4_seed_periods_skip_most_key_steps(
+        self, monkeypatch, key_steps, seed_mutations, matrix_mutations
+    ):
+        # 1456 key steps when every word is walked
+        args = (LabeledSeed.initial(a4_path_matrix()), Permutation.identity(4), 6)
+        found = find_periods(*args)
         assert len(found) == 26
-        assert len(calls) == 214
+        assert len(key_steps) == 382
+        # the walk builds no exchange matrix: every mutation is a replay's
+        assert len(matrix_mutations) == len(seed_mutations)
+        del key_steps[:]
+        assert _without_bound(monkeypatch, find_periods, *args) == found
+        assert len(key_steps) == 4 * (3**6 - 1) // 2
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_a_mixed_sign_column_of_c_is_refused(self, side):
@@ -586,7 +712,7 @@ class TestKeyWalkBound:
         B = a2_matrix()
         good = periodicity._principal_side(B)
         C = ((1, 0), (-1, 1))
-        bad = ((B, C), ((1, 0), (1, 1)))
+        bad = (B.rows + C, ((1, 0), (1, 1)), B.symmetrizer)
         sides = (bad, good) if side == 0 else (good, bad)
         with pytest.raises(InvariantViolation, match="column 1 of C"):
             periodicity._mutate_pair(sides, 1)

@@ -9,6 +9,7 @@ of the package must equal theirs.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -282,7 +283,55 @@ class TestPeriodKeys:
 
     def test_a_false_key_hit_fails_its_replay(self, monkeypatch):
         # a key step that stays at the root makes every sequence a hit
-        monkeypatch.setattr(periodicity, "_mutate_key", lambda memo, key, k: key)
+        monkeypatch.setattr(periodicity, "_side_step", lambda side, k: side)
         s = LabeledSeed.initial(fixtures.a2_matrix())
         with pytest.raises(InvariantViolation, match="failed its exact replay"):
             find_periods(s, Permutation.identity(2), 1)
+
+
+def _reference_key_step(B: ExchangeMatrix, C: tuple, k: int) -> tuple:
+    """mutate_matrix, and the rule for C written out on its own.
+
+    c'_ij = -c_ij when j = k, else c_ij + sgn(c_ik) [c_ik b_kj]_+.
+    """
+    a = k - 1
+    pivot = B.rows[a]
+    C = tuple(
+        tuple(
+            -c if j == a else c + ((row[a] > 0) - (row[a] < 0)) * max(row[a] * b, 0)
+            for j, (c, b) in enumerate(zip(row, pivot))
+        )
+        for row in C
+    )
+    return mutate_matrix(B, k), C
+
+
+def _step_cases():
+    for name, B in FIXTURES.items():
+        yield pytest.param(B, id=name)
+    yield pytest.param(fixtures.a4_path_matrix(), id="A4")
+    yield pytest.param(D4, id="D4")
+
+
+class TestPlainRowStep:
+    """The key walks' step on plain rows against mutate_matrix and the C rule."""
+
+    @pytest.mark.parametrize("B", _step_cases())
+    def test_random_walks_match_mutate_matrix_and_the_c_rule(self, B):
+        rng = random.Random(str(B.rows))
+        for _ in range(20):
+            side = periodicity._principal_side(B)
+            key = seeds._principal_key(B)
+            for _ in range(12):
+                k = rng.randint(1, B.n)
+                side = periodicity._side_step(side, k)
+                key = _reference_key_step(*key, k)
+                assert side[0] == key[0].rows + key[1]
+                assert side[2] == key[0].symmetrizer
+
+    def test_a_wrong_symmetrizer_is_refused(self):
+        # B2's symmetrizer is (2, 1); mutation keeps it, so (1, 1) fails
+        B = fixtures.b2_matrix()
+        rows, H, _ = periodicity._principal_side(B)
+        with pytest.raises(InvariantViolation, match="skew-symmetrizer"):
+            periodicity._side_step((rows, H, (1, 1)), 1)
