@@ -33,13 +33,13 @@ class ExchangeMatrix:
     __slots__ = ("n", "rows", "symmetrizer", "_hash")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        n = len(rows)
-        if n == 0:
-            raise ValueError("empty matrix")
         try:
+            n = len(rows)
             grid = tuple(tuple(row) for row in rows)
         except TypeError:
-            raise ValueError("rows must be sequences") from None
+            raise ValueError("a matrix and its rows must be sequences") from None
+        if n == 0:
+            raise ValueError("empty matrix")
         for row in grid:
             if len(row) != n:
                 raise ValueError("matrix is not square")
@@ -259,8 +259,7 @@ def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     Mutation keeps each component of the underlying graph and its unique
     minimal symmetrizer, so the child's must be the parent's; else a bug.
     """
-    if not 1 <= k <= B.n:
-        raise IndexError(f"mutation index {k} out of range [1,{B.n}]")
+    _require_index(k, B.n)
     a = k - 1
     old = B.rows
     new = []
@@ -277,6 +276,18 @@ def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     if out.symmetrizer != B.symmetrizer:
         raise InvariantViolation("mutation broke the skew-symmetrizer")
     return out
+
+
+def _require_index(k: Any, rank: int) -> None:
+    """Reject a mutation index that is not an int in [1, rank].
+
+    As for matrix entries, bool, float and str indices are not coerced
+    (ValueError); an int out of range raises IndexError.
+    """
+    if type(k) is not int:
+        raise ValueError(f"mutation index {k!r} is not an integer")
+    if not 1 <= k <= rank:
+        raise IndexError(f"mutation index {k} out of range [1,{rank}]")
 
 
 def apply_matrix_sequence(B: ExchangeMatrix, seq: Sequence[int]) -> ExchangeMatrix:
@@ -298,7 +309,10 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int]):
-        imgs = tuple(images)
+        try:
+            imgs = tuple(images)
+        except TypeError:
+            raise ValueError(f"permutation images {images!r} are not a sequence") from None
         for x in imgs:
             # as for matrix entries: bool, float and str images are not coerced
             if type(x) is not int:
@@ -469,7 +483,13 @@ def _require_indecomposable(B: ExchangeMatrix, what: str) -> None:
 
 
 def matrix_mutation_class(B: ExchangeMatrix, max_matrices: int) -> MatrixClass:
-    """All matrices mutation-equivalent to B, up to a size budget."""
+    """All matrices mutation-equivalent to B, up to a size budget.
+
+    Each mu_k is an involution, so the closure mutates once per pair of
+    neighbours: a complete class of N rank-n matrices costs N*n/2 calls
+    of mutate_matrix (144 matrices and 288 calls for A4), plus N/2 per
+    zero column of B, since mu_k fixes a matrix whose column k is zero.
+    """
     _require_count("max_matrices", max_matrices, 1)
     matrices, words, index, complete = _closure(B, (), _mutation_moves(B.n), max_matrices)
     return MatrixClass(matrices, words, complete, max_matrices, index)
@@ -495,13 +515,22 @@ def _closure(
 
     moves lists (label, act, extend) triples: act maps an item to a
     neighbour and extend maps the item's word to the neighbour's word.
-    Items are their own keys: deduplicated by value and numbered in
-    discovery order, which is also the queue order.  visit(item, word),
-    when given, sees the root and then every new candidate before the
-    budget check; a true return stops the walk.  A new candidate that
-    would make the closure exceed budget items stops the walk.  edges,
-    when given, receives (source, label, target) for every move applied
-    to an admitted item.
+    Every act must be an involution: act(act(x)) == x.  Items are their
+    own keys: deduplicated by value and numbered in discovery order,
+    which is also the queue order.  visit(item, word), when given, sees
+    the root and then every new candidate before the budget check; a
+    true return stops the walk.  A new candidate that would make the
+    closure exceed budget items stops the walk.  edges, when given,
+    receives (source, label, target) for every move applied to an
+    admitted item.
+
+    A flat back table holds one slot per (item, move): when move m sends
+    item i to a later item j, slot (j, m) records i, and j's turn reads
+    that slot instead of calling act, since an involution sends j back
+    to i.  A back edge never reaches a new item, so it changes nothing
+    but the cost: a complete closure of N items under m moves calls act
+    (N*m + F)/2 times, F the number of (item, move) pairs the move fixes,
+    so N*m/2 times when no move fixes an item.
 
     Returns (items, words, index, complete); complete is False whenever
     the visitor or the budget cut the closure short.
@@ -511,20 +540,27 @@ def _closure(
     index = {root: 0}
     if visit is not None and visit(root, root_word):
         return items, words, index, False
+    m = len(moves)
+    back = [-1] * m
     cur = 0
     while cur < len(items):
         item = items[cur]
-        for label, act, extend in moves:
-            t = act(item)
-            found = index.get(t)
-            if found is None:
-                t_word = extend(words[cur])
-                if (visit is not None and visit(t, t_word)) or len(items) >= budget:
-                    return items, words, index, False
-                found = len(items)
-                index[t] = found
-                items.append(t)
-                words.append(t_word)
+        slots = cur * m
+        for j, (label, act, extend) in enumerate(moves):
+            found = back[slots + j]
+            if found < 0:
+                t = act(item)
+                found = index.get(t)
+                if found is None:
+                    t_word = extend(words[cur])
+                    if (visit is not None and visit(t, t_word)) or len(items) >= budget:
+                        return items, words, index, False
+                    found = len(items)
+                    index[t] = found
+                    items.append(t)
+                    words.append(t_word)
+                    back += [-1] * m
+                back[found * m + j] = cur
             if edges is not None:
                 edges.append((cur, label, found))
         cur += 1

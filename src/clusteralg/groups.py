@@ -23,7 +23,6 @@ from .exchange import (
     ExchangeMatrix,
     MatrixClass,
     Permutation,
-    _closure,
     _require_count,
     _require_indecomposable,
     all_permutations,
@@ -411,7 +410,9 @@ def equivariant_automorphisms(S: OrbitGraph) -> EquivariantResult:
     A candidate is pinned down by the image of the base seed and
     propagated through the generator action tables, which are read off
     the orbit's recorded edges; it survives iff no generator edge
-    disagrees and the result is a bijection.
+    disagrees and the result is a bijection.  Each of the N candidates
+    costs at most one pass over the orbit's N*m edges (m generators),
+    and no seed is mutated or relabeled.
     """
     if not S.with_permutations:
         raise ValueError("need an orbit closed under mutation and relabeling")
@@ -424,14 +425,14 @@ def equivariant_automorphisms(S: OrbitGraph) -> EquivariantResult:
     by_label: dict[str, list[int]] = {}
     for source, label, target in S.edges:
         by_label.setdefault(label, [-1] * N)[source] = target
-    tables = list(by_label.values())
-    if len(tables) != 2 * base.rank - 1 or any(-1 in T for T in tables):
+    if len(by_label) != 2 * base.rank - 1 or any(-1 in T for T in by_label.values()):
         raise InvariantViolation("closed orbit is missing a generator image")
+    edges = [(source, by_label[label], target) for source, label, target in S.edges]
 
     elements = []
     images = []
     for image0 in range(N):
-        f = _propagate_candidate(tables, image0, N)
+        f = _propagate_candidate(edges, image0, N)
         if f is not None:
             elements.append(f)
             images.append(image0)
@@ -450,25 +451,24 @@ def equivariant_automorphisms(S: OrbitGraph) -> EquivariantResult:
 
 
 def _propagate_candidate(
-    tables: list[list[int]], image0: int, N: int
+    edges: list[tuple[int, list[int], int]], image0: int, N: int
 ) -> tuple[int, ...] | None:
     """The equivariant map sending the base seed to image0, if there is one.
 
-    Its graph is the closure of the pair (0, image0) under the
-    generators acting on both coordinates; the candidate fails as soon
-    as that closure gives some seed a second image.
+    One pass over the orbit's edges (source, T, target), T the
+    generator's action table, in discovery order: the edge that
+    discovers a seed sets its image to T[f(source)], and every other
+    edge must agree with the images already set.  The candidate fails at
+    the first edge that does not, or when the images are not a bijection.
     """
     f = [-1] * N
-
-    def second_image(pair: tuple[int, int], _word) -> bool:
-        i, fi = pair
-        if f[i] != -1:
-            return True
-        f[i] = fi
-        return False
-
-    moves = [(None, lambda p, T=T: (T[p[0]], T[p[1]]), lambda w: w) for T in tables]
-    _, _, _, complete = _closure((0, image0), (), moves, N, visit=second_image)
-    if not complete or -1 in f or len(set(f)) != N:
+    f[0] = image0
+    for source, T, target in edges:
+        image = T[f[source]]
+        if f[target] < 0:
+            f[target] = image
+        elif f[target] != image:
+            return None
+    if len(set(f)) != N:
         return None
     return tuple(f)

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from .errors import InvariantViolation, NotDivisible
-from .exchange import ExchangeMatrix, Permutation, _closure, _require_count, mutate_matrix
+from .exchange import (
+    ExchangeMatrix,
+    Permutation,
+    _closure,
+    _require_count,
+    _require_index,
+    mutate_matrix,
+)
 from .symbolic import LaurentPoly, exact_div, generators
 
 MutationSequence = tuple  # finite list of 1-based indices, applied left to right
@@ -40,8 +47,7 @@ def format_sequence(seq: Sequence[int]) -> str:
 
 def validate_sequence(seq: Sequence[int], rank: int) -> None:
     for k in seq:
-        if not 1 <= k <= rank:
-            raise IndexError(f"mutation index {k} out of range [1,{rank}]")
+        _require_index(k, rank)
 
 
 def is_essential(seq: Sequence[int]) -> bool:
@@ -125,8 +131,7 @@ class LabeledSeed:
 
 def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:
     """Seed mutation: the exchange relation at k plus matrix mutation."""
-    if not 1 <= k <= s.rank:
-        raise IndexError(f"mutation index {k} out of range [1,{s.rank}]")
+    _require_index(k, s.rank)
     return _exchanged(s, k, mutate_matrix(s.matrix, k))
 
 
@@ -349,7 +354,11 @@ def orbit(
     relation, and one memo per call computes each distinct relation
     (see _exchanged_once) once, exactly.  In finite type the orbit has
     far more labeled seeds than relations: from the initial A4 seed,
-    1008 seeds need 69.  Replays never read this memo.
+    1008 seeds need 69.  Replays never read this memo.  Key mutation and
+    relabeling by a transposition are involutions, so the closure steps
+    once per pair of neighbouring keys: a complete orbit of N seeds
+    costs N*n/2 key mutations (2016 for A4) and, with relabelings,
+    N*(n - 1)/2 key relabelings.
     """
     _require_count("max_seeds", max_seeds, 1)
     n = s.rank

@@ -28,8 +28,8 @@ from clusteralg.fixtures import (
     weighted_path3_matrix,
 )
 from clusteralg.groups import compute_L_P, enumerate_aut_plus, enumerate_saut_plus
-from clusteralg.periodicity import find_periods
-from clusteralg.seeds import LabeledSeed, orbit
+from clusteralg.periodicity import find_periods, is_sigma_period
+from clusteralg.seeds import LabeledSeed, mutate_seed, orbit, validate_sequence
 
 
 class TestExchangeMatrix:
@@ -292,3 +292,55 @@ class TestCountArguments:
         name, call = COUNT_ARGUMENTS[function]
         with pytest.raises(ValueError, match=f"^{name} must be (positive|nonnegative)$"):
             call(-1)
+
+
+_A2 = a2_matrix()
+_A2_SEED = LabeledSeed.initial(_A2)
+_ID2 = Permutation.identity(2)
+# calls whose mutation index is not an int; none may be coerced
+NON_INT_INDICES = {
+    "B.mutate(True)": lambda: _A2.mutate(True),
+    "B.mutate(1.0)": lambda: _A2.mutate(1.0),
+    "mutate_matrix(B, '1')": lambda: mutate_matrix(_A2, "1"),
+    "B.apply('12')": lambda: _A2.apply("12"),
+    "s.mutate(True)": lambda: _A2_SEED.mutate(True),
+    "mutate_seed(s, 1.0)": lambda: mutate_seed(_A2_SEED, 1.0),
+    "s.apply((1, 2.0))": lambda: _A2_SEED.apply((1, 2.0)),
+    "is_sigma_period(s, (1.0, 2.0), id)": lambda: is_sigma_period(_A2_SEED, (1.0, 2.0), _ID2),
+    "is_sigma_period(B, (True,), id)": lambda: is_sigma_period(_A2, (True,), _ID2),
+    "validate_sequence((1, None), 2)": lambda: validate_sequence((1, None), 2),
+}
+OUT_OF_RANGE_INDICES = {
+    "B.mutate(0)": lambda: _A2.mutate(0),
+    "B.apply((1, 3))": lambda: _A2.apply((1, 3)),
+    "s.mutate(3)": lambda: _A2_SEED.mutate(3),
+    "is_sigma_period(s, (3,), id)": lambda: is_sigma_period(_A2_SEED, (3,), _ID2),
+    "validate_sequence((1, -1), 2)": lambda: validate_sequence((1, -1), 2),
+}
+NON_SEQUENCES = {
+    "ExchangeMatrix(5)": lambda: ExchangeMatrix(5),
+    "ExchangeMatrix(None)": lambda: ExchangeMatrix(None),
+    "Permutation(5)": lambda: Permutation(5),
+    "Permutation(None)": lambda: Permutation(None),
+}
+
+
+class TestIndexAndSequenceInput:
+    """Mutation indices are ints and constructors take sequences: nothing is coerced."""
+
+    @pytest.mark.parametrize("call", NON_INT_INDICES.values(), ids=list(NON_INT_INDICES))
+    def test_a_non_int_index_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match="^mutation index .* is not an integer$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call", OUT_OF_RANGE_INDICES.values(), ids=list(OUT_OF_RANGE_INDICES)
+    )
+    def test_an_int_out_of_range_keeps_its_index_error(self, call):
+        with pytest.raises(IndexError, match="^mutation index -?[0-9]+ out of range"):
+            call()
+
+    @pytest.mark.parametrize("call", NON_SEQUENCES.values(), ids=list(NON_SEQUENCES))
+    def test_a_non_sequence_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match="sequence"):
+            call()

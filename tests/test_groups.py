@@ -320,6 +320,36 @@ class TestEquivariant:
         assert r.aut_A_order == 10 and r.kp_identity
         assert r.verify_group()
 
+    @pytest.mark.parametrize("start", [(), (1, 2)], ids=["initial", "after-1-2"])
+    @pytest.mark.parametrize(
+        "B", [a2_matrix(), a3_path_matrix(), B3, g2_matrix()], ids=["A2", "A3", "B3", "G2"]
+    )
+    def test_the_edge_pass_finds_every_equivariant_bijection(self, B, start):
+        # reference: grow each candidate's graph as a set of pairs under
+        # every generator table, in no particular order
+        g = orbit(LabeledSeed.initial(B).apply(start), 2000, with_permutations=True)
+        tables: dict[str, list[int]] = {}
+        for source, label, target in g.edges:
+            tables.setdefault(label, [0] * len(g))[source] = target
+        expected = []
+        for image0 in range(len(g)):
+            f = {0: image0}
+            stack = [0]
+            while stack and f is not None:
+                i = stack.pop()
+                for T in tables.values():
+                    j, fj = T[i], T[f[i]]
+                    if j not in f:
+                        f[j] = fj
+                        stack.append(j)
+                    elif f[j] != fj:
+                        f = None
+                        break
+            if f is not None and len(set(f.values())) == len(g):
+                expected.append((image0, tuple(f[i] for i in range(len(g)))))
+        r = equivariant_automorphisms(g)
+        assert list(zip(r.element_images, r.elements)) == expected
+
     def test_elements_commute_with_mutation(self):
         g = orbit(a2_seed(), max_seeds=50, with_permutations=True)
         r = equivariant_automorphisms(g)

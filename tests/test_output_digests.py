@@ -5,8 +5,11 @@ seed period lists of A3, B3, A4 and D4, and the distinguisher witnesses
 on the reference grid, are serialized and hashed.  The orbit and Aut+
 digests were taken before the per-search exchange memo went into
 `seeds.orbit`, the period and witness digests before the seed key walks
-carried H = C^-1 and pruned on it; a change that only makes these
-searches faster must leave every one of them as it is.
+carried H = C^-1 and pruned on it.  The matrix class, classification,
+equivariant-automorphism and budget-cut orbit digests were taken before
+`exchange._closure` read back edges from its back table instead of
+computing them.  A change that only makes these searches faster must
+leave every one of them as it is.
 """
 
 from __future__ import annotations
@@ -16,8 +19,14 @@ import hashlib
 import pytest
 
 from clusteralg import fixtures
-from clusteralg.exchange import ExchangeMatrix, Permutation, all_permutations
-from clusteralg.groups import enumerate_aut_plus
+from clusteralg.classify import classify, is_finite_mutation_type, is_finite_type
+from clusteralg.exchange import (
+    ExchangeMatrix,
+    Permutation,
+    all_permutations,
+    matrix_mutation_class,
+)
+from clusteralg.groups import enumerate_aut_plus, equivariant_automorphisms
 from clusteralg.periodicity import find_periods, period_set_distinguisher
 from clusteralg.seeds import LabeledSeed, OrbitGraph, apply_sequence, format_sequence, orbit
 
@@ -180,3 +189,121 @@ def test_seed_period_lists_are_pinned(name):
 @pytest.mark.parametrize("pair", DISTINGUISHER_PAIRS)
 def test_distinguisher_witnesses_are_pinned(pair):
     assert _digest(_distinguisher_lines(*DISTINGUISHER_PAIRS[pair])) == DISTINGUISHER_DIGESTS[pair]
+
+
+# the fixtures of the classification tests, and the budgets their
+# decisions are pinned at; A4 and D4 also pin their whole matrix class
+CLASS_FIXTURES = {
+    "A2": fixtures.a2_matrix(),
+    "A3": fixtures.a3_path_matrix(),
+    "B2": fixtures.b2_matrix(),
+    "G2": fixtures.g2_matrix(),
+    "kronecker": fixtures.kronecker_matrix(2),
+    "markov": fixtures.markov_matrix(),
+    "rank4-v1": fixtures.rank4_v1_matrix(),
+    "weighted-path3": fixtures.weighted_path3_matrix(),
+}
+CLASSIFY_BUDGETS = (1, 3, 7, 12, 200)
+MATRIX_CLASS_CASES = {
+    **CLASS_FIXTURES,
+    **{name: FAMILIES[name] for name in ("B3", "A4", "D4")},
+}
+MATRIX_CLASS_BUDGETS = CLASSIFY_BUDGETS + (BUDGET,)
+MATRIX_CLASS_DIGESTS = {
+    "A2": "2e4f2508cf657d99b155b1be7ccb0b96e210413ac656eb82700c87c01c69663b",  # 2 matrices
+    "A3": "f8901d2059cce96283706d33b0f90951f41904589d35f978f4366f98f497f1db",  # 14 matrices
+    "B2": "9e2dd9f612e48ca1682a1afe99597db88665349258bc229256e9a55c559450d9",  # 2 matrices
+    "G2": "da4c4e6572d6d94b3f0bce3e1bb95e7a593bd854798d06e792120090ebfcb4ff",  # 2 matrices
+    "kronecker": "908006b7ec9cace509806cfaaa4ec778bae1078f6daeb7de3dee9178c2ba67f0",  # 2 matrices
+    "markov": "a7c1b25d933bdf7f4fc860d5c7a780097203dffaa11f8c8a3c6e72f067e5b2e2",  # 2 matrices
+    "rank4-v1": "96ff73c43b6d726189b6fbb8de9ae0a430c7cd57d1127b2a9e159d1e88e35784",  # cut at 2000
+    "weighted-path3": "2c47d7f38527702cacfca2ba28e9725b4fb22dcbdafb58990727fa3348d90ebd",  # cut at 2000
+    "B3": "3fb98a6343284508aae47f8104c025bcfbf16f3b1d984df7d684eff44e142209",  # 10 matrices
+    "A4": "ccd59f3f255e870ba5891419de2534ec4446957ab47808328c9662432a7e8f43",  # 144 matrices
+    "D4": "907b46f2798a8f59e85374af7b3deb5475f165469ea7889848e38915a508b7a5",  # 50 matrices
+}
+CLASSIFY_DIGESTS = {
+    "A2": "b352d62eb0bc8cf0d6d2e104d472083b04aff5e3b034aff273fdc86d2707a3af",
+    "A3": "74c598dc97d570374e867fc8a04d64f2b7fb9e468190d2f184ebdbd7c86ee328",
+    "B2": "e5bd2057a504f6a0e8e0d826ca40bf1a67523b33cff2048ad609d9d2a1c7d2d4",
+    "G2": "0a324b88dc46902798190205461844dc9a7481b1cb4970e92b5a8b6d0dcea239",
+    "kronecker": "ae34d5afc21e4f70950d50b3fccaade2e08fe681f89f67c813bcdd057446a4f7",
+    "markov": "cdfa6b1c144297121f3f8f43c3392947682fb79b204fd53326bd434539cda314",
+    "rank4-v1": "924d078f14a4baeefc18e52932f7a028d83d53b4af7a33e3083243632900509e",
+    "weighted-path3": "1f802c36e32d9d2f3defa5cbc5940fc5a7d6b28f9fafcef0a00d92d6bb50c6df",
+}
+# the relabeling orbits of A3 and B3, from the initial seed and after (1, 2)
+EQUIVARIANT_DIGESTS = {
+    "A3/initial/relabel": "f871b665e9901f288ac3c42bb2d7a3c59084e424acfdd44191721af7d8dcde4c",
+    "A3/after-1-2/relabel": "0cadf72fe088a1ab94574d019a4fe51e56dc257cb98371bef4d469a2538c096e",
+    "B3/initial/relabel": "e53a1870883dfbd72c2a7a5a0f96a5a996244859d7fa7213c64a1fd9d283588c",
+    "B3/after-1-2/relabel": "dbd5a95605a9b30e3b451be687b8e4ee4fb9811159080bcd42814e0295ab145a",
+}
+# orbits their budget cuts short, from the initial seed
+CUT_ORBITS = {
+    "kronecker/12": (fixtures.kronecker_matrix(2), 12),
+    "kronecker/40": (fixtures.kronecker_matrix(2), 40),
+    "acyclic(1,1,2)/20": (fixtures.acyclic_triangle(1, 1, 2), 20),
+}
+CUT_ORBIT_DIGESTS = {
+    "kronecker/12/plain": "baf1545c4d0544449764c9307f142ba74edf6fbcc7feea8060aa9e1b97c64f35",  # 20 edges
+    "kronecker/12/relabel": "f0f7cbbd8c08402225dc3838505d6703b360dc5455b3050bfb8977e84ce9a409",  # 25 edges
+    "kronecker/40/plain": "38bd8827bead36076380c5039b37d376b07097417e12929ee24f0a76f0cad6d8",  # 76 edges
+    "kronecker/40/relabel": "82df86335c364887972657ae58e352a1cf54a8e9dcfe63b8b55533ca9e8ea0b0",  # 108 edges
+    "acyclic(1,1,2)/20/plain": "7191ad67f2f73728cf296a275c7c93f50aea1d70588edfae4fa8b8128329b09f",  # 27 edges
+    "acyclic(1,1,2)/20/relabel": "f2c2f55aa7098830e25e457ebc100beeeb33dd1a85093340af542d718d18c8d8",  # 30 edges
+}
+
+
+def _matrix_class_lines(B: ExchangeMatrix) -> list[str]:
+    lines = []
+    for budget in MATRIX_CLASS_BUDGETS:
+        c = matrix_mutation_class(B, budget)
+        lines.append(f"budget {budget} complete {c.complete} size {len(c)}")
+        lines += [f"{format_sequence(word)} {M.rows}" for M, word in zip(c.matrices, c.words)]
+    return lines
+
+
+def _decision_line(d) -> str:
+    witness = None if d.witness is None else d.witness.to_json_dict()
+    return f"{d.status} {d.budget} {witness}"
+
+
+def _classify_lines(B: ExchangeMatrix) -> list[str]:
+    lines = []
+    for budget in CLASSIFY_BUDGETS:
+        lines.append(classify(B, budget).to_json())
+        lines.append(_decision_line(is_finite_type(B, budget)))
+        lines.append(_decision_line(is_finite_mutation_type(B, budget)))
+    return lines
+
+
+def _equivariant_lines(case: str) -> list[str]:
+    r = equivariant_automorphisms(_orbit_of(case))
+    lines = [f"orbit {r.orbit_size} aut_A {r.aut_A_order} kp {r.kp_identity} W {r.w_indices}"]
+    lines += [f"{image0} {f}" for image0, f in zip(r.element_images, r.elements)]
+    return lines
+
+
+@pytest.mark.parametrize("name", MATRIX_CLASS_CASES)
+def test_matrix_classes_are_pinned(name):
+    assert _digest(_matrix_class_lines(MATRIX_CLASS_CASES[name])) == MATRIX_CLASS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", CLASS_FIXTURES)
+def test_classifications_are_pinned(name):
+    assert _digest(_classify_lines(CLASS_FIXTURES[name])) == CLASSIFY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("case", EQUIVARIANT_DIGESTS)
+def test_equivariant_automorphisms_are_pinned(case):
+    assert _digest(_equivariant_lines(case)) == EQUIVARIANT_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", CUT_ORBIT_DIGESTS)
+def test_budget_cut_orbits_are_pinned(case):
+    name, mode = case.rsplit("/", 1)
+    B, budget = CUT_ORBITS[name]
+    g = orbit(LabeledSeed.initial(B), budget, mode == "relabel")
+    assert not g.complete
+    assert _digest(_orbit_lines(g)) == CUT_ORBIT_DIGESTS[case]

@@ -18,7 +18,6 @@ from clusteralg.errors import InvariantViolation
 from clusteralg.exchange import (
     ExchangeMatrix,
     Permutation,
-    _closure,
     all_permutations,
     mutate_matrix,
 )
@@ -35,27 +34,39 @@ from clusteralg.symbolic import generators
 
 
 def _laurent_orbit(s: LabeledSeed, max_seeds: int, with_permutations: bool) -> OrbitGraph:
-    """Reference orbit: the closure keyed by the seeds themselves."""
+    """Reference orbit: a plain BFS keyed by the seeds themselves.
+
+    It computes every move, back edges included, and shares no search
+    code with the package.
+    """
     n = s.rank
-    moves = [
-        (f"mu{k}", lambda t, k=k: mutate_seed(t, k), lambda w, k=k: (w[0] + (w[1](k),), w[1]))
-        for k in range(1, n + 1)
-    ]
+    gens: list = [(f"mu{k}", k) for k in range(1, n + 1)]
     if with_permutations:
         for i in range(1, n):
             g = Permutation.transposition(n, i, i + 1)
-            moves.append(
-                (
-                    g.cycle_notation(),
-                    lambda t, g=g: permute_seed(t, g),
-                    lambda w, g=g: (w[0], w[1].compose(g)),
-                )
-            )
-    edges: list = []
-    found, words, index, complete = _closure(
-        s, ((), Permutation.identity(n)), moves, max_seeds, edges=edges
-    )
-    return OrbitGraph(found, words, edges, complete, with_permutations, max_seeds, index)
+            gens.append((g.cycle_notation(), g))
+    found, words, index, edges = [s], [((), Permutation.identity(n))], {s: 0}, []
+
+    def graph(complete: bool) -> OrbitGraph:
+        return OrbitGraph(found, words, edges, complete, with_permutations, max_seeds, index)
+
+    cur = 0
+    while cur < len(found):
+        t, (mutations, pi) = found[cur], words[cur]
+        for label, g in gens:
+            if type(g) is int:
+                u, word = mutate_seed(t, g), (mutations + (pi(g),), pi)
+            else:
+                u, word = permute_seed(t, g), (mutations, pi.compose(g))
+            if u not in index:
+                if len(found) >= max_seeds:
+                    return graph(False)
+                index[u] = len(found)
+                found.append(u)
+                words.append(word)
+            edges.append((cur, label, index[u]))
+        cur += 1
+    return graph(True)
 
 
 def _laurent_periods(
