@@ -22,7 +22,6 @@ from .exchange import (
     _mutation_moves,
     _require_count,
     _require_indecomposable,
-    apply_matrix_sequence,
     matrix_mutation_class,
 )
 from .periodicity import _return_power, find_periods, is_sigma_period
@@ -39,7 +38,7 @@ class BoundWitness:
     product: int
 
     def replay(self, B: ExchangeMatrix, bound: int) -> bool:
-        M = apply_matrix_sequence(B, self.sequence)
+        M = B.apply(self.sequence)
         value = abs(M.entry(self.i, self.j) * M.entry(self.j, self.i))
         return value == self.product and value > bound
 
@@ -414,7 +413,7 @@ def _alternating_return_word(
     enclosed segment is a period there and conjugation carries it back
     to B.
     """
-    M = apply_matrix_sequence(B, access)
+    M = B.apply(access)
     seen = {M: 0}
     walk: list[int] = []
     cur = M

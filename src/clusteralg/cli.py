@@ -23,7 +23,7 @@ from .errors import (
     NotDivisible,
     NotSkewSymmetrizable,
 )
-from .exchange import ExchangeMatrix, Permutation, is_inflexion
+from .exchange import ExchangeMatrix, Permutation, is_inflexion, validate_sequence
 from .groups import enumerate_aut_plus
 from .periodicity import bipartite_belt, find_periods, period_set_distinguisher
 from .realize import realize_permutation
@@ -36,7 +36,6 @@ from .seeds import (
     permute_seed,
     seed_from_json,
     seed_to_json,
-    validate_sequence,
 )
 from .verification import run_all
 

@@ -17,10 +17,6 @@ from typing import Any, Callable, Iterable, Sequence
 from .errors import DecomposableMatrix, InvariantViolation, NotSkewSymmetrizable
 
 
-def _sgn(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 class ExchangeMatrix:
     """A skew-symmetrizable integer matrix with its symmetrizer.
 
@@ -173,7 +169,11 @@ class ExchangeMatrix:
         return mutate_matrix(self, k)
 
     def apply(self, seq: Sequence[int]) -> "ExchangeMatrix":
-        return apply_matrix_sequence(self, seq)
+        """Mutate at seq[0] first, then seq[1], and so on."""
+        B = self
+        for k in validate_sequence(seq, self.n):
+            B = mutate_matrix(B, k)
+        return B
 
     def permute(self, sigma: "Permutation") -> "ExchangeMatrix":
         return apply_permutation_matrix(self, sigma)
@@ -253,26 +253,13 @@ def _is_connected(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> 
 
 
 def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix mutation at direction k (1-based).
+    """Matrix mutation at direction k (1-based), by the rule of _mutate_rows.
 
-    b'_ij = -b_ij when i = k or j = k, else b_ij + sgn(b_ik) [b_ik b_kj]_+.
     Mutation keeps each component of the underlying graph and its unique
     minimal symmetrizer, so the child's must be the parent's; else a bug.
     """
     _require_index(k, B.n)
-    a = k - 1
-    old = B.rows
-    new = []
-    for i in range(B.n):
-        row = []
-        for j in range(B.n):
-            if i == a or j == a:
-                row.append(-old[i][j])
-            else:
-                extra = _sgn(old[i][a]) * max(old[i][a] * old[a][j], 0)
-                row.append(old[i][j] + extra)
-        new.append(row)
-    out = ExchangeMatrix(new)
+    out = ExchangeMatrix(_mutate_rows(B.rows, k))
     if out.symmetrizer != B.symmetrizer:
         raise InvariantViolation("mutation broke the skew-symmetrizer")
     return out
@@ -290,11 +277,84 @@ def _require_index(k: Any, rank: int) -> None:
         raise IndexError(f"mutation index {k} out of range [1,{rank}]")
 
 
-def apply_matrix_sequence(B: ExchangeMatrix, seq: Sequence[int]) -> ExchangeMatrix:
-    """Mutate at seq[0] first, then seq[1], and so on."""
-    for k in seq:
-        B = mutate_matrix(B, k)
-    return B
+def validate_sequence(seq: Sequence[int], rank: int) -> tuple[int, ...]:
+    """seq as a tuple of mutation indices, each checked by _require_index.
+
+    A word that is not a sequence raises ValueError before any index is
+    read, so no caller mutates anything on a bad word.
+    """
+    try:
+        word = tuple(seq)
+    except TypeError:
+        raise ValueError(f"mutation word {seq!r} is not a sequence") from None
+    for k in word:
+        _require_index(k, rank)
+    return word
+
+
+def _require_permutation(sigma: Any, n: int) -> None:
+    """Reject a relabeling that is not a Permutation of degree n (ValueError)."""
+    if not isinstance(sigma, Permutation):
+        raise ValueError(f"relabeling {sigma!r} is not a Permutation")
+    if sigma.n != n:
+        raise ValueError(f"permutation degree does not match the rank: {sigma.n} vs {n}")
+
+
+# -- principal-coefficient keys ---------------------------------------
+#
+# The key of a seed reached from a root is its extended matrix [B; C]
+# as 2n plain integer rows: its exchange matrix B and below it the
+# c-vector block C, with principal coefficients at the root (C = I
+# there).  By synchronicity (Nakanishi, arXiv:1906.12036), which rests
+# on sign coherence (Gross-Hacking-Keel-Kontsevich, arXiv:1411.1394),
+# two seeds reached from one root are equal exactly when their keys
+# are, provided the root's cluster entries are algebraically
+# independent; every seed the package builds has that property (a
+# subseed's entries are part of a cluster), though a subseed of a
+# non-initial seed may not mutate at all (see seeds._exchanged).  Keys
+# cost integers only.  The two rules below act on [B; C] and on B alone
+# (no C rows) alike: _mutate_rows is the package's one mutation rule and
+# _permute_rows its one relabeling of rows.
+
+
+def _principal_rows(B: ExchangeMatrix) -> tuple:
+    """The root's key [B; I]."""
+    n = B.n
+    return B.rows + tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _mutate_rows(rows: tuple, k: int) -> tuple:
+    """Rows of an extended matrix [B; C] mutated at k (1-based, not checked).
+
+    The pivot row k is negated, and every other row, of B or of C, takes
+    c'_ij = -c_ij when j = k, else c_ij + sgn(c_ik) [c_ik b_kj]_+.
+    """
+    a = k - 1
+    pivot = rows[a]
+    out = list(rows)
+    for i, row in enumerate(rows):
+        c = row[a]
+        if c:
+            # sgn(c) [c b]_+ is |c| b when b has the sign of c, else 0
+            new = [x + abs(c) * b if b * c > 0 else x for x, b in zip(row, pivot)]
+            new[a] = -c
+            out[i] = tuple(new)
+    # b_kk = 0 left the pivot row as it was
+    out[a] = tuple(-x for x in pivot)
+    return tuple(out)
+
+
+def _permute_rows(rows: tuple, g: Permutation) -> tuple:
+    """Rows of [B; C] relabeled by g: B's rows and columns, only C's columns.
+
+    Entry (i, j) of the new B is b_{g(i) g(j)}, and column j of the new C
+    is column g(j) of C.
+    """
+    images = g.images
+    n = len(images)
+    return tuple(tuple(rows[i - 1][j - 1] for j in images) for i in images) + tuple(
+        tuple(row[j - 1] for j in images) for row in rows[n:]
+    )
 
 
 # one cycle: ASCII-digit entries separated by spaces or by commas
@@ -430,18 +490,12 @@ def all_permutations(n: int):
 
 
 def apply_permutation_matrix(B: ExchangeMatrix, sigma: Permutation) -> ExchangeMatrix:
-    """B^sigma, entry (i,j) = b_{sigma(i) sigma(j)}.
+    """B^sigma, entry (i,j) = b_{sigma(i) sigma(j)}, by the rule of _permute_rows.
 
     Composition law: (B^sigma)^tau = B^(sigma.compose(tau)).
     """
-    if sigma.n != B.n:
-        raise ValueError("permutation degree does not match matrix rank")
-    return ExchangeMatrix(
-        [
-            [B.rows[sigma(i) - 1][sigma(j) - 1] for j in range(1, B.n + 1)]
-            for i in range(1, B.n + 1)
-        ]
-    )
+    _require_permutation(sigma, B.n)
+    return ExchangeMatrix(_permute_rows(B.rows, sigma))
 
 
 def is_inflexion(B: ExchangeMatrix, i: int, j: int, k: int) -> bool:

@@ -6,14 +6,15 @@ The same predicate drives period searches, the bipartite belt, the
 restriction/extension harness, and the period-set distinguisher.
 
 Seed searches (seed find_periods, the distinguisher) and the seed
-predicate walk integer principal-coefficient keys (B, C) instead of
-seeds (see seeds._principal_key): by synchronicity a seed returns along
-a sequence exactly when its key does.  A key walk carries the extended
-matrix [B; C] as 2n plain integer rows and builds no ExchangeMatrix;
-each step checks the new B against the root's symmetrizer, as
-mutate_matrix does.  So a seed is_sigma_period answers "no" from the
-key alone, with no seed mutated, and Laurent arithmetic is spent only
-on the exact replay of a "yes" and of what a search reports.
+predicate walk integer principal-coefficient keys [B; C] instead of
+seeds (see exchange._principal_rows): by synchronicity a seed returns
+along a sequence exactly when its key does.  A key walk carries [B; C]
+as 2n plain integer rows stepped by exchange._mutate_rows, the rule of
+mutate_matrix, and builds no ExchangeMatrix; each step checks the new B
+against the root's symmetrizer, as mutate_matrix does.  So a seed
+is_sigma_period answers "no" from the key alone, with no seed mutated,
+and Laurent arithmetic is spent only on the exact replay of a "yes" and
+of what a search reports.
 
 These key walks also carry H = C^-1, whose rows are the g-vectors by
 tropical duality (Nakanishi-Zelevinsky, arXiv:1101.3736).  Mutation at
@@ -32,15 +33,17 @@ from operator import ne
 from typing import Any, Callable, Iterator, Sequence, Union
 
 from .errors import InvariantViolation, NotBipartite
-from .exchange import ExchangeMatrix, Permutation, _require_count
-from .seeds import (
-    LabeledSeed,
-    _mutate_c,
-    _principal_key,
-    apply_sequence,
-    inverse_sequence,
+from .exchange import (
+    ExchangeMatrix,
+    Permutation,
+    _mutate_rows,
+    _permute_rows,
+    _principal_rows,
+    _require_count,
+    _require_permutation,
     validate_sequence,
 )
+from .seeds import LabeledSeed, apply_sequence, inverse_sequence
 
 Target = Union[ExchangeMatrix, LabeledSeed]
 
@@ -63,8 +66,8 @@ def is_sigma_period(target: Target, seq: Sequence[int], sigma: Permutation) -> P
     does, the answer is the exact Laurent replay, and a replay that
     disagrees with the key raises InvariantViolation.
     """
-    seq = tuple(seq)
-    validate_sequence(seq, target.rank)
+    seq = validate_sequence(seq, target.rank)
+    _require_permutation(sigma, target.rank)
     if isinstance(target, LabeledSeed):
         goal = _seed_goal(target.matrix, sigma)
         side = _principal_side(target.matrix)
@@ -75,8 +78,6 @@ def is_sigma_period(target: Target, seq: Sequence[int], sigma: Permutation) -> P
         if target.apply(seq).permute(sigma) != target:
             raise InvariantViolation(f"key period {seq} failed its exact replay")
         return PeriodReport(seq, sigma, "seed-period", True)
-    if sigma.n != target.rank:
-        raise ValueError("permutation degree does not match matrix rank")
     return PeriodReport(seq, sigma, "matrix-period", target.apply(seq).permute(sigma) == target)
 
 
@@ -91,7 +92,7 @@ def find_periods(
     The search shares mutation prefixes, so the cost is one mutation per
     visited sequence node.  The empty sequence (a period of anything
     when sigma is the identity) is never listed.  A seed is walked on
-    its principal-coefficient keys (see seeds._principal_key), plain
+    its principal-coefficient keys (see exchange._principal_rows), plain
     integer rows with no ExchangeMatrix per node; each sequence they
     return is replayed exactly on the seed before it is listed, and
     replays share prefixes too.
@@ -101,6 +102,7 @@ def find_periods(
     the one goal target.permute(sigma^-1).
     """
     _require_count("max_len", max_len, 0)
+    _require_permutation(sigma, target.rank)
     if isinstance(target, LabeledSeed):
         found = _seed_periods(target, sigma, max_len, essential_only)
     else:
@@ -119,13 +121,10 @@ def _seed_goal(B: ExchangeMatrix, sigma: Permutation) -> tuple:
     """The rows of the key [B'; C] that relabeling by sigma sends to [B; I].
 
     Relabeling sends B' to B exactly when B' = B.permute(sigma^-1), and
-    C to I exactly when c_ij = [j = sigma(i)].
+    C to I exactly when c_ij = [j = sigma(i)]: that is [B; I] relabeled
+    by sigma^-1.
     """
-    if sigma.n != B.n:
-        raise ValueError("permutation degree does not match seed rank")
-    n = B.n
-    C = tuple(tuple(int(j == sigma(i)) for j in range(1, n + 1)) for i in range(1, n + 1))
-    return B.permute(sigma.inverse()).rows + C
+    return _permute_rows(_principal_rows(B), sigma.inverse())
 
 
 def _seed_periods(
@@ -405,8 +404,8 @@ def _principal_side(B: ExchangeMatrix) -> tuple:
 
     d is the symmetrizer of B, which every mutation keeps.
     """
-    identity = _principal_key(B)[1]
-    return B.rows + identity, identity, B.symmetrizer
+    rows = _principal_rows(B)
+    return rows, rows[B.n :], B.symmetrizer
 
 
 def _mutate_pair(sides: tuple, k: int) -> tuple:
@@ -416,15 +415,12 @@ def _mutate_pair(sides: tuple, k: int) -> tuple:
 def _side_step(side: tuple, k: int) -> tuple:
     """A walk state mutated at k, on plain integer rows.
 
-    The pivot row k of [B; C] is negated and every other row follows
-    seeds._mutate_c.  As in mutate_matrix, the new B must keep the
-    root's symmetrizer, d_i b'_ij = -d_j b'_ji, or the step raises.
+    The rows of [B; C] follow exchange._mutate_rows.  As in
+    mutate_matrix, the new B must keep the root's symmetrizer,
+    d_i b'_ij = -d_j b'_ji, or the step raises.
     """
     rows, H, d = side
-    a = k - 1
-    pivot = rows[a]
-    new = _mutate_c(pivot, rows, k)
-    new = new[:a] + (tuple(-x for x in pivot),) + new[k:]
+    new = _mutate_rows(rows, k)
     for i, di in enumerate(d):
         row = new[i]
         for j in range(i + 1, len(d)):
@@ -439,7 +435,7 @@ def _mutate_h(rows: tuple, H: tuple, k: int) -> tuple:
     With eps the sign of column k of C and m_j = [eps b_kj]_+, the
     mutation is C' = C M_k for the involution M_k that is the identity
     but in row k, which is (m_1, ..., -1, ..., m_n); so H' = M_k H, and
-    h'_k = -h_k + sum_j m_j h_j.  That is the rule of seeds._mutate_c
+    h'_k = -h_k + sum_j m_j h_j.  That is the rule of exchange._mutate_rows
     exactly when column k of C is sign-coherent.
     """
     a = k - 1
@@ -498,7 +494,7 @@ def _return_power(B: ExchangeMatrix, word: Sequence[int], most: int) -> int | No
     By synchronicity this is the least power of word that returns a seed
     with matrix B, read off integer keys with no Laurent arithmetic.
     """
-    validate_sequence(word, B.n)
+    word = validate_sequence(word, B.n)
     start = side = _principal_side(B)
     for p in range(1, most + 1):
         for k in word:

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import DecomposableMatrix, InvariantViolation
-from .exchange import ExchangeMatrix, Permutation, _is_connected
+from .exchange import ExchangeMatrix, Permutation, _is_connected, _require_permutation
 from .seeds import (
     LabeledSeed,
     MutationSequence,
@@ -134,8 +134,7 @@ def realize_permutation(s: LabeledSeed, sigma: Permutation) -> RealizationPlan:
     """
     B = s.matrix
     n = s.rank
-    if sigma.n != n:
-        raise ValueError("permutation degree does not match the seed rank")
+    _require_permutation(sigma, n)
     if any(abs(e) > 1 for row in B.rows for e in row):
         raise ValueError("realization needs all edge weights 1")
     if not B.is_indecomposable():

@@ -19,9 +19,14 @@ from .exchange import (
     ExchangeMatrix,
     Permutation,
     _closure,
+    _mutate_rows,
+    _permute_rows,
+    _principal_rows,
     _require_count,
     _require_index,
+    _require_permutation,
     mutate_matrix,
+    validate_sequence,
 )
 from .symbolic import LaurentPoly, exact_div, generators
 
@@ -43,11 +48,6 @@ def parse_sequence(text: str) -> tuple[int, ...]:
 
 def format_sequence(seq: Sequence[int]) -> str:
     return ",".join(str(k) for k in seq)
-
-
-def validate_sequence(seq: Sequence[int], rank: int) -> None:
-    for k in seq:
-        _require_index(k, rank)
 
 
 def is_essential(seq: Sequence[int]) -> bool:
@@ -198,7 +198,7 @@ def _exchanged_once(
 
 def apply_sequence(s: LabeledSeed, seq: Sequence[int]) -> LabeledSeed:
     """Mutate at seq[0] first, then seq[1], and so on."""
-    for k in seq:
+    for k in validate_sequence(seq, s.rank):
         s = mutate_seed(s, k)
     return s
 
@@ -208,8 +208,7 @@ def permute_seed(s: LabeledSeed, sigma: Permutation) -> LabeledSeed:
 
     Iterating follows permute(permute(s,a),b) = permute(s, a.compose(b)).
     """
-    if sigma.n != s.rank:
-        raise ValueError("permutation degree does not match seed rank")
+    _require_permutation(sigma, s.rank)
     cluster = tuple(s.cluster[sigma(i) - 1] for i in range(1, s.rank + 1))
     return LabeledSeed(cluster, s.matrix.permute(sigma))
 
@@ -276,69 +275,6 @@ class OrbitGraph:
         return sorted(s.key_string() for s in self.seeds)
 
 
-# -- principal-coefficient keys ---------------------------------------
-#
-# The key of a seed reached from a root is (B, C): its exchange matrix
-# and its c-vector block C, the n rows below B in the extended matrix
-# [B; C] with principal coefficients at the root (C = I there).  By
-# synchronicity (Nakanishi, arXiv:1906.12036), which rests on sign
-# coherence (Gross-Hacking-Keel-Kontsevich, arXiv:1411.1394), two
-# seeds reached from one root are equal exactly when their keys are,
-# provided the root's cluster entries are algebraically independent;
-# every seed the package builds has that property (a subseed's entries
-# are part of a cluster), though a subseed of a non-initial seed may
-# not mutate at all (see _exchanged).  Keys cost integers only, and a
-# memo shared by one search mutates each matrix once per direction.
-
-
-def _principal_key(B: ExchangeMatrix) -> tuple:
-    """The root's key (B, I)."""
-    n = B.n
-    return B, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _moved_matrix(memo: dict, B: ExchangeMatrix, g: int | Permutation) -> ExchangeMatrix:
-    """B.mutate(g) for an index g, B.permute(g) for a permutation, once per search."""
-    out = memo.get((B, g))
-    if out is None:
-        out = memo[B, g] = mutate_matrix(B, g) if type(g) is int else B.permute(g)
-    return out
-
-
-def _mutate_key(memo: dict, key: tuple, k: int) -> tuple:
-    """Mutation of [B; C] at k."""
-    B, C = key
-    return _moved_matrix(memo, B, k), _mutate_c(B.rows[k - 1], C, k)
-
-
-def _mutate_c(pivot: tuple, C: tuple, k: int) -> tuple:
-    """Rows of an extended matrix [B; C] mutated at k, given row k of B as pivot.
-
-    Every row but the pivot, of B or of C, takes
-    c'_ij = -c_ij when j = k, else c_ij + sgn(c_ik) [c_ik b_kj]_+.
-    The pivot row has b_kk = 0 and comes back unchanged: negating it is
-    the caller's part.
-    """
-    a = k - 1
-    rows = []
-    for row in C:
-        c = row[a]
-        if c == 0:
-            rows.append(row)
-            continue
-        # sgn(c) [c b]_+ is |c| b when b has the sign of c, else 0
-        new = [x + abs(c) * b if b * c > 0 else x for x, b in zip(row, pivot)]
-        new[a] = -c
-        rows.append(tuple(new))
-    return tuple(rows)
-
-
-def _permute_key(memo: dict, key: tuple, g: Permutation) -> tuple:
-    """Relabeling by g permutes B and only the columns of C."""
-    B, C = key
-    return _moved_matrix(memo, B, g), tuple(tuple(row[i - 1] for i in g.images) for row in C)
-
-
 def orbit(
     s: LabeledSeed,
     max_seeds: int,
@@ -348,24 +284,27 @@ def orbit(
 
     Stops as soon as the seed count would exceed max_seeds; the result
     then carries complete=False and is never silently truncated.  The
-    closure runs on principal-coefficient keys; each admitted seed is
-    then built once, from the edge that discovered it, and checked
-    against the seeds already built.  A mutation edge needs an exchange
-    relation, and one memo per call computes each distinct relation
-    (see _exchanged_once) once, exactly.  In finite type the orbit has
-    far more labeled seeds than relations: from the initial A4 seed,
-    1008 seeds need 69.  Replays never read this memo.  Key mutation and
-    relabeling by a transposition are involutions, so the closure steps
-    once per pair of neighbouring keys: a complete orbit of N seeds
-    costs N*n/2 key mutations (2016 for A4) and, with relabelings,
-    N*(n - 1)/2 key relabelings.
+    closure runs on principal-coefficient keys, the plain rows [B; C] of
+    exchange._principal_rows stepped by _mutate_rows and _permute_rows;
+    each admitted seed is then built once, from the edge that discovered
+    it, and checked against the seeds already built.  Its matrix comes
+    from one dict from B rows to ExchangeMatrix, filled with the root's,
+    so each distinct matrix is built once (13 times for the A3 orbit),
+    and a mutation edge must keep the parent's symmetrizer.  A mutation
+    edge needs an exchange relation, and one memo per call computes each
+    distinct relation (see _exchanged_once) once, exactly.  In finite
+    type the orbit has far more labeled seeds than relations: from the
+    initial A4 seed, 1008 seeds need 69.  Replays never read this memo.
+    Key mutation and relabeling by a transposition are involutions, so
+    the closure steps once per pair of neighbouring keys: a complete
+    orbit of N seeds costs N*n/2 key mutations (2016 for A4) and, with
+    relabelings, N*(n - 1)/2 key relabelings.
     """
     _require_count("max_seeds", max_seeds, 1)
     n = s.rank
-    memo: dict = {}
     gens: dict[str, int | Permutation] = {f"mu{k}": k for k in range(1, n + 1)}
     moves: list = [
-        (label, lambda key, k=k: _mutate_key(memo, key, k), lambda w, k=k: (w[0] + (w[1](k),), w[1]))
+        (label, lambda rows, k=k: _mutate_rows(rows, k), lambda w, k=k: (w[0] + (w[1](k),), w[1]))
         for label, k in gens.items()
     ]
     if with_permutations:
@@ -376,16 +315,17 @@ def orbit(
             moves.append(
                 (
                     label,
-                    lambda key, g=g: _permute_key(memo, key, g),
+                    lambda rows, g=g: _permute_rows(rows, g),
                     lambda w, g=g: (w[0], w[1].compose(g)),
                 )
             )
     edges: list[tuple[int, str, int]] = []
     keys, words, _, complete = _closure(
-        _principal_key(s.matrix), ((), Permutation.identity(n)), moves, max_seeds, edges=edges
+        _principal_rows(s.matrix), ((), Permutation.identity(n)), moves, max_seeds, edges=edges
     )
     seeds = [s]
     index = {s: 0}
+    matrices = {s.matrix.rows: s.matrix}
     relations: dict[tuple, LaurentPoly] = {}
     for source, label, target in edges:
         if target < len(seeds):
@@ -393,8 +333,13 @@ def orbit(
         # edges are in discovery order, so this one discovered target
         g = gens[label]
         parent = seeds[source]
-        matrix = keys[target][0]
+        rows = keys[target][:n]
+        matrix = matrices.get(rows)
+        if matrix is None:
+            matrix = matrices[rows] = ExchangeMatrix(rows)
         if type(g) is int:
+            if matrix.symmetrizer != parent.matrix.symmetrizer:
+                raise InvariantViolation("mutation broke the skew-symmetrizer")
             t = _exchanged_once(relations, parent, g, matrix)
         else:
             t = LabeledSeed(tuple(parent.cluster[i - 1] for i in g.images), matrix)

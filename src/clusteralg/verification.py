@@ -26,7 +26,6 @@ from .exchange import (
     ExchangeMatrix,
     Permutation,
     all_permutations,
-    apply_matrix_sequence,
 )
 from .fixtures import (
     a2_matrix,
@@ -157,7 +156,7 @@ def check_counterexample_rank4() -> CheckResult:
     _fails(f, B.v() == 1, f"v(B) = {B.v()}, expected 1")
     _fails(f, main1_conditions(B, budget=200).i, "condition (i) not established")
     for seq in ((4, 2), (2, 4)):
-        M = apply_matrix_sequence(B, seq)
+        M = B.apply(seq)
         _fails(f, M.v() == 3, f"max entry after {seq} is {M.v()}, expected 3")
     fmt = is_finite_mutation_type(B, budget=200)
     _fails(f, fmt.status == "no", f"finite_mutation_type = {fmt.status}")
@@ -176,7 +175,7 @@ def check_counterexample_weighted_path() -> CheckResult:
     _fails(f, B.v() == 2, f"v(B) = {B.v()}, expected 2")
     _fails(f, B.underlying_triangles() == [], "underlying graph has a 3-cycle")
     _fails(f, main1_conditions(B, budget=200).ii, "condition (ii) not established")
-    M = apply_matrix_sequence(B, (2, 1))
+    M = B.apply((2, 1))
     _fails(f, M.v() == 3, f"max entry after (2,1) is {M.v()}, expected 3")
     fmt = is_finite_mutation_type(B, budget=200)
     _fails(f, fmt.status == "no", f"finite_mutation_type = {fmt.status}")
@@ -382,8 +381,8 @@ def check_property_battery() -> CheckResult:
     )
 
     le3_a, le3_b = _seed(path3(1, 1)), _seed(fork3(1, 1))
-    m1 = apply_matrix_sequence(path3(1, 1), (2,))
-    m2 = apply_matrix_sequence(fork3(1, 1), (2,))
+    m1 = path3(1, 1).apply((2,))
+    m2 = fork3(1, 1).apply((2,))
     _fails(
         f,
         abs(m1.entry(1, 3) * m1.entry(3, 1)) == 1
@@ -391,8 +390,8 @@ def check_property_battery() -> CheckResult:
         "post-mutation corner weights are not 1 vs 0",
     )
     le4_a, le4_b = _seed(acyclic_triangle(1, 1, 2)), _seed(fork_chord_triangle(1, 1, 2))
-    m3 = apply_matrix_sequence(acyclic_triangle(1, 1, 2), (3,))
-    m4 = apply_matrix_sequence(fork_chord_triangle(1, 1, 2), (3,))
+    m3 = acyclic_triangle(1, 1, 2).apply((3,))
+    m4 = fork_chord_triangle(1, 1, 2).apply((3,))
     _fails(
         f,
         abs(m3.entry(1, 2)) == 1 and abs(m4.entry(1, 2)) == 3,

@@ -22,7 +22,6 @@ from clusteralg.errors import DecomposableMatrix
 from clusteralg.exchange import (
     ExchangeMatrix,
     Permutation,
-    apply_matrix_sequence,
     matrix_mutation_class,
 )
 from clusteralg.fixtures import (
@@ -99,8 +98,8 @@ class TestMSearch:
         assert not m.m_certified
 
     def test_single_mutations_can_raise_v(self):
-        assert apply_matrix_sequence(rank4_v1_matrix(), (2, 4)).v() == 3
-        assert apply_matrix_sequence(weighted_path3_matrix(), (2, 1)).v() == 3
+        assert rank4_v1_matrix().apply((2, 4)).v() == 3
+        assert weighted_path3_matrix().apply((2, 1)).v() == 3
 
 
 class TestMain1Conditions:
@@ -259,7 +258,7 @@ class TestClassifyBudgetSweep:
         mclass = matrix_mutation_class(W, 5)
         assert not mclass.complete
         assert all(M.max_abs_product() <= 4 for M in mclass.matrices)
-        assert mclass.find(apply_matrix_sequence(W, (2, 1))) is None
+        assert mclass.find(W.apply((2, 1))) is None
         d = is_finite_mutation_type(W, 5)
         assert d.status == "no"
         assert (d.witness.sequence, d.witness.product) == ((2, 1), 9)

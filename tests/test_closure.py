@@ -229,14 +229,14 @@ def test_the_a4_class_mutates_each_matrix_pair_once(monkeypatch):
 @pytest.mark.parametrize(
     "B, with_permutations, size, expected",
     [
-        (fixtures.a4_path_matrix(), False, 1008, {"_mutate_key": 2016, "_permute_key": 0}),
-        (D4, False, 1200, {"_mutate_key": 2400, "_permute_key": 0}),
-        (B3, True, 120, {"_mutate_key": 180, "_permute_key": 120}),
+        (fixtures.a4_path_matrix(), False, 1008, {"_mutate_rows": 2016, "_permute_rows": 0}),
+        (D4, False, 1200, {"_mutate_rows": 2400, "_permute_rows": 0}),
+        (B3, True, 120, {"_mutate_rows": 180, "_permute_rows": 120}),
     ],
     ids=["A4", "D4", "B3/relabel"],
 )
 def test_orbits_step_each_key_pair_once(monkeypatch, B, with_permutations, size, expected):
-    counts = _counting(monkeypatch, seeds, ["_mutate_key", "_permute_key"])
+    counts = _counting(monkeypatch, seeds, ["_mutate_rows", "_permute_rows"])
     g = orbit(LabeledSeed.initial(B), 2000, with_permutations)
     assert g.complete and len(g) == size
     assert counts == expected

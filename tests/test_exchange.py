@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from clusteralg import seeds
 from clusteralg.classify import classify, is_finite_mutation_type, is_finite_type
 from clusteralg.errors import InvariantViolation, NotSkewSymmetrizable
 from clusteralg.exchange import (
     ExchangeMatrix,
     Permutation,
     all_permutations,
-    apply_matrix_sequence,
     is_inflexion,
     matrix_mutation_class,
     mutate_matrix,
+    validate_sequence,
 )
 from clusteralg.fixtures import (
     a2_matrix,
@@ -29,7 +30,8 @@ from clusteralg.fixtures import (
 )
 from clusteralg.groups import compute_L_P, enumerate_aut_plus, enumerate_saut_plus
 from clusteralg.periodicity import find_periods, is_sigma_period
-from clusteralg.seeds import LabeledSeed, mutate_seed, orbit, validate_sequence
+from clusteralg.realize import realize_permutation
+from clusteralg.seeds import LabeledSeed, mutate_seed, orbit
 
 
 class TestExchangeMatrix:
@@ -257,7 +259,7 @@ class TestMatrixClass:
     def test_words_replay(self):
         cls = matrix_mutation_class(a3_path_matrix(), max_matrices=50)
         for M, word in zip(cls.matrices, cls.words):
-            assert apply_matrix_sequence(a3_path_matrix(), word) == M
+            assert a3_path_matrix().apply(word) == M
 
 
 _A3 = a3_path_matrix()
@@ -322,6 +324,17 @@ NON_SEQUENCES = {
     "ExchangeMatrix(None)": lambda: ExchangeMatrix(None),
     "Permutation(5)": lambda: Permutation(5),
     "Permutation(None)": lambda: Permutation(None),
+    "B.apply(5)": lambda: _A2.apply(5),
+    "s.apply(None)": lambda: _A2_SEED.apply(None),
+    "validate_sequence(3, 2)": lambda: validate_sequence(3, 2),
+    "is_sigma_period(s, 5, id)": lambda: is_sigma_period(_A2_SEED, 5, _ID2),
+}
+# relabelings that are not a Permutation; none may be coerced
+NON_PERMUTATIONS = {
+    "B.permute((2, 1))": lambda: _A2.permute((2, 1)),
+    "s.permute(None)": lambda: _A2_SEED.permute(None),
+    "find_periods(s, (2, 1), 3)": lambda: find_periods(_A2_SEED, (2, 1), 3),
+    "realize_permutation(s, None)": lambda: realize_permutation(_A2_SEED, None),
 }
 
 
@@ -344,3 +357,15 @@ class TestIndexAndSequenceInput:
     def test_a_non_sequence_is_a_value_error(self, call):
         with pytest.raises(ValueError, match="sequence"):
             call()
+
+    @pytest.mark.parametrize("call", NON_PERMUTATIONS.values(), ids=list(NON_PERMUTATIONS))
+    def test_a_non_permutation_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match="is not a Permutation$"):
+            call()
+
+    def test_a_bad_word_mutates_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(seeds, "mutate_seed", lambda *args: calls.append(args))
+        with pytest.raises(IndexError):
+            _A2_SEED.apply((1, 2, 3))
+        assert calls == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
@@ -11,8 +12,8 @@ from clusteralg.errors import InvariantViolation, NotBipartite
 from clusteralg.exchange import (
     Permutation,
     all_permutations,
-    apply_matrix_sequence,
     apply_permutation_matrix,
+    mutate_matrix,
 )
 from clusteralg.fixtures import (
     a2_matrix,
@@ -78,7 +79,11 @@ def _free_functions(target):
     """(rank, apply, permute, kind) for target, spelled with the free functions."""
     if isinstance(target, LabeledSeed):
         return target.matrix.n, apply_sequence, permute_seed, "seed-period"
-    return target.n, apply_matrix_sequence, apply_permutation_matrix, "matrix-period"
+    return target.n, _fold_mutations, apply_permutation_matrix, "matrix-period"
+
+
+def _fold_mutations(B, word):
+    return functools.reduce(mutate_matrix, word, B)
 
 
 class TestActionInterface:

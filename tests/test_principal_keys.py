@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from clusteralg import fixtures, periodicity, seeds
+from clusteralg import exchange, fixtures, periodicity, seeds
 from clusteralg.errors import InvariantViolation
 from clusteralg.exchange import (
     ExchangeMatrix,
@@ -180,8 +180,8 @@ class TestOrbitKeys:
 
     def test_each_seed_and_matrix_move_is_computed_once(self, monkeypatch):
         # one exchange relation per exchange pair (x_k, x'_k) met on an
-        # edge that discovers a seed of the reference orbit, one
-        # mutation per matrix of the class (14 for A3) and direction
+        # edge that discovers a seed of the reference orbit, and one
+        # ExchangeMatrix per matrix of the class (14 for A3) but the root's
         s = LabeledSeed.initial(fixtures.a3_path_matrix())
         ref = _laurent_orbit(s, 2000, False)
         discovered = {0}
@@ -192,7 +192,7 @@ class TestOrbitKeys:
                 k = int(label[2:])
                 pairs.add((ref.seeds[source].cluster[k - 1], ref.seeds[target].cluster[k - 1]))
         assert len(pairs) == 29
-        counts = {"_exchanged": 0, "mutate_matrix": 0}
+        counts = {"_exchanged": 0, "ExchangeMatrix": 0}
         for name in counts:
             original = getattr(seeds, name)
 
@@ -203,7 +203,7 @@ class TestOrbitKeys:
             monkeypatch.setattr(seeds, name, counted)
         g = orbit(s, 2000)
         assert g.complete and len(g) == 84
-        assert counts == {"_exchanged": len(pairs), "mutate_matrix": 14 * 3}
+        assert counts == {"_exchanged": len(pairs), "ExchangeMatrix": 14 - 1}
 
     @pytest.mark.parametrize("first", [0, 1])
     @pytest.mark.parametrize("case", RELATION_PAIRS)
@@ -233,14 +233,26 @@ class TestOrbitKeys:
     def test_two_keys_for_one_seed_raise(self, monkeypatch):
         # a key step that never repeats a key admits every seed twice over
         tick = itertools.count()
-        original = seeds._mutate_key
+        original = seeds._mutate_rows
 
-        def fresh(memo, key, k):
-            B, C = original(memo, key, k)
-            return B, C + ((next(tick),) * len(C[0]),)
+        def fresh(rows, k):
+            rows = original(rows, k)
+            return rows + ((next(tick),) * len(rows[0]),)
 
-        monkeypatch.setattr(seeds, "_mutate_key", fresh)
+        monkeypatch.setattr(seeds, "_mutate_rows", fresh)
         with pytest.raises(InvariantViolation, match="built one seed"):
+            orbit(LabeledSeed.initial(fixtures.a2_matrix()), 50)
+
+    def test_a_key_step_that_breaks_the_symmetrizer_raises(self, monkeypatch):
+        # A2's symmetrizer is (1, 1); doubling row 2 of B makes it (2, 1)
+        original = seeds._mutate_rows
+
+        def doubled(rows, k):
+            rows = original(rows, k)
+            return (rows[0], tuple(2 * x for x in rows[1])) + rows[2:]
+
+        monkeypatch.setattr(seeds, "_mutate_rows", doubled)
+        with pytest.raises(InvariantViolation, match="skew-symmetrizer"):
             orbit(LabeledSeed.initial(fixtures.a2_matrix()), 50)
 
 
@@ -300,21 +312,45 @@ class TestPeriodKeys:
             find_periods(s, Permutation.identity(2), 1)
 
 
-def _reference_key_step(B: ExchangeMatrix, C: tuple, k: int) -> tuple:
-    """mutate_matrix, and the rule for C written out on its own.
+def _sgn(x: int) -> int:
+    return (x > 0) - (x < 0)
 
+
+def _reference_key_step(B: tuple, C: tuple, k: int) -> tuple:
+    """Mutation at k of the key (B, C), each rule written out on its own.
+
+    b'_ij = -b_ij when i = k or j = k, else b_ij + sgn(b_ik) [b_ik b_kj]_+;
     c'_ij = -c_ij when j = k, else c_ij + sgn(c_ik) [c_ik b_kj]_+.
     """
     a = k - 1
-    pivot = B.rows[a]
-    C = tuple(
+    n = len(B)
+    B2 = tuple(
         tuple(
-            -c if j == a else c + ((row[a] > 0) - (row[a] < 0)) * max(row[a] * b, 0)
-            for j, (c, b) in enumerate(zip(row, pivot))
+            -B[i][j] if a in (i, j) else B[i][j] + _sgn(B[i][a]) * max(B[i][a] * B[a][j], 0)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    C2 = tuple(
+        tuple(
+            -row[j] if j == a else row[j] + _sgn(row[a]) * max(row[a] * B[a][j], 0)
+            for j in range(n)
         )
         for row in C
     )
-    return mutate_matrix(B, k), C
+    return B2, C2
+
+
+def _reference_relabel(B: tuple, C: tuple, sigma: Permutation) -> tuple:
+    """Relabeling of the key (B, C) by sigma.
+
+    Entry (i, j) of the new B is b_{sigma(i) sigma(j)}, and column j of
+    the new C is column sigma(j) of C; the rows of C stay where they are.
+    """
+    labels = range(1, len(B) + 1)
+    B2 = tuple(tuple(B[sigma(i) - 1][sigma(j) - 1] for j in labels) for i in labels)
+    C2 = tuple(tuple(row[sigma(j) - 1] for j in labels) for row in C)
+    return B2, C2
 
 
 def _step_cases():
@@ -324,21 +360,50 @@ def _step_cases():
     yield pytest.param(D4, id="D4")
 
 
-class TestPlainRowStep:
-    """The key walks' step on plain rows against mutate_matrix and the C rule."""
+class TestRowRules:
+    """Every caller of the one row rule against the rules written out above."""
 
     @pytest.mark.parametrize("B", _step_cases())
-    def test_random_walks_match_mutate_matrix_and_the_c_rule(self, B):
+    def test_random_walks_with_relabelings_match_the_reference(self, B):
+        n = B.n
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        sigmas = list(all_permutations(n))
         rng = random.Random(str(B.rows))
         for _ in range(20):
+            ref = B.rows, identity
             side = periodicity._principal_side(B)
-            key = seeds._principal_key(B)
+            rows = exchange._principal_rows(B)
+            matrix = B
+            assert side[0] == rows == ref[0] + ref[1]
             for _ in range(12):
-                k = rng.randint(1, B.n)
+                k = rng.randint(1, n)
+                ref = _reference_key_step(*ref, k)
                 side = periodicity._side_step(side, k)
-                key = _reference_key_step(*key, k)
-                assert side[0] == key[0].rows + key[1]
-                assert side[2] == key[0].symmetrizer
+                rows = seeds._mutate_rows(rows, k)
+                matrix = mutate_matrix(matrix, k)
+                if rng.random() < 0.5:
+                    sigma = rng.choice(sigmas)
+                    ref = _reference_relabel(*ref, sigma)
+                    rows = seeds._permute_rows(rows, sigma)
+                    matrix = matrix.permute(sigma)
+                    # a walk state never relabels: restart it from the
+                    # reference, with the rows of H = C^-1 and of d moved
+                    # as the labels move
+                    _, H, d = side
+                    side = (
+                        ref[0] + ref[1],
+                        tuple(H[i - 1] for i in sigma.images),
+                        tuple(d[i - 1] for i in sigma.images),
+                    )
+                assert matrix.rows == ref[0]
+                assert rows == side[0] == ref[0] + ref[1]
+                assert side[2] == matrix.symmetrizer
+                C, H = ref[1], side[1]
+                assert all(
+                    sum(C[i][m] * H[m][j] for m in range(n)) == (i == j)
+                    for i in range(n)
+                    for j in range(n)
+                )
 
     def test_a_wrong_symmetrizer_is_refused(self):
         # B2's symmetrizer is (2, 1); mutation keeps it, so (1, 1) fails
