@@ -400,7 +400,7 @@ class ProbeResult:
         ident = Permutation.identity(s.rank)
         return (
             is_sigma_period(s.matrix, self.witness, ident).holds
-            and _return_power(s.matrix, self.witness, self.powers_checked) is None
+            and _return_power(s, self.witness, self.powers_checked) is None
         )
 
 
@@ -470,6 +470,6 @@ def automorphism_finiteness_probe(s: LabeledSeed, budget: int) -> ProbeResult:
     for word in candidates:
         if not is_sigma_period(B, word, ident).holds:
             raise InvariantViolation("constructed witness is not a matrix period")
-        if _return_power(B, word, budget) is None:
+        if _return_power(s, word, budget) is None:
             return ProbeResult("infinite", word, budget, budget)
     return ProbeResult("unknown", None, budget, budget)

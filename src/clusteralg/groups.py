@@ -1,11 +1,11 @@
 """Group machinery over mutation periodicity.
 
-Membership tests for the mutation-periodic groups, enumeration of
-strict and direct automorphism groups, the permutation-periodic groups
-L and P, and equivariant bijections of a closed orbit together with its
-sign-fixing subgroup W.  SAut+, P and Aut+ are all read off one
-mutation-only orbit, and L off the matrix mutation class; only the
-equivariant bijections need the orbit closed under relabeling too.
+Enumeration of strict and direct automorphism groups, the
+permutation-periodic groups L and P, and equivariant bijections of a
+closed orbit together with its sign-fixing subgroup W.  SAut+, P and
+Aut+ are all read off one mutation-only orbit, and L off the matrix
+mutation class; only the equivariant bijections need the orbit closed
+under relabeling too.
 
 Cardinalities are never guessed: every order is either an exact integer
 from a closed enumeration (or, for L and P at rank 2, the rank-2 rules)
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .errors import InvariantViolation
 from .exchange import (
@@ -28,28 +27,8 @@ from .exchange import (
     all_permutations,
     matrix_mutation_class,
 )
-from .periodicity import is_sigma_period
 from .seeds import LabeledSeed, OrbitGraph, apply_sequence, orbit, permute_seed
 from .symbolic import LaurentPoly
-
-
-def in_G(B: ExchangeMatrix, seq: Sequence[int]) -> bool:
-    """Is seq a period of the exchange matrix?"""
-    return is_sigma_period(B, seq, Permutation.identity(B.n)).holds
-
-
-def in_H(s: LabeledSeed, seq: Sequence[int]) -> bool:
-    """Is seq a period of the labeled seed?"""
-    return is_sigma_period(s, seq, Permutation.identity(s.rank)).holds
-
-
-def same_saut_element(s: LabeledSeed, i: Sequence[int], j: Sequence[int]) -> bool:
-    """Do two matrix-period sequences act identically on the cluster?"""
-    if not in_G(s.matrix, i):
-        raise ValueError("first sequence is not a matrix period")
-    if not in_G(s.matrix, j):
-        raise ValueError("second sequence is not a matrix period")
-    return apply_sequence(s, i).cluster == apply_sequence(s, j).cluster
 
 
 @dataclass(frozen=True)
@@ -102,17 +81,6 @@ def _saut_from_orbit(s: LabeledSeed, graph: OrbitGraph, budget: int) -> SautEnum
                 raise InvariantViolation("mutation-only orbit produced a relabeling")
             elements.append(StrictAutomorphism(t.cluster, word))
     return SautEnumeration(elements, graph.complete, len(graph), budget)
-
-
-def compose_strict(
-    s: LabeledSeed, a: StrictAutomorphism, b: StrictAutomorphism
-) -> StrictAutomorphism:
-    """Group law on witnesses: concatenate and re-verify."""
-    word = a.witness + b.witness
-    image = apply_sequence(s, word)
-    if image.matrix != s.matrix:
-        raise InvariantViolation("composite witness does not preserve the matrix")
-    return StrictAutomorphism(image.cluster, word)
 
 
 @dataclass

@@ -5,24 +5,28 @@ mutated target by sigma gives T back: permute(apply(T, i), sigma) == T.
 The same predicate drives period searches, the bipartite belt, the
 restriction/extension harness, and the period-set distinguisher.
 
-Seed searches (seed find_periods, the distinguisher) and the seed
-predicate walk integer principal-coefficient keys [B; C] instead of
-seeds (see exchange._principal_rows): by synchronicity a seed returns
-along a sequence exactly when its key does.  A key walk carries [B; C]
-as 2n plain integer rows stepped by exchange._mutate_rows, the rule of
-mutate_matrix, and builds no ExchangeMatrix; each step checks the new B
-against the root's symmetrizer, as mutate_matrix does.  So a seed
-is_sigma_period answers "no" from the key alone, with no seed mutated,
-and Laurent arithmetic is spent only on the exact replay of a "yes" and
-of what a search reports.
+Every walk here (find_periods, is_sigma_period, the distinguisher)
+runs on plain integer rows stepped by exchange._mutate_rows, the rule
+of mutate_matrix, and builds no ExchangeMatrix; each step checks the
+new B against the root's symmetrizer, as mutate_matrix does.  A matrix
+walks the n rows of B, which are the matrix.  A seed walks the 2n rows
+of its principal-coefficient key [B; C] (see exchange._principal_rows):
+by synchronicity a seed returns along a sequence exactly when its key
+does.  The type of the target is read only for the walk's start and
+the report's kind.  So is_sigma_period answers "no" from the rows
+alone, with nothing mutated, and every "yes" it gives and every period
+a search reports is first replayed exactly on the target: Laurent
+arithmetic for a seed, mutate_matrix for a matrix.  A matrix replay
+repeats the walk's integer rule through the validating constructor, so
+it checks the walk's goal and bookkeeping, not the rule itself.
 
-These key walks also carry H = C^-1, whose rows are the g-vectors by
-tropical duality (Nakanishi-Zelevinsky, arXiv:1101.3736).  Mutation at
-k rewrites row k of H only, a step that rests on the sign coherence of
-the c-vectors (Gross-Hacking-Keel-Kontsevich, arXiv:1411.1394).  So a
-key whose H differs from the goal's in d rows needs at least d more
-letters to return, and the walks skip every subtree where no return
-fits in the letters left.  A skipped subtree holds no hit, so the
+The key walks of seeds also carry H = C^-1, whose rows are the
+g-vectors by tropical duality (Nakanishi-Zelevinsky, arXiv:1101.3736).
+Mutation at k rewrites row k of H only, a step that rests on the sign
+coherence of the c-vectors (Gross-Hacking-Keel-Kontsevich,
+arXiv:1411.1394).  So a key whose H differs from the goal's in d rows
+needs at least d more letters to return, and the walks skip every
+subtree where no return fits in the letters left.  A skipped subtree holds no hit, so the
 outputs and their order are those of the full walk.
 """
 
@@ -59,26 +63,26 @@ class PeriodReport:
 def is_sigma_period(target: Target, seq: Sequence[int], sigma: Permutation) -> PeriodReport:
     """Does mutating along seq return target up to relabeling by sigma?
 
-    A seed is decided on its principal-coefficient key first.  When the
-    key does not reach the hit of _seed_periods the answer is no, exact
-    by synchronicity, and no seed is mutated: this holds for a subseed
-    too, even one whose exchange relations are not Laurent.  When it
-    does, the answer is the exact Laurent replay, and a replay that
-    disagrees with the key raises InvariantViolation.
+    The answer is read off the rows of the walk from the target (see
+    _principal_side): a matrix's B, a seed's key [B; C].  When the rows
+    do not reach the goal of find_periods the answer is no, and nothing
+    is mutated.  For a seed that "no" is exact by synchronicity, and it
+    holds for a subseed too, even one whose exchange relations are not
+    Laurent.  When the rows do reach the goal, the answer is the exact
+    replay target.apply(seq).permute(sigma) == target, and a replay that
+    disagrees with the rows raises InvariantViolation.
     """
     seq = validate_sequence(seq, target.rank)
     _require_permutation(sigma, target.rank)
-    if isinstance(target, LabeledSeed):
-        goal = _seed_goal(target.matrix, sigma)
-        side = _principal_side(target.matrix)
-        for k in seq:
-            side = _side_step(side, k)
-        if side[0] != goal:
-            return PeriodReport(seq, sigma, "seed-period", False)
-        if target.apply(seq).permute(sigma) != target:
-            raise InvariantViolation(f"key period {seq} failed its exact replay")
-        return PeriodReport(seq, sigma, "seed-period", True)
-    return PeriodReport(seq, sigma, "matrix-period", target.apply(seq).permute(sigma) == target)
+    kind = "seed-period" if isinstance(target, LabeledSeed) else "matrix-period"
+    side = start = _principal_side(target)
+    for k in seq:
+        side = _side_step(side, k)
+    if side[0] != _permute_rows(start[0], sigma.inverse()):
+        return PeriodReport(seq, sigma, kind, False)
+    if target.apply(seq).permute(sigma) != target:
+        raise InvariantViolation(f"row period {seq} failed its exact replay")
+    return PeriodReport(seq, sigma, kind, True)
 
 
 def find_periods(
@@ -89,64 +93,32 @@ def find_periods(
 ) -> list[tuple[int, ...]]:
     """All nonempty sigma-periods of length <= max_len, sorted by (length, lex).
 
-    The search shares mutation prefixes, so the cost is one mutation per
-    visited sequence node.  The empty sequence (a period of anything
-    when sigma is the identity) is never listed.  A seed is walked on
-    its principal-coefficient keys (see exchange._principal_rows), plain
-    integer rows with no ExchangeMatrix per node; each sequence they
-    return is replayed exactly on the seed before it is listed, and
-    replays share prefixes too.
-    The seed walk carries the g-vector rows H = C^-1 and skips every
-    subtree whose H differs from the goal's in more rows than it has
-    letters left; a matrix is walked in full, each node compared with
-    the one goal target.permute(sigma^-1).
+    The empty sequence (a period of anything when sigma is the identity)
+    is never listed.  The walk runs on plain integer rows with no
+    ExchangeMatrix per node (see _principal_side): a matrix's B, a
+    seed's key [B; C].  A sequence is a hit when its rows, relabeled by
+    sigma, are the target's rows: when they are the target's rows
+    relabeled by sigma^-1.  The walk shares mutation prefixes, so it
+    costs one row step per visited sequence node, and each hit is
+    replayed exactly on the target before it is listed; replays share
+    prefixes too.  A seed's walk also carries the g-vector rows H = C^-1
+    and skips every subtree whose H differs from the goal's in more rows
+    than it has letters left; a matrix's walk visits every sequence.
     """
     _require_count("max_len", max_len, 0)
     _require_permutation(sigma, target.rank)
-    if isinstance(target, LabeledSeed):
-        found = _seed_periods(target, sigma, max_len, essential_only)
-    else:
-        goal = target.permute(sigma.inverse())
-        found = [
-            seq
-            for seq, state in _walk(
-                target, target.rank, max_len, lambda t, k: t.mutate(k), essential_only
-            )
-            if state == goal
-        ]
-    return sorted(found, key=lambda t: (len(t), t))
-
-
-def _seed_goal(B: ExchangeMatrix, sigma: Permutation) -> tuple:
-    """The rows of the key [B'; C] that relabeling by sigma sends to [B; I].
-
-    Relabeling sends B' to B exactly when B' = B.permute(sigma^-1), and
-    C to I exactly when c_ij = [j = sigma(i)]: that is [B; I] relabeled
-    by sigma^-1.
-    """
-    return _permute_rows(_principal_rows(B), sigma.inverse())
-
-
-def _seed_periods(
-    s: LabeledSeed, sigma: Permutation, max_len: int, essential_only: bool
-) -> list[tuple[int, ...]]:
-    """Sequences whose key [B; C], relabeled by sigma, is the root key [B0; I]."""
-    goal = _seed_goal(s.matrix, sigma)
-    # the goal's C is a permutation matrix, so its inverse is its transpose
-    goal_h = tuple(zip(*goal[s.rank :]))
+    n = target.rank
+    start = _principal_side(target)
+    goal = _permute_rows(start[0], sigma.inverse())
+    # a seed goal's C is a permutation matrix, so its inverse is its transpose
+    goal_h = tuple(zip(*goal[n:]))
+    bound = None if start[1] is None else lambda side: _rows_apart(side[1], goal_h)
     found: list[tuple[int, ...]] = []
-    # trail[i] is the seed after the first i letters of the last replayed
+    # trail[i] is the target after the first i letters of the last replayed
     # period; hits come in walk order, so a replay starts where it leaves
     # the previous one and no walk node is mutated twice
-    trail = [s]
-    walk = _walk(
-        _principal_side(s.matrix),
-        s.rank,
-        max_len,
-        _side_step,
-        essential_only,
-        bound=lambda side: _rows_apart(side[1], goal_h),
-    )
+    trail = [target]
+    walk = _walk(start, n, max_len, _side_step, essential_only, bound=bound)
     for seq, (rows, _, _) in walk:
         if rows == goal:
             last = found[-1] if found else ()
@@ -156,10 +128,10 @@ def _seed_periods(
             del trail[keep + 1 :]
             for k in seq[keep:]:
                 trail.append(trail[-1].mutate(k))
-            if trail[-1].permute(sigma) != s:
-                raise InvariantViolation(f"key period {seq} failed its exact replay")
+            if trail[-1].permute(sigma) != target:
+                raise InvariantViolation(f"row period {seq} failed its exact replay")
             found.append(seq)
-    return found
+    return sorted(found, key=lambda t: (len(t), t))
 
 
 def _walk(
@@ -228,10 +200,14 @@ def conjugate_period(
 
 
 def subseed(s: LabeledSeed, I: Sequence[int]) -> LabeledSeed:
-    """The seed on the index subset I: restricted cluster, principal submatrix."""
-    idx = sorted(set(I))
-    if not idx or idx[0] < 1 or idx[-1] > s.rank:
-        raise ValueError(f"index subset out of range [1,{s.rank}]")
+    """The seed on the index subset I: restricted cluster, principal submatrix.
+
+    Each index is checked as a mutation index is: one that is not an
+    int raises ValueError, one out of range IndexError.
+    """
+    idx = sorted(set(validate_sequence(I, s.rank)))
+    if not idx:
+        raise ValueError("empty index subset")
     cluster = [s.cluster[p - 1] for p in idx]
     sub = [[s.matrix.rows[p - 1][q - 1] for q in idx] for p in idx]
     return LabeledSeed(cluster, ExchangeMatrix(sub))
@@ -261,10 +237,14 @@ def restriction_extension_check(
     is decided like any seed (see is_sigma_period): a "no" comes from
     its key, exact by synchronicity, even when an exchange relation of
     the subseed is not Laurent; a "yes" is replayed, and on such a
-    subseed the replay raises ValueError.
+    subseed the replay raises ValueError.  A sigma that is not a
+    Permutation of the seed's rank, and an index of I or seq that is not
+    an int in range, are refused before anything is computed.
     """
-    idx = sorted(set(I))
-    seq = tuple(seq)
+    _require_permutation(sigma, full_seed.rank)
+    seq = validate_sequence(seq, full_seed.rank)
+    idx = sorted(set(validate_sequence(I, full_seed.rank)))
+    sub = subseed(full_seed, idx)
     inside = set(idx)
     if any(k not in inside for k in seq):
         raise ValueError("sequence leaves the index subset")
@@ -279,7 +259,6 @@ def restriction_extension_check(
     seq_local = tuple(local[k] for k in seq)
     sigma_local = Permutation([local[sigma(p)] for p in idx])
 
-    sub = subseed(full_seed, idx)
     full_seed_p = is_sigma_period(full_seed, seq, sigma).holds
     rest_seed_p = is_sigma_period(sub, seq_local, sigma_local).holds
     full_mat_p = is_sigma_period(full_seed.matrix, seq, sigma).holds
@@ -384,7 +363,7 @@ def period_set_distinguisher(
     _require_count("depth", depth, 0)
     _require_count("period_len", period_len, 0)
     n = s1.rank
-    roots = (_principal_side(s1.matrix), _principal_side(s2.matrix))
+    roots = (_principal_side(s1), _principal_side(s2))
     for length in range(depth + 1):
         walk = _walk(roots, n, length, _mutate_pair) if length else [((), roots)]
         for conj, sides in walk:
@@ -399,13 +378,17 @@ def period_set_distinguisher(
     return None
 
 
-def _principal_side(B: ExchangeMatrix) -> tuple:
-    """The root's walk state: the 2n rows of its key [B; I], H = I, and d.
+def _principal_side(target: Target) -> tuple:
+    """The walk state at target: its rows, H and d.
 
-    d is the symmetrizer of B, which every mutation keeps.
+    A seed's rows are the 2n rows of its key [B; I], with H = I; a
+    matrix's are the n rows of B, with no H (None).  d is the
+    symmetrizer of B, which every mutation keeps.
     """
-    rows = _principal_rows(B)
-    return rows, rows[B.n :], B.symmetrizer
+    if isinstance(target, LabeledSeed):
+        rows = _principal_rows(target.matrix)
+        return rows, rows[target.rank :], target.matrix.symmetrizer
+    return target.rows, None, target.symmetrizer
 
 
 def _mutate_pair(sides: tuple, k: int) -> tuple:
@@ -415,9 +398,10 @@ def _mutate_pair(sides: tuple, k: int) -> tuple:
 def _side_step(side: tuple, k: int) -> tuple:
     """A walk state mutated at k, on plain integer rows.
 
-    The rows of [B; C] follow exchange._mutate_rows.  As in
-    mutate_matrix, the new B must keep the root's symmetrizer,
-    d_i b'_ij = -d_j b'_ji, or the step raises.
+    The rows, of B or of [B; C], follow exchange._mutate_rows, and H,
+    when the state carries it, follows _mutate_h.  As in mutate_matrix,
+    the new B must keep the root's symmetrizer, d_i b'_ij = -d_j b'_ji,
+    or the step raises.
     """
     rows, H, d = side
     new = _mutate_rows(rows, k)
@@ -426,7 +410,7 @@ def _side_step(side: tuple, k: int) -> tuple:
         for j in range(i + 1, len(d)):
             if di * row[j] != -d[j] * new[j][i]:
                 raise InvariantViolation("mutation broke the skew-symmetrizer")
-    return new, _mutate_h(rows, H, k), d
+    return new, None if H is None else _mutate_h(rows, H, k), d
 
 
 def _mutate_h(rows: tuple, H: tuple, k: int) -> tuple:
@@ -485,17 +469,17 @@ def tropical_period_filter(t: LabeledSeed, seq: Sequence[int]) -> bool:
     period of t.  By synchronicity True is exact as well, though
     is_sigma_period still replays it.
     """
-    return _return_power(t.matrix, seq, 1) == 1
+    return _return_power(t, seq, 1) == 1
 
 
-def _return_power(B: ExchangeMatrix, word: Sequence[int], most: int) -> int | None:
-    """The least p <= most at which the key [B; I] is back after word^p, else None.
+def _return_power(t: LabeledSeed, word: Sequence[int], most: int) -> int | None:
+    """The least p <= most at which the key of t is back after word^p, else None.
 
-    By synchronicity this is the least power of word that returns a seed
-    with matrix B, read off integer keys with no Laurent arithmetic.
+    By synchronicity this is the least power of word that returns t,
+    read off integer keys with no Laurent arithmetic.
     """
-    word = validate_sequence(word, B.n)
-    start = side = _principal_side(B)
+    word = validate_sequence(word, t.rank)
+    start = side = _principal_side(t)
     for p in range(1, most + 1):
         for k in word:
             side = _side_step(side, k)

@@ -50,11 +50,6 @@ def format_sequence(seq: Sequence[int]) -> str:
     return ",".join(str(k) for k in seq)
 
 
-def is_essential(seq: Sequence[int]) -> bool:
-    """No two consecutive entries equal."""
-    return all(a != b for a, b in zip(seq, seq[1:]))
-
-
 def inverse_sequence(seq: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(seq))
 

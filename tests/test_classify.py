@@ -315,7 +315,7 @@ class TestFinitenessProbe:
         # (1, 2, 3) is a matrix period of A3 whose sixth power returns the
         # seed: a result claiming more powers than that fails its replay
         s = LabeledSeed.initial(a3_path_matrix())
-        assert _return_power(s.matrix, (1, 2, 3), 8) == 6
+        assert _return_power(s, (1, 2, 3), 8) == 6
         assert ProbeResult("infinite", (1, 2, 3), 5, 5).replay(s)
         assert not ProbeResult("infinite", (1, 2, 3), 6, 6).replay(s)
         assert not ProbeResult("infinite", (1, 2), 1, 1).replay(s)
@@ -339,7 +339,7 @@ class TestFinitenessProbe:
                 if t == s:
                     least = p
                     break
-            assert _return_power(B, w, most) == least, w
+            assert _return_power(s, w, most) == least, w
 
     @pytest.mark.parametrize("fixture", [markov_matrix, weighted_path3_matrix])
     def test_one_class_walk(self, fixture, monkeypatch):

@@ -21,40 +21,16 @@ from clusteralg.fixtures import (
 )
 from clusteralg.groups import (
     GroupSummary,
-    compose_strict,
     compute_L_P,
     enumerate_aut_plus,
     enumerate_saut_plus,
     equivariant_automorphisms,
-    in_G,
-    in_H,
-    same_saut_element,
 )
 from clusteralg.seeds import LabeledSeed, orbit
 
 
 def a2_seed() -> LabeledSeed:
     return LabeledSeed.initial(a2_matrix())
-
-
-class TestMembership:
-    def test_in_G(self):
-        assert in_G(a2_matrix(), (1, 2))
-        assert not in_G(a2_matrix(), (1,))
-
-    def test_in_H_needs_full_return(self):
-        ten = (1, 2, 1, 2, 1, 2, 1, 2, 1, 2)
-        assert in_H(a2_seed(), ten)
-        assert not in_H(a2_seed(), (1, 2))
-
-    def test_same_saut_element(self):
-        ten = (1, 2, 1, 2, 1, 2, 1, 2, 1, 2)
-        assert same_saut_element(a2_seed(), ten, ())
-        assert not same_saut_element(a2_seed(), (1, 2), ())
-
-    def test_same_saut_element_rejects_non_matrix_period(self):
-        with pytest.raises(ValueError):
-            same_saut_element(a2_seed(), (1,), ())
 
 
 class TestSautEnumeration:
@@ -74,13 +50,6 @@ class TestSautEnumeration:
         e = enumerate_saut_plus(LabeledSeed.initial(kronecker_matrix(2)), budget=9)
         assert not e.complete and e.order is None
         assert e.elements  # the identity at least
-
-    def test_compose_strict(self):
-        e = enumerate_saut_plus(a2_seed(), budget=100)
-        nontrivial = next(el for el in e.elements if el.witness)
-        c = compose_strict(a2_seed(), nontrivial, nontrivial)
-        images = {el.image_cluster for el in e.elements}
-        assert c.image_cluster in images
 
     def test_decomposable_rejected(self):
         with pytest.raises(DecomposableMatrix):

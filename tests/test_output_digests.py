@@ -2,7 +2,9 @@
 
 Orbit dumps, witness words and edge tables, the Aut+ records and the
 seed period lists of A3, B3, A4 and D4, and the distinguisher witnesses
-on the reference grid, are serialized and hashed.  The orbit and Aut+
+on the reference grid, are serialized and hashed.  The matrix period
+lists and the finiteness probe results were pinned before matrix period
+walks left ExchangeMatrix objects for integer rows.  The orbit and Aut+
 digests were taken before the per-search exchange memo went into
 `seeds.orbit`, the period and witness digests before the seed key walks
 carried H = C^-1 and pruned on it.  The matrix class, classification,
@@ -19,7 +21,12 @@ import hashlib
 import pytest
 
 from clusteralg import fixtures
-from clusteralg.classify import classify, is_finite_mutation_type, is_finite_type
+from clusteralg.classify import (
+    automorphism_finiteness_probe,
+    classify,
+    is_finite_mutation_type,
+    is_finite_type,
+)
 from clusteralg.exchange import (
     ExchangeMatrix,
     Permutation,
@@ -72,6 +79,14 @@ PERIOD_DIGESTS = {
     "D4": "2220f3f4b8c2170df69d67e7f308e650666caab5034d6eaf6065a02d04a04518",
 }
 PERIOD_LEN = 6
+# sigma-periods to length 6 of each exchange matrix, for every sigma,
+# essential words only and all words
+MATRIX_PERIOD_DIGESTS = {
+    "A3": "f03a7ed3a067f21fc8bb31dd7c5d59a97ba03de20452c851ca33018d99afefee",
+    "B3": "f73802a77ea9d5fbf7c129c8b438bcd458e5be903d0caff064da9749ce363991",
+    "A4": "cba6fdf5f76d3356fc6890539648d325b988d52e0027a3ad8f180971c16974ab",
+    "D4": "8f5fe66e2f3ab9ac055d1100f859f4a131ce5356387720c273ff8b6db37bf2bc",
+}
 # the grid of the Laurent reference distinguisher: every relabeling at
 # rank 2; at rank 3 the identity and a 3-cycle
 DISTINGUISHER_PAIRS = {
@@ -186,6 +201,22 @@ def test_seed_period_lists_are_pinned(name):
     assert _digest(_period_lines(name)) == PERIOD_DIGESTS[name]
 
 
+def _matrix_period_lines(name: str) -> list[str]:
+    B = FAMILIES[name]
+    lines = []
+    for sigma in all_permutations(B.n):
+        for essential_only in (True, False):
+            found = find_periods(B, sigma, PERIOD_LEN, essential_only)
+            lines.append(f"{sigma.images} {essential_only} {len(found)}")
+            lines += [format_sequence(seq) for seq in found]
+    return lines
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_matrix_period_lists_are_pinned(name):
+    assert _digest(_matrix_period_lines(name)) == MATRIX_PERIOD_DIGESTS[name]
+
+
 @pytest.mark.parametrize("pair", DISTINGUISHER_PAIRS)
 def test_distinguisher_witnesses_are_pinned(pair):
     assert _digest(_distinguisher_lines(*DISTINGUISHER_PAIRS[pair])) == DISTINGUISHER_DIGESTS[pair]
@@ -231,6 +262,33 @@ CLASSIFY_DIGESTS = {
     "markov": "cdfa6b1c144297121f3f8f43c3392947682fb79b204fd53326bd434539cda314",
     "rank4-v1": "924d078f14a4baeefc18e52932f7a028d83d53b4af7a33e3083243632900509e",
     "weighted-path3": "1f802c36e32d9d2f3defa5cbc5940fc5a7d6b28f9fafcef0a00d92d6bb50c6df",
+}
+# the finiteness probe on the matrix class cases and on four infinite
+# rank-3 fixtures, at the classification budgets; its candidates are
+# matrix periods, found by find_periods and checked by is_sigma_period
+PROBE_CASES = {
+    **MATRIX_CLASS_CASES,
+    "kronecker3": fixtures.kronecker_matrix(3),
+    "acyclic(1,1,2)": fixtures.acyclic_triangle(1, 1, 2),
+    "cyclic(1,1,2)": fixtures.cyclic_triangle(1, 1, 2),
+    "fork-chord(1,1,2)": fixtures.fork_chord_triangle(1, 1, 2),
+}
+PROBE_DIGESTS = {
+    "A2": "d310e6053fa7f2cf1c90509cc59b900bead87b33f8bd101e9f6537ca938ceed4",  # finite
+    "A3": "4c1b1a722dbaebf7c8a2c890c867d9700f2e4a9d0d2abb79fb005029f48e80f8",  # finite
+    "B2": "d310e6053fa7f2cf1c90509cc59b900bead87b33f8bd101e9f6537ca938ceed4",  # finite
+    "G2": "d310e6053fa7f2cf1c90509cc59b900bead87b33f8bd101e9f6537ca938ceed4",  # finite
+    "kronecker": "2b059bbaa81e1a3b348148b02c38bb2648b2c6da99d69fc7fc89287bf63d5bfc",  # (1,2)
+    "markov": "2b059bbaa81e1a3b348148b02c38bb2648b2c6da99d69fc7fc89287bf63d5bfc",  # (1,2)
+    "rank4-v1": "aeb8bb06878f3788684983de7f4f2bb71ab573ad2664297a9202a926b527cc1e",  # (1,2,4,3)
+    "weighted-path3": "f5e69397414384085ada6d9edaf4129e4c3c14a259bb6557fe60824e7d22b212",  # (1,2,3)
+    "B3": "d8a6008317be4e16f938d0b70ab793ffe9a19b4f0b251821c22b920b663955ab",  # finite
+    "A4": "4c1b1a722dbaebf7c8a2c890c867d9700f2e4a9d0d2abb79fb005029f48e80f8",  # finite
+    "D4": "4c1b1a722dbaebf7c8a2c890c867d9700f2e4a9d0d2abb79fb005029f48e80f8",  # finite
+    "kronecker3": "2b059bbaa81e1a3b348148b02c38bb2648b2c6da99d69fc7fc89287bf63d5bfc",  # (1,2)
+    "acyclic(1,1,2)": "f5e69397414384085ada6d9edaf4129e4c3c14a259bb6557fe60824e7d22b212",  # (1,2,3)
+    "cyclic(1,1,2)": "a23a4eb7714547722c4e2ae83ea9addfd0ab61137d6c9bf3d9aeeab6a2b826b0",  # (1,3)
+    "fork-chord(1,1,2)": "6390496da4315e475002ca382e0d61e08ff4cbc36c7373b0d92894fadafab286",  # (1,3,2)
 }
 # the relabeling orbits of A3 and B3, from the initial seed and after (1, 2)
 EQUIVARIANT_DIGESTS = {
@@ -278,6 +336,11 @@ def _classify_lines(B: ExchangeMatrix) -> list[str]:
     return lines
 
 
+def _probe_lines(B: ExchangeMatrix) -> list[str]:
+    s = LabeledSeed.initial(B)
+    return [repr(automorphism_finiteness_probe(s, budget)) for budget in CLASSIFY_BUDGETS]
+
+
 def _equivariant_lines(case: str) -> list[str]:
     r = equivariant_automorphisms(_orbit_of(case))
     lines = [f"orbit {r.orbit_size} aut_A {r.aut_A_order} kp {r.kp_identity} W {r.w_indices}"]
@@ -293,6 +356,11 @@ def test_matrix_classes_are_pinned(name):
 @pytest.mark.parametrize("name", CLASS_FIXTURES)
 def test_classifications_are_pinned(name):
     assert _digest(_classify_lines(CLASS_FIXTURES[name])) == CLASSIFY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", PROBE_CASES)
+def test_finiteness_probes_are_pinned(name):
+    assert _digest(_probe_lines(PROBE_CASES[name])) == PROBE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("case", EQUIVARIANT_DIGESTS)

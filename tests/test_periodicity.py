@@ -45,7 +45,7 @@ from clusteralg.periodicity import (
     subseed,
     tropical_period_filter,
 )
-from clusteralg.seeds import LabeledSeed, apply_sequence, is_essential, orbit, permute_seed
+from clusteralg.seeds import LabeledSeed, apply_sequence, orbit, permute_seed
 
 
 def a2_seed() -> LabeledSeed:
@@ -134,6 +134,21 @@ class TestSigmaPeriods:
         assert is_sigma_period(a2_matrix(), (1, 2), ident).holds
         assert not is_sigma_period(a2_seed(), (1, 2), ident).holds
 
+    @pytest.mark.parametrize(
+        "B", [a2_matrix(), b2_matrix(), a3_path_matrix(), cyclic_triangle(1, 1, 2)],
+        ids=["A2", "B2", "A3", "cyclic(1,1,2)"],
+    )
+    def test_a_matrix_no_mutates_nothing_and_a_yes_replays_once(self, B, matrix_mutations):
+        # the rows of B answer; only a "yes" builds matrices, for its replay
+        holds = 0
+        for w in _words(B.n, 4):
+            for sigma in all_permutations(B.n):
+                before = len(matrix_mutations)
+                report = is_sigma_period(B, w, sigma)
+                holds += report.holds
+                assert len(matrix_mutations) - before == (len(w) if report.holds else 0)
+        assert holds
+
     def test_weighted_rank2_identity_period(self):
         # w = 2: the alternating period has length 6 and no relabeling
         ident = Permutation.identity(2)
@@ -156,6 +171,22 @@ class TestFindPeriods:
         ident = Permutation.identity(2)
         found = find_periods(a2_matrix(), ident, max_len=2, essential_only=False)
         assert (1, 1) in found and (2, 2) in found
+
+    @pytest.mark.parametrize(
+        "B", [a2_matrix(), a3_path_matrix(), a4_path_matrix(), rank4_v1_matrix()],
+        ids=["A2", "A3", "A4", "rank4-v1"],
+    )
+    @pytest.mark.parametrize("essential_only", [True, False])
+    def test_a_matrix_walk_mutates_only_for_its_replays(self, B, essential_only, matrix_mutations):
+        # the walk steps the rows of B; each hit is replayed along the
+        # shared-prefix trail, one mutate_matrix per distinct prefix
+        sigmas = [Permutation.identity(B.n), Permutation.transposition(B.n, 1, 2)]
+        for sigma in sigmas:
+            del matrix_mutations[:]
+            found = find_periods(B, sigma, 5, essential_only)
+            prefixes = {seq[:i] for seq in found for i in range(1, len(seq) + 1)}
+            assert len(matrix_mutations) == len(prefixes), sigma
+        assert found
 
     @pytest.mark.parametrize("max_len", [0, 2])
     def test_sigma_of_the_wrong_degree_is_refused(self, max_len):
@@ -238,11 +269,12 @@ class TestSeedPredicate:
                 assert is_sigma_period(t, w, sigma).holds == holds, (w, sigma)
                 assert len(seed_mutations) - before == (len(w) if holds else 0), (w, sigma)
 
-    def test_a_key_that_fakes_a_return_fails_its_replay(self, monkeypatch):
-        # a key step that stays put makes every sequence return
+    @pytest.mark.parametrize("target", [a2_matrix(), a2_seed()], ids=["matrix", "seed"])
+    def test_a_key_that_fakes_a_return_fails_its_replay(self, target, monkeypatch):
+        # a row step that stays put makes every sequence return
         monkeypatch.setattr(periodicity, "_side_step", lambda side, k: side)
         with pytest.raises(InvariantViolation, match="failed its exact replay"):
-            is_sigma_period(a2_seed(), (1, 2), Permutation.identity(2))
+            is_sigma_period(target, (1,), Permutation.identity(2))
 
     @pytest.mark.parametrize("seq", [(), (1, 2)])
     def test_sigma_of_the_wrong_degree_is_refused_first(
@@ -319,6 +351,23 @@ class TestSubseeds:
         with pytest.raises(ValueError, match="not Laurent"):
             restriction_extension_check(full, (1, 2, 3), (3, 3), ident)
 
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [(Permutation.identity(2), "degree does not match"), ([2, 1, 3], "is not a Permutation")],
+        ids=["degree-2", "list"],
+    )
+    def test_restriction_check_refuses_a_bad_sigma_first(self, sigma, message, seed_mutations):
+        s = LabeledSeed.initial(a3_path_matrix())
+        with pytest.raises(ValueError, match=message):
+            restriction_extension_check(s, (1, 2), (1, 2), sigma)
+        assert seed_mutations == []
+
+    @pytest.mark.parametrize("index", [True, 1.0], ids=["bool", "float"])
+    def test_subseed_refuses_an_index_that_is_not_an_int(self, index):
+        # True would otherwise be read as the index 1
+        with pytest.raises(ValueError, match=f"{index} is not an integer"):
+            subseed(LabeledSeed.initial(a3_path_matrix()), (index, 2))
+
     def test_sequence_must_stay_inside(self):
         s = LabeledSeed.initial(a3_path_matrix())
         with pytest.raises(ValueError):
@@ -380,7 +429,7 @@ def _min_exponent_filter(t: LabeledSeed, seq) -> bool:
 
 
 def _essential_words(n: int, max_len: int):
-    return [w for w in _words(n, max_len) if is_essential(w)]
+    return [w for w in _words(n, max_len) if all(a != b for a, b in zip(w, w[1:]))]
 
 
 class TestTropicalFilter:
@@ -622,7 +671,7 @@ def _product(X: tuple, Y: tuple) -> tuple:
 
 def _side_walk(B, max_len: int) -> dict:
     """{seq: (rows, H, d)} for every essential word to max_len from [B; I], the root too."""
-    root = periodicity._principal_side(B)
+    root = periodicity._principal_side(LabeledSeed.initial(B))
     nodes = {(): root}
     nodes.update(_walk(root, B.n, max_len, periodicity._side_step))
     return nodes
@@ -715,7 +764,7 @@ class TestKeyWalkBound:
     def test_a_mixed_sign_column_of_c_is_refused(self, side):
         # no walk builds such a key: c-vectors are sign-coherent
         B = a2_matrix()
-        good = periodicity._principal_side(B)
+        good = periodicity._principal_side(LabeledSeed.initial(B))
         C = ((1, 0), (-1, 1))
         bad = (B.rows + C, ((1, 0), (1, 1)), B.symmetrizer)
         sides = (bad, good) if side == 0 else (good, bad)

@@ -304,12 +304,16 @@ class TestPeriodKeys:
         assert found == [(1,) * m for m in range(2, 201, 2)]
         assert len(calls) == 200
 
-    def test_a_false_key_hit_fails_its_replay(self, monkeypatch):
-        # a key step that stays at the root makes every sequence a hit
+    @pytest.mark.parametrize(
+        "target",
+        [fixtures.a2_matrix(), LabeledSeed.initial(fixtures.a2_matrix())],
+        ids=["matrix", "seed"],
+    )
+    def test_a_false_key_hit_fails_its_replay(self, target, monkeypatch):
+        # a row step that stays at the root makes every sequence a hit
         monkeypatch.setattr(periodicity, "_side_step", lambda side, k: side)
-        s = LabeledSeed.initial(fixtures.a2_matrix())
         with pytest.raises(InvariantViolation, match="failed its exact replay"):
-            find_periods(s, Permutation.identity(2), 1)
+            find_periods(target, Permutation.identity(2), 1)
 
 
 def _sgn(x: int) -> int:
@@ -371,7 +375,7 @@ class TestRowRules:
         rng = random.Random(str(B.rows))
         for _ in range(20):
             ref = B.rows, identity
-            side = periodicity._principal_side(B)
+            side = periodicity._principal_side(LabeledSeed.initial(B))
             rows = exchange._principal_rows(B)
             matrix = B
             assert side[0] == rows == ref[0] + ref[1]
@@ -408,6 +412,6 @@ class TestRowRules:
     def test_a_wrong_symmetrizer_is_refused(self):
         # B2's symmetrizer is (2, 1); mutation keeps it, so (1, 1) fails
         B = fixtures.b2_matrix()
-        rows, H, _ = periodicity._principal_side(B)
+        rows, H, _ = periodicity._principal_side(LabeledSeed.initial(B))
         with pytest.raises(InvariantViolation, match="skew-symmetrizer"):
             periodicity._side_step((rows, H, (1, 1)), 1)

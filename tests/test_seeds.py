@@ -18,7 +18,6 @@ from clusteralg.seeds import (
     LabeledSeed,
     apply_sequence,
     inverse_sequence,
-    is_essential,
     orbit,
     parse_sequence,
     permute_seed,
@@ -44,11 +43,6 @@ class TestSequences:
         with pytest.raises(ValueError, match="comma-separated integers") as info:
             parse_sequence(text)
         assert repr(text) in str(info.value)
-
-    def test_is_essential(self):
-        assert is_essential((1, 2, 1))
-        assert not is_essential((1, 1, 2))
-        assert is_essential(())
 
 
 class TestSeedMutation:
