@@ -22,9 +22,16 @@ from .exchange import (
     _mutation_moves,
     _require_count,
     _require_indecomposable,
+    _require_index,
     matrix_mutation_class,
 )
-from .periodicity import _return_power, find_periods, is_sigma_period
+from .periodicity import (
+    _principal_side,
+    _return_power,
+    _side_step,
+    find_periods,
+    is_sigma_period,
+)
 from .seeds import LabeledSeed, inverse_sequence
 
 
@@ -38,6 +45,13 @@ class BoundWitness:
     product: int
 
     def replay(self, B: ExchangeMatrix, bound: int) -> bool:
+        """Whether the pair (i, j) of B.apply(sequence) has the product, over bound.
+
+        i and j are checked as mutation indices are: one that is not an
+        int raises ValueError, one out of range IndexError.
+        """
+        _require_index(self.i, B.n)
+        _require_index(self.j, B.n)
         M = B.apply(self.sequence)
         value = abs(M.entry(self.i, self.j) * M.entry(self.j, self.i))
         return value == self.product and value > bound
@@ -411,22 +425,24 @@ def _alternating_return_word(
 
     Inside a finite mutation class the walk must revisit a matrix; the
     enclosed segment is a period there and conjugation carries it back
-    to B.
+    to B.  The walk steps B's rows (see periodicity._side_step) and
+    builds no ExchangeMatrix; the probe replays the word it returns.
     """
-    M = B.apply(access)
-    seen = {M: 0}
+    side = _principal_side(B)
+    for k in access:
+        side = _side_step(side, k)
+    seen = {side[0]: 0}
     walk: list[int] = []
-    cur = M
     for step in range(2 * budget):
         k = i if step % 2 == 0 else j
-        cur = cur.mutate(k)
+        side = _side_step(side, k)
         walk.append(k)
-        pos = seen.get(cur)
+        pos = seen.get(side[0])
         if pos is not None:
             prefix = access + tuple(walk[:pos])
             segment = tuple(walk[pos:])
             return prefix + segment + inverse_sequence(prefix)
-        seen[cur] = step + 1
+        seen[side[0]] = step + 1
     return None
 
 

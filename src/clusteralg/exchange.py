@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from math import gcd, lcm
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import DecomposableMatrix, InvariantViolation, NotSkewSymmetrizable
 
@@ -619,3 +619,28 @@ def _closure(
                 edges.append((cur, label, found))
         cur += 1
     return items, words, index, True
+
+
+def _replay(
+    root: Any, words: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], Any]]:
+    """Yield (word, root.apply(word)) for each distinct word, in sorted order.
+
+    The package's one exact replay of reported words, for matrices and
+    seeds alike: it calls root.mutate and nothing else, so a seed is
+    replayed by its exchange relations, never from an orbit's memo.
+    Sorted words visit their prefix tree depth first, and a trail of the
+    last word's prefixes is kept, so each distinct nonempty prefix is
+    mutated exactly once and the empty word costs nothing.
+    """
+    trail = [root]
+    last: tuple[int, ...] = ()
+    for word in sorted(set(words)):
+        keep = 0
+        while keep < min(len(word), len(last)) and word[keep] == last[keep]:
+            keep += 1
+        del trail[keep + 1 :]
+        for k in word[keep:]:
+            trail.append(trail[-1].mutate(k))
+        last = word
+        yield word, trail[-1]

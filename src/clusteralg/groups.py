@@ -10,6 +10,12 @@ under relabeling too.
 Cardinalities are never guessed: every order is either an exact integer
 from a closed enumeration (or, for L and P at rank 2, the rank-2 rules)
 or an explicit unknown carrying the budget it failed at.
+
+Every reported element and witness is a word replayed exactly on the
+initial seed or matrix before it is returned, and every replay goes
+through exchange._replay: the words are replayed along their prefix
+tree, one mutation per distinct nonempty prefix, and never read the
+orbit's memo of exchange relations.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .exchange import (
     ExchangeMatrix,
     MatrixClass,
     Permutation,
+    _replay,
     _require_count,
     _require_indecomposable,
     all_permutations,
@@ -64,15 +71,22 @@ def enumerate_saut_plus(s: LabeledSeed, budget: int) -> SautEnumeration:
     """One strict automorphism per mutation-orbit seed carrying the initial matrix.
 
     An incomplete orbit yields a truncated, flagged enumeration; the
-    elements found are still genuine.
+    elements found are still genuine.  Each element's word is replayed
+    exactly on s (see exchange._replay, one mutation per distinct
+    nonempty prefix of the words) and must reach the element's cluster
+    with the matrix B, or InvariantViolation is raised.
     """
     _require_count("budget", budget, 1)
     _require_indecomposable(s.matrix, "group enumeration")
-    return _saut_from_orbit(s, orbit(s, max_seeds=budget, with_permutations=False), budget)
+    saut = _saut_from_orbit(s, orbit(s, max_seeds=budget, with_permutations=False), budget)
+    _require_replays(
+        s, {e.witness: LabeledSeed(e.image_cluster, s.matrix) for e in saut.elements}, "SAut+"
+    )
+    return saut
 
 
 def _saut_from_orbit(s: LabeledSeed, graph: OrbitGraph, budget: int) -> SautEnumeration:
-    """enumerate_saut_plus on an already built mutation-only orbit of s."""
+    """enumerate_saut_plus on an already built mutation-only orbit of s, before its replays."""
     elements = []
     for idx, t in enumerate(graph.seeds):
         if t.matrix == s.matrix:
@@ -81,6 +95,17 @@ def _saut_from_orbit(s: LabeledSeed, graph: OrbitGraph, budget: int) -> SautEnum
                 raise InvariantViolation("mutation-only orbit produced a relabeling")
             elements.append(StrictAutomorphism(t.cluster, word))
     return SautEnumeration(elements, graph.complete, len(graph), budget)
+
+
+def _require_replays(root: ExchangeMatrix | LabeledSeed, ends: dict, what: str) -> None:
+    """Replay every word of ends on root; each must reach its value exactly.
+
+    The replay is exchange._replay, so words that share a prefix share
+    its mutations, and root.mutate is the only rule used.
+    """
+    for word, moved in _replay(root, ends):
+        if moved != ends[word]:
+            raise InvariantViolation(f"{what} witness {word} does not replay")
 
 
 @dataclass
@@ -155,19 +180,34 @@ def compute_L_P(s: LabeledSeed, budget: int) -> LPResult:
     Both are decided per permutation.  Closed searches give exact
     answers; a rank-2 search cut by the budget falls back to the rank-2
     rules (_rank2_swap_in_L, _rank2_swap); anything else leaves the
-    permutation unknown.
+    permutation unknown.  Every witness returned is replayed exactly
+    first: an L word on B must reach B^sigma, a P word on s must reach
+    s^sigma, or InvariantViolation is raised.
     """
     _require_count("budget", budget, 1)
     _require_indecomposable(s.matrix, "group enumeration")
     mclass = matrix_mutation_class(s.matrix, max_matrices=budget)
     graph = orbit(s, max_seeds=budget, with_permutations=False)
-    return _lp_from_closures(s, mclass, graph, budget)
+    lp = _lp_from_closures(s, mclass, graph, budget)
+    _require_replays(
+        s.matrix,
+        {lp.L_witnesses[g.cycle_notation()]: s.matrix.permute(g) for g in lp.L_members},
+        "L",
+    )
+    _require_replays(
+        s, {lp.P_witnesses[g.cycle_notation()]: s.permute(g) for g in lp.P_members}, "P"
+    )
+    return lp
 
 
 def _lp_from_closures(
     s: LabeledSeed, mclass: MatrixClass, graph: OrbitGraph, budget: int
 ) -> LPResult:
-    """compute_L_P on an already built matrix class and mutation-only orbit."""
+    """compute_L_P on an already built matrix class and mutation-only orbit.
+
+    The closure witnesses are not replayed here; the rank-2 rules replay
+    their own.
+    """
     n = s.rank
     out = LPResult([], [], [], [], budget=budget)
     for sigma in all_permutations(n):
@@ -274,11 +314,16 @@ def enumerate_aut_plus(s: LabeledSeed, budget: int) -> AutPlusEnumeration:
     mutation-only orbit relabeled by some pi with t^pi carrying B, that
     is t.matrix == B^(pi^-1) with pi^-1 in L.  One element per distinct
     relabeled seed, witnessed by the orbit word of the first t reaching
-    it; both witness conditions are re-verified on one exact replay per
-    distinct word (on D4, 24 elements share 4 words).  The count is exact
-    whenever SAut+ and L are, and the summary cross-checks it against
-    |SAut+| |L| / |P| when all four are exact.  The orbit is shared by
-    SAut+, P and Aut+; the matrix class by L.
+    it.  Both witness conditions are re-verified on exact replays of the
+    distinct words through exchange._replay, one mutation per distinct
+    nonempty prefix (on D4, 24 elements share 4 words and 13 prefixes).
+    The identity is always in L, so every orbit seed that carries B is
+    an Aut+ image, and these replays check it: the SAut+ words are not
+    replayed a second time, and neither are the L and P witnesses, of
+    which only the orders are read.  The count is exact whenever SAut+
+    and L are, and the summary cross-checks it against |SAut+| |L| / |P|
+    when all four are exact.  The orbit is shared by SAut+, P and Aut+;
+    the matrix class by L.
     """
     _require_count("budget", budget, 1)
     _require_indecomposable(s.matrix, "group enumeration")
@@ -295,12 +340,10 @@ def enumerate_aut_plus(s: LabeledSeed, budget: int) -> AutPlusEnumeration:
         for pi in relabelings.get(t.matrix, ()):
             witnesses.setdefault(permute_seed(t, pi), (plain.words[idx][0], pi))
     # elements reached along one orbit word differ only in pi
-    replays: dict[tuple[int, ...], LabeledSeed] = {}
+    ends = dict(_replay(s, (word for word, _ in witnesses.values())))
     elements = []
     for image, (word, pi) in witnesses.items():
-        moved = replays.get(word)
-        if moved is None:
-            moved = replays[word] = apply_sequence(s, word)
+        moved = ends[word]
         if permute_seed(moved, pi) != image:
             raise InvariantViolation("orbit word does not replay to its seed")
         if moved.matrix != s.matrix.permute(pi.inverse()):

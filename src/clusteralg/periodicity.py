@@ -16,9 +16,11 @@ does.  The type of the target is read only for the walk's start and
 the report's kind.  So is_sigma_period answers "no" from the rows
 alone, with nothing mutated, and every "yes" it gives and every period
 a search reports is first replayed exactly on the target: Laurent
-arithmetic for a seed, mutate_matrix for a matrix.  A matrix replay
-repeats the walk's integer rule through the validating constructor, so
-it checks the walk's goal and bookkeeping, not the rule itself.
+arithmetic for a seed, mutate_matrix for a matrix.  find_periods
+replays its hits through exchange._replay, the package's one replay of
+reported words.  A matrix replay repeats the walk's integer rule
+through the validating constructor, so it checks the walk's goal and
+bookkeeping, not the rule itself.
 
 The key walks of seeds also carry H = C^-1, whose rows are the
 g-vectors by tropical duality (Nakanishi-Zelevinsky, arXiv:1101.3736).
@@ -43,6 +45,7 @@ from .exchange import (
     _mutate_rows,
     _permute_rows,
     _principal_rows,
+    _replay,
     _require_count,
     _require_permutation,
     validate_sequence,
@@ -99,11 +102,13 @@ def find_periods(
     seed's key [B; C].  A sequence is a hit when its rows, relabeled by
     sigma, are the target's rows: when they are the target's rows
     relabeled by sigma^-1.  The walk shares mutation prefixes, so it
-    costs one row step per visited sequence node, and each hit is
-    replayed exactly on the target before it is listed; replays share
-    prefixes too.  A seed's walk also carries the g-vector rows H = C^-1
-    and skips every subtree whose H differs from the goal's in more rows
-    than it has letters left; a matrix's walk visits every sequence.
+    costs one row step per visited sequence node.  Its hits are then
+    replayed exactly on the target by exchange._replay before any is
+    listed, one target.mutate per distinct nonempty prefix of the hits,
+    and a hit whose replay does not return raises InvariantViolation.
+    A seed's walk also carries the g-vector rows H = C^-1 and skips
+    every subtree whose H differs from the goal's in more rows than it
+    has letters left; a matrix's walk visits every sequence.
     """
     _require_count("max_len", max_len, 0)
     _require_permutation(sigma, target.rank)
@@ -113,24 +118,11 @@ def find_periods(
     # a seed goal's C is a permutation matrix, so its inverse is its transpose
     goal_h = tuple(zip(*goal[n:]))
     bound = None if start[1] is None else lambda side: _rows_apart(side[1], goal_h)
-    found: list[tuple[int, ...]] = []
-    # trail[i] is the target after the first i letters of the last replayed
-    # period; hits come in walk order, so a replay starts where it leaves
-    # the previous one and no walk node is mutated twice
-    trail = [target]
     walk = _walk(start, n, max_len, _side_step, essential_only, bound=bound)
-    for seq, (rows, _, _) in walk:
-        if rows == goal:
-            last = found[-1] if found else ()
-            keep = 0
-            while keep < min(len(seq), len(last)) and seq[keep] == last[keep]:
-                keep += 1
-            del trail[keep + 1 :]
-            for k in seq[keep:]:
-                trail.append(trail[-1].mutate(k))
-            if trail[-1].permute(sigma) != target:
-                raise InvariantViolation(f"row period {seq} failed its exact replay")
-            found.append(seq)
+    found = [seq for seq, (rows, _, _) in walk if rows == goal]
+    for seq, end in _replay(target, found):
+        if end.permute(sigma) != target:
+            raise InvariantViolation(f"row period {seq} failed its exact replay")
     return sorted(found, key=lambda t: (len(t), t))
 
 
@@ -186,12 +178,15 @@ def conjugate_period(
 
     The transported sequence is reverse(j) ++ i ++ sigma(j).  It is
     re-verified on the mutated seed; failure means i was not actually a
-    sigma-period of s.
+    sigma-period of s.  Words that are not sequences of ints in range and
+    a sigma that is not a Permutation of the seed's rank are refused
+    first, as is_sigma_period refuses them.
     """
+    i = validate_sequence(i, s.rank)
+    j = validate_sequence(j, s.rank)
     if sigma is None:
         sigma = Permutation.identity(s.rank)
-    i = tuple(i)
-    j = tuple(j)
+    _require_permutation(sigma, s.rank)
     out = inverse_sequence(j) + i + tuple(sigma(k) for k in j)
     moved = apply_sequence(s, j)
     if not is_sigma_period(moved, out, sigma).holds:

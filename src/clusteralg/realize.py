@@ -14,7 +14,13 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import DecomposableMatrix, InvariantViolation
-from .exchange import ExchangeMatrix, Permutation, _is_connected, _require_permutation
+from .exchange import (
+    ExchangeMatrix,
+    Permutation,
+    _is_connected,
+    _require_index,
+    _require_permutation,
+)
 from .seeds import (
     LabeledSeed,
     MutationSequence,
@@ -65,8 +71,12 @@ def swap_gadget(s: LabeledSeed, i: int, j: int) -> MutationSequence:
     """The five-step sequence acting on the seed as the transposition (i j).
 
     Needs a simple edge between i and j; the action is re-verified on s
-    before the sequence is returned.
+    before the sequence is returned.  i and j are checked as mutation
+    indices are: one that is not an int raises ValueError, one out of
+    range IndexError.
     """
+    _require_index(i, s.rank)
+    _require_index(j, s.rank)
     if i == j:
         raise ValueError("need two distinct vertices")
     if abs(s.matrix.entry(i, j)) != 1 or abs(s.matrix.entry(j, i)) != 1:

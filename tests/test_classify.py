@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from clusteralg.classify import (
+    BoundWitness,
     ProbeResult,
     automorphism_finiteness_probe,
     classify,
@@ -18,6 +19,7 @@ from clusteralg.classify import (
     main1_conditions,
     search_m_and_acyclic,
 )
+from clusteralg import exchange
 from clusteralg.errors import DecomposableMatrix
 from clusteralg.exchange import (
     ExchangeMatrix,
@@ -81,6 +83,15 @@ class TestDecisions:
     def test_unknown_within_tiny_budget(self):
         assert is_finite_type(a3_path_matrix(), 5).status == "unknown"
         assert is_finite_type(a3_path_matrix(), 200).status == "yes"
+
+    @pytest.mark.parametrize(
+        "i, j, error",
+        [(0, 2, IndexError), (2, 4, IndexError), (1.0, 2, ValueError), (1, "2", ValueError)],
+    )
+    def test_a_witness_vertex_that_is_not_an_index_is_refused(self, i, j, error):
+        # entry(0, 2) would wrap to row 3, where A3 has |b_32 b_23| = 1
+        with pytest.raises(error, match="mutation index"):
+            BoundWitness((), i, j, 1).replay(a3_path_matrix(), 0)
 
 
 class TestMSearch:
@@ -310,6 +321,38 @@ class TestFinitenessProbe:
         p = automorphism_finiteness_probe(s, 200)
         assert (p.status, p.witness, p.powers_checked) == ("infinite", witness, 200)
         assert p.replay(s)
+
+    @pytest.mark.parametrize(
+        "fixture", CLASSIFY_FIXTURES + [a4_path_matrix], ids=lambda f: f.__name__
+    )
+    def test_alternating_return_word_walks_rows(self, fixture, monkeypatch):
+        # against the walk over ExchangeMatrix objects it replaces, at every
+        # bound witness of the fixture's class; the row walk builds no matrix
+        B = fixture()
+        mclass = matrix_mutation_class(B, 60)
+        cases = []
+        for M, word in zip(mclass.matrices, mclass.words):
+            for i, j in M.underlying_edges():
+                seen, walk, cur = {M: 0}, [], M
+                for step in range(40):
+                    k = i if step % 2 == 0 else j
+                    cur = cur.mutate(k)
+                    walk.append(k)
+                    pos = seen.setdefault(cur, step + 1)
+                    if pos != step + 1:
+                        prefix = word + tuple(walk[:pos])
+                        expect = prefix + tuple(walk[pos:]) + prefix[::-1]
+                        break
+                else:
+                    expect = None
+                cases.append((word, i, j, expect))
+
+        def refuse(*args):
+            raise AssertionError("the alternating walk built a matrix")
+
+        monkeypatch.setattr(exchange, "mutate_matrix", refuse)
+        for word, i, j, expect in cases:
+            assert classify_module._alternating_return_word(B, word, i, j, 20) == expect
 
     def test_a_return_within_the_budget_rejects_the_word(self):
         # (1, 2, 3) is a matrix period of A3 whose sixth power returns the

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from clusteralg import seeds
+from clusteralg import exchange, seeds
 from clusteralg.classify import classify, is_finite_mutation_type, is_finite_type
 from clusteralg.errors import InvariantViolation, NotSkewSymmetrizable
 from clusteralg.exchange import (
     ExchangeMatrix,
     Permutation,
+    _replay,
     all_permutations,
     is_inflexion,
     matrix_mutation_class,
@@ -19,6 +20,7 @@ from clusteralg.exchange import (
 from clusteralg.fixtures import (
     a2_matrix,
     a3_path_matrix,
+    a4_path_matrix,
     acyclic_triangle,
     b2_matrix,
     cyclic_triangle,
@@ -369,3 +371,35 @@ class TestIndexAndSequenceInput:
         with pytest.raises(IndexError):
             _A2_SEED.apply((1, 2, 3))
         assert calls == []
+
+
+class TestReplay:
+    """exchange._replay: one mutation per distinct nonempty prefix, for matrices and seeds."""
+
+    WORDS = [(1, 2, 3), (), (1, 2), (2,), (1, 2, 3), (1, 3, 1), (2, 4)]
+
+    @pytest.mark.parametrize("kind", ["matrix", "seed"])
+    def test_distinct_words_in_sorted_order_once_per_prefix(self, monkeypatch, kind):
+        B = a4_path_matrix()
+        root = B if kind == "matrix" else LabeledSeed.initial(B)
+        calls = []
+        module, name = (exchange, "mutate_matrix") if kind == "matrix" else (seeds, "mutate_seed")
+        real = getattr(module, name)
+
+        def counting(x, k):
+            calls.append(k)
+            return real(x, k)
+
+        monkeypatch.setattr(module, name, counting)
+        out = list(_replay(root, self.WORDS))
+        monkeypatch.undo()
+        assert [w for w, _ in out] == sorted(set(self.WORDS))
+        assert all(end == root.apply(w) for w, end in out)
+        # (1), (1,2), (1,2,3), (1,3), (1,3,1), (2), (2,4)
+        assert len(calls) == 7
+
+    def test_a_bad_letter_raises_when_the_replay_reaches_it(self):
+        out = _replay(a3_path_matrix(), [(1,), (2, 4)])
+        assert next(out)[0] == (1,)
+        with pytest.raises(IndexError, match="out of range"):
+            next(out)

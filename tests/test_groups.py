@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from clusteralg import groups, seeds
 from clusteralg.errors import DecomposableMatrix, InvariantViolation
 from clusteralg.exchange import ExchangeMatrix, Permutation
 from clusteralg.fixtures import (
@@ -27,6 +28,7 @@ from clusteralg.groups import (
     equivariant_automorphisms,
 )
 from clusteralg.seeds import LabeledSeed, orbit
+from clusteralg.symbolic import LaurentPoly
 
 
 def a2_seed() -> LabeledSeed:
@@ -340,15 +342,13 @@ class TestClosureSharing:
         ids=["A2", "A3", "B3"],
     )
     def test_equivariant_reads_recorded_edges(self, monkeypatch, B, order):
-        import clusteralg.seeds
-
         g = orbit(LabeledSeed.initial(B), max_seeds=500, with_permutations=True)
         assert g.complete
 
         def refuse(*args, **kwargs):
             raise AssertionError("equivariant_automorphisms mutated a seed")
 
-        monkeypatch.setattr(clusteralg.seeds, "mutate_seed", refuse)
+        monkeypatch.setattr(seeds, "mutate_seed", refuse)
         r = equivariant_automorphisms(g)
         assert r.aut_order == r.w_order == r.aut_A_order == order
         assert r.kp_identity and r.verify_group()
@@ -359,8 +359,6 @@ class TestClosureSharing:
         ids=["A2", "A3", "kronecker"],
     )
     def test_aut_plus_builds_two_closures(self, monkeypatch, B, budget):
-        import clusteralg.groups as groups
-
         s = LabeledSeed.initial(B)
         calls = []
         seen = {}
@@ -395,19 +393,105 @@ class TestClosureSharing:
         assert (shared.L_members, shared.P_members) == (lp.L_members, lp.P_members)
         assert shared.P_certificates == lp.P_certificates
 
-    def test_aut_plus_replays_each_distinct_word_once(self, monkeypatch):
-        # the 24 elements of Aut+ of D4 share 4 orbit words
-        import clusteralg.seeds
-
-        original = clusteralg.seeds.mutate_seed
-        mutations = []
-
-        def counted(s, k):
-            mutations.append(k)
-            return original(s, k)
-
-        monkeypatch.setattr(clusteralg.seeds, "mutate_seed", counted)
+    def test_aut_plus_replays_each_distinct_word_once(self, seed_mutations):
+        # the 24 elements of Aut+ of D4 share 4 orbit words of 14 letters,
+        # which have 13 distinct nonempty prefixes
         r = enumerate_aut_plus(LabeledSeed.initial(D4), 2000)
         words = {e.witness_sequence for e in r.elements}
         assert (len(r.elements), len(words)) == (24, 4)
-        assert len(mutations) == sum(len(w) for w in words) == 14
+        assert len(seed_mutations) == len(_prefixes(words)) == 13
+
+
+def _prefixes(words) -> set:
+    """The distinct nonempty prefixes of words."""
+    return {w[:i] for w in words for i in range(1, len(w) + 1)}
+
+
+@pytest.fixture
+def seed_mutations(monkeypatch):
+    """The indices of every seeds.mutate_seed call made after the fixture starts."""
+    calls: list[int] = []
+    real = seeds.mutate_seed
+
+    def counting(s, k):
+        calls.append(k)
+        return real(s, k)
+
+    monkeypatch.setattr(seeds, "mutate_seed", counting)
+    return calls
+
+
+class TestReplays:
+    """Every reported element and witness is replayed, one mutation per distinct prefix."""
+
+    @pytest.mark.parametrize(
+        "B, budget, replays",
+        [
+            (kronecker_matrix(2), 40, 39),
+            (a3_path_matrix(), 2000, 10),
+            (B3, 2000, 9),
+            (a4_path_matrix(), 2000, 18),
+        ],
+        ids=["kronecker", "A3", "B3", "A4"],
+    )
+    def test_aut_plus_mutates_once_per_distinct_prefix(self, seed_mutations, B, budget, replays):
+        # on Kronecker(2) the 40 words lie on two rays from the root, so a
+        # replay of each word from the root would make 400 mutations
+        r = enumerate_aut_plus(LabeledSeed.initial(B), budget)
+        words = {e.witness_sequence for e in r.elements}
+        assert len(seed_mutations) == len(_prefixes(words)) == replays
+
+    @pytest.mark.parametrize(
+        "B, budget",
+        [(a2_matrix(), 100), (kronecker_matrix(2), 40), (a3_path_matrix(), 2000), (D4, 2000)],
+        ids=["A2", "kronecker", "A3", "D4"],
+    )
+    def test_saut_plus_replays_its_words(self, seed_mutations, B, budget):
+        e = enumerate_saut_plus(LabeledSeed.initial(B), budget)
+        assert len(seed_mutations) == len(_prefixes(el.witness for el in e.elements)) > 0
+
+    @pytest.mark.parametrize(
+        "B", [a2_matrix(), a3_path_matrix(), D4], ids=["A2", "A3", "D4"]
+    )
+    def test_P_witnesses_replay_once_per_prefix(self, seed_mutations, B):
+        r = compute_L_P(LabeledSeed.initial(B), 2000)
+        assert len(seed_mutations) == len(_prefixes(r.P_witnesses.values())) > 0
+
+    @pytest.mark.parametrize("enumerate_group", [enumerate_saut_plus, enumerate_aut_plus])
+    @pytest.mark.parametrize(
+        "B, budget",
+        [(a3_path_matrix(), 300), (kronecker_matrix(2), 12)],
+        ids=["A3", "kronecker"],
+    )
+    def test_a_corrupted_orbit_seed_fails_its_replay(
+        self, monkeypatch, enumerate_group, B, budget
+    ):
+        # the last orbit seed that carries B gets a cluster that is no cluster
+        real = groups.orbit
+
+        def corrupted(s, **kwargs):
+            graph = real(s, **kwargs)
+            idx = max(i for i, t in enumerate(graph.seeds) if t.matrix == s.matrix)
+            assert idx > 0
+            t = graph.seeds[idx]
+            wrong = (t.cluster[0] + LaurentPoly.one(t.nvars),) + t.cluster[1:]
+            graph.seeds[idx] = LabeledSeed(wrong, t.matrix)
+            return graph
+
+        monkeypatch.setattr(groups, "orbit", corrupted)
+        with pytest.raises(InvariantViolation, match="does not replay"):
+            enumerate_group(LabeledSeed.initial(B), budget)
+
+    @pytest.mark.parametrize("group", ["L", "P"])
+    def test_a_corrupted_L_or_P_witness_fails_its_replay(self, monkeypatch, group):
+        # (1, 2) returns A2's matrix, and its seed, to themselves, not to the swap
+        real = groups._lp_from_closures
+
+        def corrupted(*args):
+            lp = real(*args)
+            getattr(lp, f"{group}_witnesses")["(1 2)"] = (1, 2)
+            return lp
+
+        monkeypatch.setattr(groups, "_lp_from_closures", corrupted)
+        with pytest.raises(InvariantViolation, match=f"{group} witness \\(1, 2\\) does not"):
+            compute_L_P(a2_seed(), 100)

@@ -297,6 +297,23 @@ class TestConjugation:
         with pytest.raises(ValueError):
             conjugate_period(a2_seed(), (1, 2), (1,))
 
+    def test_an_out_of_range_conjugator_is_refused_before_sigma_reads_it(self, seed_mutations):
+        s = LabeledSeed.initial(a3_path_matrix())
+        with pytest.raises(IndexError, match="mutation index 5 out of range"):
+            conjugate_period(s, (1,), (5,))
+        assert seed_mutations == []
+
+    def test_a_period_that_is_not_a_sequence_is_refused(self, seed_mutations):
+        s = LabeledSeed.initial(a3_path_matrix())
+        with pytest.raises(ValueError, match="is not a sequence"):
+            conjugate_period(s, 5, ())
+        assert seed_mutations == []
+
+    def test_a_sigma_of_the_wrong_degree_is_refused(self, seed_mutations):
+        with pytest.raises(ValueError, match="degree does not match"):
+            conjugate_period(a2_seed(), (1, 2, 1, 2, 1), (2,), Permutation.identity(3))
+        assert seed_mutations == []
+
 
 class TestSubseeds:
     def test_subseed_shape(self):

@@ -86,6 +86,19 @@ class TestSwapGadget:
         with pytest.raises(ValueError):
             swap_gadget(s, 1, 3)
 
+    @pytest.mark.parametrize(
+        "i, j, error",
+        [(3, 0, IndexError), (1, 4, IndexError), (1, 2.0, ValueError), (True, 2, ValueError)],
+    )
+    def test_rejects_a_vertex_that_is_not_an_index(self, i, j, error, monkeypatch):
+        # vertex 0 would wrap to row 3, and nothing is mutated before the check
+        def refuse(*args):
+            raise AssertionError("swap_gadget mutated before checking its vertices")
+
+        monkeypatch.setattr(seeds, "mutate_seed", refuse)
+        with pytest.raises(error, match="mutation index"):
+            swap_gadget(LabeledSeed.initial(a3_path_matrix()), i, j)
+
 
 class TestRealizePermutation:
     def test_reversal_on_the_path(self):
