@@ -499,7 +499,12 @@ def apply_permutation_matrix(B: ExchangeMatrix, sigma: Permutation) -> ExchangeM
 
 
 def is_inflexion(B: ExchangeMatrix, i: int, j: int, k: int) -> bool:
-    """Within the triple {i,j,k}: arrows pass through i, i.e. b_ji b_ik > 0."""
+    """Within the triple {i,j,k}: arrows pass through i, i.e. b_ji b_ik > 0.
+
+    Each index is checked as a mutation index is (_require_index).
+    """
+    for v in (i, j, k):
+        _require_index(v, B.n)
     return B.entry(j, i) * B.entry(i, k) > 0
 
 

@@ -181,22 +181,27 @@ def compute_L_P(s: LabeledSeed, budget: int) -> LPResult:
     answers; a rank-2 search cut by the budget falls back to the rank-2
     rules (_rank2_swap_in_L, _rank2_swap); anything else leaves the
     permutation unknown.  Every witness returned is replayed exactly
-    first: an L word on B must reach B^sigma, a P word on s must reach
-    s^sigma, or InvariantViolation is raised.
+    once first: an L word on B must reach B^sigma, a P word on s must
+    reach s^sigma, or InvariantViolation is raised.  The rank-2 rules
+    replay their own witnesses, so only the closure witnesses are
+    replayed here.
     """
     _require_count("budget", budget, 1)
     _require_indecomposable(s.matrix, "group enumeration")
     mclass = matrix_mutation_class(s.matrix, max_matrices=budget)
     graph = orbit(s, max_seeds=budget, with_permutations=False)
     lp = _lp_from_closures(s, mclass, graph, budget)
-    _require_replays(
-        s.matrix,
-        {lp.L_witnesses[g.cycle_notation()]: s.matrix.permute(g) for g in lp.L_members},
-        "L",
-    )
-    _require_replays(
-        s, {lp.P_witnesses[g.cycle_notation()]: s.permute(g) for g in lp.P_members}, "P"
-    )
+    l_ends, p_ends = {}, {}
+    for g in lp.L_members:
+        target = s.matrix.permute(g)
+        if mclass.find(target) is not None:
+            l_ends[lp.L_witnesses[g.cycle_notation()]] = target
+    for g in lp.P_members:
+        target = s.permute(g)
+        if graph.find(target) is not None:
+            p_ends[lp.P_witnesses[g.cycle_notation()]] = target
+    _require_replays(s.matrix, l_ends, "L")
+    _require_replays(s, p_ends, "P")
     return lp
 
 

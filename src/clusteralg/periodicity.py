@@ -296,13 +296,14 @@ def bipartite_belt(seed: LabeledSeed, steps: int, mirror: bool = False) -> BeltR
     first, second = (plus, minus) if mirror else (minus, plus)
 
     base = seed.matrix
+    negated = -base
     seeds = [seed]
     cur = seed
     period = None
     for s in range(1, steps + 1):
         for k in first if s % 2 == 1 else second:
             cur = cur.mutate(k)
-        expect = base if s % 2 == 0 else -base
+        expect = base if s % 2 == 0 else negated
         if cur.matrix != expect:
             raise InvariantViolation("belt composite did not negate the matrix")
         seeds.append(cur)

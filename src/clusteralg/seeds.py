@@ -28,7 +28,7 @@ from .exchange import (
     mutate_matrix,
     validate_sequence,
 )
-from .symbolic import LaurentPoly, exact_div, generators
+from .symbolic import LaurentPoly, exchange_relation, generators
 
 MutationSequence = tuple  # finite list of 1-based indices, applied left to right
 
@@ -133,28 +133,28 @@ def mutate_seed(s: LabeledSeed, k: int) -> LabeledSeed:
 def _exchanged(s: LabeledSeed, k: int, matrix: ExchangeMatrix) -> LabeledSeed:
     """s with x_k replaced through the exchange relation, carrying matrix.
 
-    x'_k = (prod_i x_i^[b_ik]_+ + prod_i x_i^[-b_ik]_+) / x_k.  The
-    division is exact for every seed reachable from an initial one, so
-    when the cluster spans the ambient variables a division failure
-    signals an implementation bug and surfaces as InvariantViolation.
-    A seed with more ambient variables than its rank (a subseed) may
-    have an exchange relation that is not Laurent in those variables;
-    that is a property of the input and raises ValueError.
+    x'_k = (prod_i x_i^[b_ik]_+ + prod_i x_i^[-b_ik]_+) / x_k, computed
+    by symbolic.exchange_relation: a small relation through LaurentPoly
+    products and exact_div, any other on one packing from its factors
+    to its quotient.  The division is exact for every seed reachable
+    from an initial one, so when the cluster spans the ambient variables
+    a division failure signals an implementation bug and surfaces as
+    InvariantViolation.  A seed with more ambient variables than its
+    rank (a subseed) may have an exchange relation that is not Laurent
+    in those variables; that is a property of the input and raises
+    ValueError.
     """
     col = k - 1
-    plus: LaurentPoly | None = None
-    minus: LaurentPoly | None = None
-    for i in range(s.rank):
-        b = s.matrix.rows[i][col]
+    plus: list[tuple[LaurentPoly, int]] = []
+    minus: list[tuple[LaurentPoly, int]] = []
+    for x, row in zip(s.cluster, s.matrix.rows):
+        b = row[col]
         if b > 0:
-            f = s.cluster[i].pow(b)
-            plus = f if plus is None else plus * f
+            plus.append((x, b))
         elif b < 0:
-            f = s.cluster[i].pow(-b)
-            minus = f if minus is None else minus * f
-    one = LaurentPoly.one(s.nvars)
+            minus.append((x, -b))
     try:
-        new_var = exact_div((plus or one) + (minus or one), s.cluster[col])
+        new_var = exchange_relation(plus, minus, s.cluster[col])
     except NotDivisible as exc:
         if s.nvars > s.rank:
             raise ValueError(

@@ -10,18 +10,27 @@ The multiplication and division kernels work on packed exponents
 (Kronecker substitution), done afresh inside each call: with a base B
 larger than every per-variable exponent range involved, the vector
 (e_1, ..., e_n) becomes the single int sum(e_i * B^(n-i)).  Packing is
-linear, so multiplying monomials adds their ints, and as long as every
-shifted exponent stays in [0, B) no carry crosses a digit, so the order
-of the ints is lexicographic order, a monomial order.  Results are
-unpacked back to exponent tuples before they are stored, so the term
-map, equality, hashing and canonical strings never see packed keys.
+linear, so multiplying monomials adds their ints, and on any box of
+exponent vectors whose every width is below B no carry crosses a digit,
+so the map is one-to-one there and the order of the ints is
+lexicographic order, a monomial order.  A product packs its two
+factors; exact_div packs its numerator; exchange_relation packs a whole
+exchange relation at once, its factors, powers, sum and division, with
+a base that covers the hull of the numerator's exponents: the box
+spanned by the exponent bounds of its two products, which holds every
+partial product too.  Division on that hull box stays fail-fast and
+sound: a quotient that exists lies in the box [lo - lo(den),
+hi - hi(den)], and a borrow between digits still leaves it, since B -
+deg(den) > (hi - lo) - deg(den).  Results are unpacked back to exponent
+tuples before they are stored, so the term map, equality, hashing and
+canonical strings never see packed keys.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from operator import add, mul, sub
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import NotDivisible
 
@@ -30,7 +39,8 @@ Exponent = Tuple[int, ...]
 # Up to this many term pairs, packing and unpacking cost more than adding
 # exponent tuples directly.  Timed on the products that finite-type
 # orbits and affine belts multiply, the crossover lies between 64 and
-# 200 pairs.
+# 200 pairs.  An exchange relation whose every multiplication is this
+# small is not packed as a whole either.
 _SMALL_PRODUCT = 100
 
 
@@ -165,14 +175,7 @@ class LaurentPoly:
         lows = [x + y for x, y in zip(a_lo, b_lo)]
         base = 1 + max(x + y - z for x, y, z in zip(a_hi, b_hi, lows))
         weights = _weights(base, self.nvars)
-        pb = [(sum(map(mul, e, weights)), c) for e, c in big.terms.items()]
-        packed: Dict[int, int] = {}
-        get = packed.get
-        for ea, ca in small.terms.items():
-            ka = sum(map(mul, ea, weights))
-            for kb, cb in pb:
-                k = ka + kb
-                packed[k] = get(k, 0) + ca * cb
+        packed = _packed_product(_packed(small.terms, weights), _packed(big.terms, weights))
         offset = sum(map(mul, lows, weights))
         return LaurentPoly._trusted(self.nvars, _unpack(packed, offset, lows, base))
 
@@ -325,65 +328,66 @@ def _unpack(
     return terms
 
 
-def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Return r with q*r == p, or raise NotDivisible.
+def _packed(terms: Mapping[Exponent, int], weights: list[int]) -> Dict[int, int]:
+    """The term map with every exponent vector packed to its int."""
+    return {sum(map(mul, e, weights)): c for e, c in terms.items()}
 
-    Both arguments are shifted by their componentwise-minimum exponents
-    so the division runs over ordinary polynomials num and den.  If a
-    quotient exists, its shifted form has every exponent i in the box
-    [0, deg_i(num) - deg_i(den)] (extreme faces multiply in an integral
-    domain), so every remainder exponent stays in [0, deg_i(num)] and
-    the packed keys carry nothing between digits.  Single-divisor
-    division then takes the largest remaining key from a max-heap each
-    step.  The leading-term test is fail-fast and sound: over an
-    integral domain the remainder q*(r - acc) always has leading term
-    divisible by q's, so the first quotient term that leaves the box
-    (a borrow between digits always does, since the lowest borrowing
-    digit wraps to at least base - deg_i(den)) or has a non-integer
-    coefficient certifies there is no integer-coefficient quotient.
+
+def _packed_product(a: Mapping[int, int], b: Mapping[int, int]) -> Dict[int, int]:
+    """The product of two packed term maps; cancelled terms stay as zeros."""
+    b_items = list(b.items())
+    out: Dict[int, int] = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b_items:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
+
+
+def _packed_square(a: Mapping[int, int]) -> Dict[int, int]:
+    """_packed_product(a, a), visiting each unordered pair of terms once."""
+    items = list(a.items())
+    out: Dict[int, int] = {}
+    get = out.get
+    for i, (ka, ca) in enumerate(items):
+        k = ka + ka
+        out[k] = get(k, 0) + ca * ca
+        ca += ca
+        for kb, cb in items[i + 1 :]:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
+
+
+def _packed_quotient(
+    rem: Dict[int, int],
+    q: LaurentPoly,
+    lo: list[int],
+    hi: list[int],
+    base: int,
+    weights: list[int],
+    fail: Callable[[], NotDivisible],
+) -> Dict[Exponent, int]:
+    """The term map of rem / q, or raise fail(); rem is consumed.
+
+    rem is a numerator packed by weights, the powers of base, with every
+    exponent in the box [lo, hi], and base exceeds every width hi - lo.
+    q is packed so that a remainder key minus q's leading key is the
+    quotient term's key relative to the corner lo - q_lo of the box a
+    quotient must lie in, and only quotient terms are unpacked.  See
+    exact_div for why each check is sound.
     """
-    if p.nvars != q.nvars:
-        raise ValueError("variable-count mismatch")
-    if q.is_zero():
-        raise ZeroDivisionError("exact_div by the zero polynomial")
-    n = p.nvars
-    if p.is_zero():
-        return LaurentPoly.zero(n)
-
-    def fail() -> NotDivisible:
-        return NotDivisible(
-            f"{p.canonical_string()!r} is not divisible by {q.canonical_string()!r}"
-        )
-
-    if len(q.terms) == 1:
-        ((eq, cq),) = q.terms.items()
-        if any(c % cq for c in p.terms.values()):
-            raise fail()
-        return LaurentPoly._trusted(
-            n, {tuple(map(sub, e, eq)): c // cq for e, c in p.terms.items()}
-        )
-
-    p_lo, p_hi = _exponent_bounds(p.terms)
     q_lo, q_hi = _exponent_bounds(q.terms)
-    num_deg = [h - l for l, h in zip(p_lo, p_hi)]
-    box = [d - (h - l) for d, l, h in zip(num_deg, q_lo, q_hi)]
-    if any(d < 0 for d in box):
-        raise fail()
-    base = 1 + max(num_deg)
-    weights = _weights(base, n)
-    p_off = sum(map(mul, p_lo, weights))
-    q_off = sum(map(mul, q_lo, weights))
-    shift_back = [a - b for a, b in zip(p_lo, q_lo)]
-
-    den = sorted(
-        ((sum(map(mul, e, weights)) - q_off, c) for e, c in q.terms.items()),
-        reverse=True,
-    )
+    n = len(lo)
+    box = [h - l - (qh - ql) for l, h, ql, qh in zip(lo, hi, q_lo, q_hi)]
+    shift_back = [a - b for a, b in zip(lo, q_lo)]
+    shift = sum(map(mul, shift_back, weights))
+    den = sorted(((k + shift, c) for k, c in _packed(q.terms, weights).items()), reverse=True)
     lead_key, lead_coeff = den[0]
     den_rest = den[1:]
     # Every key in rem has exactly one heap entry; cancelled terms stay
     # in rem as zeros until their entry is popped.
-    rem = {sum(map(mul, e, weights)) - p_off: c for e, c in p.terms.items()}
     heap = [-k for k in rem]
     heapify(heap)
     quot: Dict[Exponent, int] = {}
@@ -414,7 +418,152 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
                 heappush(heap, -key)
             else:
                 rem[key] = old - tc * dc
-    return LaurentPoly._trusted(n, quot)
+    return quot
+
+
+def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """Return r with q*r == p, or raise NotDivisible.
+
+    A monomial q divides term by term.  Otherwise, if a quotient exists,
+    its exponents lie in the box [lo - q_lo, hi - q_hi] for any box
+    [lo, hi] holding p's exponents (extreme faces multiply in an
+    integral domain), so every remainder exponent stays in [lo, hi] and
+    the packed keys carry nothing between digits.  Here [lo, hi] is
+    p's own bounds; exchange_relation passes its numerator's hull.
+    Single-divisor division then takes the largest remaining key from a
+    max-heap each step.  The leading-term test is fail-fast and sound:
+    over an integral domain the remainder q*(r - acc) always has leading
+    term divisible by q's, so the first quotient term that leaves the
+    box or has a non-integer coefficient certifies there is no
+    integer-coefficient quotient.  A borrow between digits always
+    leaves the box, since the lowest borrowing digit wraps to at least
+    base - deg_i(q), which exceeds hi_i - lo_i - deg_i(q); a box with a
+    negative width fails at the first nonzero term.
+    """
+    if p.nvars != q.nvars:
+        raise ValueError("variable-count mismatch")
+    if q.is_zero():
+        raise ZeroDivisionError("exact_div by the zero polynomial")
+    n = p.nvars
+    if p.is_zero():
+        return LaurentPoly.zero(n)
+
+    def fail() -> NotDivisible:
+        return NotDivisible(
+            f"{p.canonical_string()!r} is not divisible by {q.canonical_string()!r}"
+        )
+
+    if len(q.terms) == 1:
+        ((eq, cq),) = q.terms.items()
+        if any(c % cq for c in p.terms.values()):
+            raise fail()
+        return LaurentPoly._trusted(
+            n, {tuple(map(sub, e, eq)): c // cq for e, c in p.terms.items()}
+        )
+    lo, hi = _exponent_bounds(p.terms)
+    base = 1 + max(map(sub, hi, lo))
+    weights = _weights(base, n)
+    return LaurentPoly._trusted(
+        n, _packed_quotient(_packed(p.terms, weights), q, lo, hi, base, weights, fail)
+    )
+
+
+def exchange_relation(
+    plus: Sequence[tuple[LaurentPoly, int]],
+    minus: Sequence[tuple[LaurentPoly, int]],
+    x: LaurentPoly,
+) -> LaurentPoly:
+    """(prod f^a over plus + prod f^a over minus) / x, or raise NotDivisible.
+
+    With plus the pairs (x_i, b_ik) for b_ik > 0, minus the pairs
+    (x_i, -b_ik) for b_ik < 0 and x = x_k, this is the exchange relation
+    x'_k = (prod_i x_i^[b_ik]_+ + prod_i x_i^[-b_ik]_+) / x_k; an empty
+    side is the empty product 1.  When x is a monomial, or every
+    multiplication the relation makes would take the tuple branch of
+    LaurentPoly.__mul__ (each side's term counts, raised to their
+    exponents, multiply to at most _SMALL_PRODUCT), the relation is
+    exact_div(prod + prod, x) through LaurentPoly.pow and __mul__.
+    Otherwise it runs on one packing whose base covers the hull of the
+    numerator's exponents, the box spanned by the two products' bounds:
+    each factor is packed once, powers go by square-and-multiply with
+    squares visiting each unordered pair of terms once, the products are
+    added on packed keys, and exact_div's quotient loop divides them on
+    the hull box, so only the quotient is unpacked.  Inputs that are not
+    the arguments of a relation (a zero factor or divisor, an exponent
+    below 1, mismatched variable counts) take the first route, whose
+    operations answer them.
+    """
+    nvars = x.nvars
+    if (
+        len(x.terms) == 1
+        or max(_terms_bound(plus), _terms_bound(minus)) <= _SMALL_PRODUCT
+        or not x.terms
+        or not all(a > 0 and f.terms and f.nvars == nvars for f, a in (*plus, *minus))
+    ):
+        return exact_div(_product(plus, nvars) + _product(minus, nvars), x)
+
+    sides = []
+    for side in plus, minus:
+        lo, hi = [0] * nvars, [0] * nvars
+        for f, a in side:
+            f_lo, f_hi = _exponent_bounds(f.terms)
+            lo = [s + a * e for s, e in zip(lo, f_lo)]
+            hi = [s + a * e for s, e in zip(hi, f_hi)]
+        sides.append((lo, hi))
+    (p_lo, p_hi), (m_lo, m_hi) = sides
+    lo = list(map(min, p_lo, m_lo))
+    hi = list(map(max, p_hi, m_hi))
+    base = 1 + max(map(sub, hi, lo))
+    weights = _weights(base, nvars)
+    num = _packed_side(plus, weights)
+    get = num.get
+    for key, c in _packed_side(minus, weights).items():
+        num[key] = get(key, 0) + c
+
+    def fail() -> NotDivisible:
+        return NotDivisible(
+            f"the exchange relation is not divisible by {x.canonical_string()!r}"
+        )
+
+    return LaurentPoly._trusted(nvars, _packed_quotient(num, x, lo, hi, base, weights, fail))
+
+
+def _terms_bound(side: list[tuple[LaurentPoly, int]]) -> int:
+    """prod |f|^a over the side's pairs (f, a).
+
+    It bounds the terms of the side's product and the term pairs of
+    every multiplication that forms it.
+    """
+    out = 1
+    for f, a in side:
+        out *= len(f.terms) ** a
+    return out
+
+
+def _product(side: list[tuple[LaurentPoly, int]], nvars: int) -> LaurentPoly:
+    """prod f^a over the side, through LaurentPoly.pow and __mul__."""
+    out = None
+    for f, a in side:
+        f = f.pow(a)
+        out = f if out is None else out * f
+    return LaurentPoly.one(nvars) if out is None else out
+
+
+def _packed_side(side: list[tuple[LaurentPoly, int]], weights: list[int]) -> Dict[int, int]:
+    """prod f^a over the side on packed keys; a new map the caller may consume."""
+    out = None
+    for f, a in side:
+        g = _packed(f.terms, weights)
+        power = None
+        while True:
+            if a & 1:
+                power = g if power is None else _packed_product(power, g)
+            a >>= 1
+            if not a:
+                break
+            g = _packed_square(g)
+        out = power if out is None else _packed_product(out, power)
+    return {0: 1} if out is None else out
 
 
 def generators(nvars: int) -> tuple[LaurentPoly, ...]:

@@ -238,6 +238,12 @@ class TestQuiverAndDiagram:
         assert is_inflexion(B, 2, 1, 3)
         assert not is_inflexion(B, 1, 2, 3)
 
+    @pytest.mark.parametrize("triple", [(2, 1, 0), (2, 1, 4), (0, 1, 2), (4, 1, 2)])
+    def test_inflexion_rejects_an_index_out_of_range(self, triple):
+        # vertex 0 would read row -1, the last vertex, and answer True
+        with pytest.raises(IndexError, match=r"out of range \[1,3\]"):
+            is_inflexion(a3_path_matrix(), *triple)
+
 
 class TestMatrixClass:
     def test_rank2_simple_class(self):

@@ -457,6 +457,14 @@ class TestReplays:
         r = compute_L_P(LabeledSeed.initial(B), 2000)
         assert len(seed_mutations) == len(_prefixes(r.P_witnesses.values())) > 0
 
+    @pytest.mark.parametrize("budget", [1, 3])
+    def test_the_A2_swap_witness_replays_once(self, seed_mutations, budget):
+        # the cut orbit leaves the swap to _rank2_swap, whose replay of
+        # (1, 2, 1, 2, 1) is the only one
+        r = compute_L_P(a2_seed(), budget)
+        assert r.P_witnesses["(1 2)"] == (1, 2, 1, 2, 1)
+        assert len(seed_mutations) == 5
+
     @pytest.mark.parametrize("enumerate_group", [enumerate_saut_plus, enumerate_aut_plus])
     @pytest.mark.parametrize(
         "B, budget",

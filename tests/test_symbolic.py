@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -11,7 +12,13 @@ from clusteralg.errors import NotDivisible
 from clusteralg.fixtures import a4_path_matrix, kronecker_matrix
 from clusteralg.periodicity import bipartite_belt
 from clusteralg.seeds import LabeledSeed, orbit
-from clusteralg.symbolic import LaurentPoly, exact_div, generators
+from clusteralg.symbolic import (
+    _SMALL_PRODUCT,
+    LaurentPoly,
+    exact_div,
+    exchange_relation,
+    generators,
+)
 
 
 def test_zero_coefficients_are_dropped():
@@ -87,6 +94,17 @@ def test_exact_div_detects_failure():
     x, y = generators(2)
     with pytest.raises(NotDivisible):
         exact_div(x + y, x + LaurentPoly.one(2))
+
+
+def test_exact_div_rejects_a_quotient_term_one_past_the_box():
+    # (x1 - x2^2) / (x1^2 x2 (1 - x2)) is not Laurent; the leading
+    # quotient term lies one past the box, where remainder digits would
+    # reach the packing base and carry into a wrong quotient
+    p = LaurentPoly(2, {(-1, -1): 1, (-2, 1): -1})
+    q = LaurentPoly(2, {(0, 0): 1, (0, 1): -1})
+    assert _ref_div(p.terms, q.terms) is None
+    with pytest.raises(NotDivisible):
+        exact_div(p, q)
 
 
 def test_exact_div_integer_coefficient_failure():
@@ -172,6 +190,35 @@ def _random_poly(rng: random.Random, nvars: int, max_terms: int) -> LaurentPoly:
     return LaurentPoly(nvars, terms)
 
 
+def _random_side(rng: random.Random, nvars: int) -> list:
+    """Up to three random (factor, power) pairs, powers 1 to 4."""
+    side = []
+    for _ in range(rng.randint(0, 3)):
+        size = rng.choice([1, 2, 4, 8])
+        side.append((_random_poly(rng, nvars, size), rng.randint(1, 4 if size < 8 else 2)))
+    return side
+
+
+def _relation_reference(plus: list, minus: list, x: LaurentPoly) -> LaurentPoly:
+    """exact_div(prod + prod, x), the definition exchange_relation must agree with."""
+    one = LaurentPoly.one(x.nvars)
+    num = one
+    for f, a in plus:
+        num = num * f.pow(a)
+    other = one
+    for f, a in minus:
+        other = other * f.pow(a)
+    return exact_div(num + other, x)
+
+
+def _packs(plus: list, minus: list, x: LaurentPoly) -> bool:
+    """Whether exchange_relation leaves the products and exact_div of LaurentPoly."""
+    bound = max(
+        math.prod(len(f.terms) ** a for f, a in side) for side in (plus, minus)
+    )
+    return len(x.terms) > 1 and bound > _SMALL_PRODUCT
+
+
 @pytest.mark.parametrize("nvars", range(6))
 def test_mul_matches_schoolbook(nvars):
     rng = random.Random(100 + nvars)
@@ -185,12 +232,28 @@ def test_mul_matches_schoolbook(nvars):
 @pytest.mark.parametrize("nvars", range(6))
 def test_exact_div_matches_schoolbook(nvars):
     rng = random.Random(200 + nvars)
+    relation_rng = random.Random(250 + nvars)
+    paths = set()
     for _ in range(60):
         q = _random_poly(rng, nvars, rng.choice([1, 2, 4, 12]))
         r = _random_poly(rng, nvars, rng.choice([1, 4, 12]))
         p = q * r
         assert exact_div(p, q) == r
         assert _ref_div(p.terms, q.terms) == r.terms
+        # q divides a relation that has q as a factor on both sides
+        plus = _random_side(relation_rng, nvars) + [(q, relation_rng.randint(1, 2))]
+        minus = _random_side(relation_rng, nvars) + [(q, 1)]
+        assert exchange_relation(plus, minus, q) == _relation_reference(plus, minus, q)
+        paths.add(_packs(plus, minus, q))
+        # a square agrees with the product of two distinct equal copies
+        f = _random_poly(relation_rng, nvars, 16)
+        twice = [(f, 1), (LaurentPoly(nvars, f.terms), 1), (q, 1)]
+        assert exchange_relation([(f, 2), (q, 1)], minus, q) == exchange_relation(twice, minus, q)
+    if nvars:
+        assert paths == {False, True}
+    # an empty product on both sides (a zero column) gives 2/x_k
+    x = LaurentPoly.monomial(nvars, range(nvars))
+    assert exchange_relation([], [], x) == LaurentPoly.monomial(nvars, range(0, -nvars, -1), 2)
 
 
 @pytest.mark.parametrize("nvars", range(6))
@@ -212,6 +275,27 @@ def test_exact_div_fails_exactly_when_reference_fails(nvars):
         else:
             assert exact_div(p, q).terms == expected
     assert failures > 20
+    # exchange_relation fails exactly when exact_div(prod + prod, x) does
+    rng = random.Random(350 + nvars)
+    outcomes = set()
+    for _ in range(80):
+        x = _random_poly(rng, nvars, rng.choice([1, 2, 4]))
+        plus, minus = _random_side(rng, nvars), _random_side(rng, nvars)
+        if rng.random() < 0.3:
+            plus.append((x, 1))
+            minus.append((x, rng.randint(1, 3)))
+        try:
+            expected = _relation_reference(plus, minus, x)
+        except NotDivisible:
+            expected = None
+        if expected is None:
+            with pytest.raises(NotDivisible):
+                exchange_relation(plus, minus, x)
+        else:
+            assert exchange_relation(plus, minus, x) == expected
+        outcomes.add((expected is None, _packs(plus, minus, x)))
+    if nvars:
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_pow_zero_and_one():
