@@ -1,8 +1,12 @@
 """Classification of exchange matrices by their mutation class.
 
-Finite type and finite mutation type are decided through the class-wide
-2x2 product bounds (3 and 4 respectively), searched breadth-first with
-pruning; every negative answer carries a replayable witness.  The same
+Finite type is decided from B alone by the Barot–Geiss–Zelevinsky test
+(math/0411341) at any budget: a "yes" carries the positive admissible
+quasi-Cartan companion, and a "no" the bound witness of the class search
+(2x2 products over 3) where a budgeted search finds one, else the
+theorem's obstruction.  Finite mutation type is decided through the
+class-wide 2x2 product bound 4, searched breadth-first with pruning;
+finite type implies it (Fomin–Zelevinsky, math/0208229).  The same
 search machinery yields the m-invariant upper bound, mutation-acyclicity,
 the three sufficient relabeling-transitivity conditions, a cosmetic
 Dynkin-diagram labeling, and the automorphism-finiteness probe.
@@ -66,10 +70,203 @@ class BoundWitness:
 
 
 @dataclass(frozen=True)
+class FiniteTypeCertificate:
+    """The Barot–Geiss–Zelevinsky evidence on B's type, checkable from B alone.
+
+    B is of finite type iff every chordless cycle of its diagram is
+    cyclically oriented and its admissible quasi-Cartan companion A makes
+    D·A positive definite, D the symmetrizer.  A has a_ii = 2,
+    |a_ij| = |b_ij|, a_ij and a_ji of one sign, and an odd number of
+    positive a_ij on every chordless cycle; admissible companions differ
+    only by simultaneous sign changes, which keep definiteness.
+
+    `cycle` (1-based, least vertex first) is a chordless cycle that is
+    not cyclically oriented, and then there is no companion.  Otherwise
+    `companion` is A and `minor` is 0 when every leading principal minor
+    of D·A is positive, else the order of the first that is not.
+    """
+
+    cycle: tuple[int, ...] | None
+    companion: tuple[tuple[int, ...], ...] | None
+    minor: int
+
+    @property
+    def finite(self) -> bool:
+        return self.cycle is None and self.minor == 0
+
+    def replay(self, B: ExchangeMatrix) -> bool:
+        """Whether the certificate holds for B, rechecked from B's entries."""
+        cycles = _chordless_cycles(B)
+        if self.cycle is not None:
+            return (
+                self.companion is None
+                and tuple(v - 1 for v in self.cycle) in cycles
+                and not _is_oriented(B, tuple(v - 1 for v in self.cycle))
+            )
+        A, n = self.companion, B.n
+        if (
+            type(A) is not tuple
+            or len(A) != n
+            or any(type(row) is not tuple or len(row) != n for row in A)
+            or any(type(x) is not int for row in A for x in row)
+        ):
+            return False
+        if any(A[i][i] != 2 for i in range(n)) or any(
+            abs(A[i][j]) != abs(B.rows[i][j]) or A[i][j] * A[j][i] < 0
+            for i in range(n)
+            for j in range(n)
+            if i != j
+        ):
+            return False
+        return all(
+            _is_oriented(B, c)
+            and sum(A[c[k - 1]][c[k]] > 0 for k in range(len(c))) % 2 == 1
+            for c in cycles
+        ) and _first_nonpositive_minor(A, B.symmetrizer) == self.minor
+
+
+@dataclass(frozen=True)
 class Decision:
+    """yes / no / unknown, with the evidence each answer carries.
+
+    A finite-type "yes" carries the companion in `certificate`; a "no"
+    carries the class search's bound witness where the search finds one
+    within its budget, else the theorem's obstruction in `certificate`.
+    Finite-mutation-type answers carry the search's witness, and a "yes"
+    that the search could not reach carries the finite-type certificate.
+    """
+
     status: str  # yes | no | unknown
     witness: BoundWitness | None
     budget: int
+    certificate: FiniteTypeCertificate | None = None
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _chordless_cycles(B: ExchangeMatrix) -> list[tuple[int, ...]]:
+    """Every chordless cycle of B's diagram, 0-based, once each.
+
+    A cycle is listed from its least vertex s, in the direction whose
+    second vertex is below its last: induced paths from s through larger
+    vertices grow one vertex at a time, and a path closes at a vertex
+    adjacent to s.  `blocked` holds the path, the vertices up to s and
+    every neighbour of an inner path vertex, none of which may come next.
+    """
+    n = B.n
+    adj = [sum(1 << j for j in range(n) if B.rows[i][j]) for i in range(n)]
+    cycles = []
+    for s in range(n):
+        low = (1 << (s + 1)) - 1
+        stack = [((s, v), low | 1 << v) for v in _bits(adj[s] & ~low)]
+        while stack:
+            path, blocked = stack.pop()
+            last = path[-1]
+            for w in _bits(adj[last] & ~blocked):
+                if not adj[s] >> w & 1:
+                    stack.append((path + (w,), blocked | 1 << w | adj[last]))
+                elif path[1] < w:
+                    cycles.append(path + (w,))
+    return cycles
+
+
+def _is_oriented(B: ExchangeMatrix, cycle: tuple[int, ...]) -> bool:
+    """Whether the arrows of the cycle (0-based) all run one way round."""
+    signs = {B.rows[cycle[k - 1]][cycle[k]] > 0 for k in range(len(cycle))}
+    return len(signs) == 1
+
+
+def _admissible_companion(
+    B: ExchangeMatrix, cycles: list[tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """The quasi-Cartan companion with an odd number of positive a_ij on each cycle.
+
+    One unknown per edge, 1 when a_ij > 0, solved over GF(2) by
+    elimination on bit masks; free unknowns take 0 (a_ij < 0).  BGZ show
+    the system is solvable once every chordless cycle is oriented.
+    """
+    n = B.n
+    edge: dict[tuple[int, int], int] = {}  # both orientations of an edge share its bit
+    for i in range(n):
+        for j in range(i + 1, n):
+            if B.rows[i][j]:
+                edge[i, j] = edge[j, i] = 1 << (len(edge) // 2)
+    pivots: list[tuple[int, int, int]] = []  # (pivot bit, row mask, right side), reduced
+    for c in cycles:
+        mask, rhs = sum(edge[c[k - 1], c[k]] for k in range(len(c))), 1
+        for bit, row, side in pivots:
+            if mask & bit:
+                mask, rhs = mask ^ row, rhs ^ side
+        if not mask:
+            if rhs:
+                raise InvariantViolation("no admissible companion for oriented cycles")
+            continue
+        bit = mask & -mask
+        pivots = [(b, r ^ mask, t ^ rhs) if r & bit else (b, r, t) for b, r, t in pivots]
+        pivots.append((bit, mask, rhs))
+    positive = sum(bit for bit, _, side in pivots if side)
+    return tuple(
+        tuple(
+            2 if i == j else abs(x) if edge.get((i, j), 0) & positive else -abs(x)
+            for j, x in enumerate(row)
+        )
+        for i, row in enumerate(B.rows)
+    )
+
+
+def _first_nonpositive_minor(A: tuple[tuple[int, ...], ...], d: tuple[int, ...]) -> int:
+    """0 if every leading principal minor of D·A is positive, else the first order that is not.
+
+    Fraction-free (Bareiss) elimination on integers: the k-th pivot is
+    the k-th leading minor, and each division by the previous pivot is
+    exact.
+    """
+    M = [[d[i] * x for x in row] for i, row in enumerate(A)]
+    n, prev = len(M), 1
+    for k in range(n):
+        pivot = M[k][k]
+        if pivot <= 0:
+            return k + 1
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (pivot * M[i][j] - M[i][k] * M[k][j]) // prev
+        prev = pivot
+    return 0
+
+
+def _bgz_decision(B: ExchangeMatrix, budget: int) -> Decision:
+    """Finite type from B alone, with no search.
+
+    A pair with |b_ij b_ji| > 3 answers "no" with the bound witness the
+    class search would find first, at the root.
+    """
+    hit = _violating_pair(B, 3)
+    if hit is not None:
+        return Decision("no", BoundWitness((), *hit), budget)
+    cycles = _chordless_cycles(B)
+    for c in cycles:
+        if not _is_oriented(B, c):
+            cycle = tuple(v + 1 for v in c)
+            return Decision("no", None, budget, FiniteTypeCertificate(cycle, None, 0))
+    A = _admissible_companion(B, cycles)
+    certificate = FiniteTypeCertificate(None, A, _first_nonpositive_minor(A, B.symmetrizer))
+    return Decision("yes" if certificate.finite else "no", None, budget, certificate)
+
+
+def _witnessed(theorem: Decision, found: Decision) -> Decision:
+    """A finite-type "no" of the theorem, with the search's bound witness if it found one.
+
+    A search that closes the class without a violation contradicts the
+    theorem (FZ: infinite type has a product over 3 in its class).
+    """
+    if found.status == "yes":
+        raise InvariantViolation("a closed class search contradicts infinite type")
+    return found if found.status == "no" else theorem
 
 
 def _violating_pair(M: ExchangeMatrix, bound: int) -> tuple[int, int, int] | None:
@@ -122,18 +319,37 @@ def _bound_decision(mclass: MatrixClass, bound: int, budget: int) -> Decision:
 
 
 def is_finite_mutation_type(B: ExchangeMatrix, budget: int) -> Decision:
-    """Finitely many matrices in the class iff products stay <= 4 (rank >= 3)."""
+    """Finitely many matrices in the class iff products stay <= 4 (rank >= 3).
+
+    The class search answers first; where its budget cuts it, finite
+    type (which implies finite mutation type) still gives "yes".
+    """
     _require_count("budget", budget, 1)
     if B.n <= 2:
         # class is {B, -B}
         return Decision("yes", None, budget)
-    return _bounded_class_search(B, (4,), budget)[0]
+    found = _bounded_class_search(B, (4,), budget)[0]
+    if found.status == "unknown":
+        theorem = _bgz_decision(B, budget)
+        if theorem.status == "yes":
+            return theorem
+    return found
 
 
 def is_finite_type(B: ExchangeMatrix, budget: int) -> Decision:
-    """Finitely many seeds iff products stay <= 3 across the class."""
+    """Finitely many seeds, decided by the Barot–Geiss–Zelevinsky test.
+
+    The answer does not depend on the budget.  A "yes" carries the
+    positive admissible companion as its certificate.  A "no" carries
+    the first bound witness (a class member with |b_ij b_ji| > 3) of a
+    class search of `budget` matrices; when that search is cut first,
+    it carries the theorem's obstruction as its certificate instead.
+    """
     _require_count("budget", budget, 1)
-    return _bounded_class_search(B, (3,), budget)[0]
+    theorem = _bgz_decision(B, budget)
+    if theorem.status == "yes" or theorem.witness is not None:
+        return theorem
+    return _witnessed(theorem, _bounded_class_search(B, (3,), budget)[0])
 
 
 @dataclass(frozen=True)
@@ -349,19 +565,27 @@ def _render(status: str, budget: int) -> str:
 def classify(B: ExchangeMatrix, budget: int) -> Classification:
     """Every decision for B from a single walk of its mutation class.
 
-    The class is built once, to budget + 1 matrices: the bound searches
-    behind the finite-type answers also examine the first matrix past
-    their budget, while the m-invariant and acyclicity search reads only
-    the first budget matrices.  Each field equals what the standalone
-    functions return for the same budget.
+    Finite type comes from the Barot–Geiss–Zelevinsky test, as in
+    is_finite_type.  The class is built once, to budget + 1 matrices:
+    the bound searches (the witness of a finite-type "no", finite
+    mutation type) also examine the first matrix past their budget,
+    while the m-invariant and acyclicity search reads only the first
+    budget matrices.  Each field equals what the standalone functions
+    return for the same budget.
     """
     _require_count("budget", budget, 1)
+    theorem = _bgz_decision(B, budget)
     mclass = matrix_mutation_class(B, budget + 1)
-    ft = _bound_decision(mclass, 3, budget)
+    if theorem.status == "yes":
+        ft = theorem
+    else:
+        ft = _witnessed(theorem, _bound_decision(mclass, 3, budget))
     if B.n <= 2:
         fmt = Decision("yes", None, budget)
     else:
         fmt = _bound_decision(mclass, 4, budget)
+        if fmt.status == "unknown" and ft.status == "yes":
+            fmt = ft
     msearch = _m_search(mclass, budget)
     if msearch.acyclic_word is not None:
         acyclic_status = "yes"
@@ -369,7 +593,7 @@ def classify(B: ExchangeMatrix, budget: int) -> Classification:
         acyclic_status = "no"
     else:
         acyclic_status = "unknown"
-    if ft.status == "yes" and (fmt.status != "yes" or acyclic_status != "yes"):
+    if ft.status == "yes" and (fmt.status != "yes" or acyclic_status == "no"):
         raise InvariantViolation(
             "finite type must imply finite mutation type and mutation-acyclic"
         )
@@ -449,24 +673,29 @@ def _alternating_return_word(
 def automorphism_finiteness_probe(s: LabeledSeed, budget: int) -> ProbeResult:
     """finite / infinite(witness) / unknown for the automorphism group.
 
-    Finite type forces a finite group.  Otherwise the answer is
-    "infinite" with the first candidate matrix period none of whose
-    first `budget` powers, checked on keys (see ProbeResult), returns
-    the seed; candidates come from the bound-violation walk, the
-    source/sink composite of a bipartite matrix, and a short generic
-    period search, in that order.  A decomposable matrix is refused
-    with DecomposableMatrix, as the group enumerations refuse it.
+    Finite type, decided as in is_finite_type at any budget, forces a
+    finite group.  Otherwise one class walk of `budget` matrices looks
+    for the first bound violation; if it finds none, the answer is
+    "unknown".  Else the answer is "infinite" with the first candidate
+    matrix period none of whose first `budget` powers, checked on keys
+    (see ProbeResult), returns the seed; candidates come from the
+    bound-violation walk, the source/sink composite of a bipartite
+    matrix, and a short generic period search, in that order.  A
+    decomposable matrix is refused with DecomposableMatrix, as the group
+    enumerations refuse it.
     """
     _require_count("budget", budget, 1)
     B = s.matrix
     _require_indecomposable(B, "the finiteness probe")
+    theorem = _bgz_decision(B, budget)
+    if theorem.status == "yes":
+        return ProbeResult("finite", None, 0, budget)
     # one walk answers both bounds; a product over 4 is also over 3
-    ft, fmt = _bounded_class_search(B, (3, 4), budget)
+    found, fmt = _bounded_class_search(B, (3, 4), budget)
+    ft = _witnessed(theorem, found)
     if B.n <= 2:
         fmt = Decision("yes", None, budget)
-    if ft.status == "yes":
-        return ProbeResult("finite", None, 0, budget)
-    if ft.status == "unknown":
+    if ft.witness is None:
         return ProbeResult("unknown", None, 0, budget)
 
     ident = Permutation.identity(B.n)

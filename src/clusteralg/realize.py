@@ -75,6 +75,11 @@ def swap_gadget(s: LabeledSeed, i: int, j: int) -> MutationSequence:
     indices are: one that is not an int raises ValueError, one out of
     range IndexError.
     """
+    return _swap_gadget(s, i, j)[0]
+
+
+def _swap_gadget(s: LabeledSeed, i: int, j: int) -> tuple[MutationSequence, LabeledSeed]:
+    """swap_gadget's sequence, with the transposed seed it was verified against."""
     _require_index(i, s.rank)
     _require_index(j, s.rank)
     if i == j:
@@ -87,7 +92,7 @@ def swap_gadget(s: LabeledSeed, i: int, j: int) -> MutationSequence:
     swapped = permute_seed(s, Permutation.transposition(s.rank, i, j))
     if moved != swapped:
         raise InvariantViolation("swap gadget did not act as the transposition")
-    return seq
+    return seq, swapped
 
 
 @dataclass(frozen=True)
@@ -173,9 +178,8 @@ def realize_permutation(s: LabeledSeed, sigma: Permutation) -> RealizationPlan:
         path = _shortest_path(_adjacency(cur_edges, active), w0, v)
         stage_seq: list[int] = []
         for wk in path[1:]:
-            seq = swap_gadget(current, w0, wk)
-            # swap_gadget has just replayed seq to this seed: no second replay
-            current = permute_seed(current, Permutation.transposition(n, w0, wk))
+            # the gadget's replay has just built the transposed seed
+            seq, current = _swap_gadget(current, w0, wk)
             content[w0], content[wk] = content[wk], content[w0]
             stage_seq.extend(seq)
         if content[w0] != sigma(w0):

@@ -80,9 +80,14 @@ class TestDecisions:
         assert (w.sequence, w.i, w.j, w.product) == ((2, 4), 1, 3, 9)
         assert w.replay(B, 4)
 
-    def test_unknown_within_tiny_budget(self):
-        assert is_finite_type(a3_path_matrix(), 5).status == "unknown"
-        assert is_finite_type(a3_path_matrix(), 200).status == "yes"
+    def test_finite_type_at_any_budget(self):
+        # the test on B alone: a budget that cuts A3's 14-matrix class
+        # still reads "yes", with the companion as certificate
+        B = a3_path_matrix()
+        for budget in (5, 200):
+            d = is_finite_type(B, budget)
+            assert d.status == "yes" and d.witness is None
+            assert d.certificate.replay(B)
 
     @pytest.mark.parametrize(
         "i, j, error",
@@ -410,7 +415,11 @@ class TestFinitenessProbe:
             with pytest.raises(DecomposableMatrix, match="indecomposable"):
                 automorphism_finiteness_probe(seed, 200)
 
-    def test_undecided_when_type_is_open(self):
-        p = automorphism_finiteness_probe(LabeledSeed.initial(a3_path_matrix()), 5)
+    def test_undecided_when_the_walk_finds_no_witness(self):
+        # finite type is decided at any budget; off it, a walk cut before
+        # its first bound violation leaves the answer open
+        s = LabeledSeed.initial(a3_path_matrix())
+        assert automorphism_finiteness_probe(s, 5).status == "finite"
+        p = automorphism_finiteness_probe(LabeledSeed.initial(rank4_v1_matrix()), 1)
         assert p.status == "unknown"
         assert p.witness is None

@@ -181,7 +181,7 @@ def test_matrix_classes_match_the_plain_search(checked, name):
 def test_bound_searches_match_the_plain_search(checked, name):
     B = MATRICES[name]
     for budget in (1, 3, 7, 40):
-        is_finite_type(B, budget)
+        classify._bounded_class_search(B, (3,), budget)
         is_finite_mutation_type(B, budget)
     if B.n >= 2 and B.is_indecomposable():
         automorphism_finiteness_probe(LabeledSeed.initial(B), 40)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from clusteralg import seeds
+from clusteralg import realize, seeds
 from clusteralg.errors import DecomposableMatrix
 from clusteralg.exchange import (
     ExchangeMatrix,
@@ -140,6 +140,31 @@ class TestRealizePermutation:
             calls.clear()
             plan = realize_permutation(s, sigma)
             assert len(calls) == len(plan.full_sequence)
+
+    @pytest.mark.parametrize(
+        "B, sigmas",
+        [
+            (a4_path_matrix(), [Permutation.from_cycle_notation(4, "(1 4)(2 3)")]),
+            (a3_path_matrix(), list(all_permutations(3))),
+        ],
+        ids=["A4-reversal", "A3-all"],
+    )
+    def test_each_gadget_builds_its_transposed_seed_once(self, B, sigmas, monkeypatch):
+        # the plan moves on to the seed the gadget was verified against;
+        # the one further relabeling is the end check against sigma
+        calls = []
+        real = realize.permute_seed
+
+        def counted(s, sigma):
+            calls.append(sigma)
+            return real(s, sigma)
+
+        monkeypatch.setattr(realize, "permute_seed", counted)
+        s = LabeledSeed.initial(B)
+        for sigma in sigmas:
+            calls.clear()
+            plan = realize_permutation(s, sigma)
+            assert len(calls) == len(plan.full_sequence) // 5 + 1
 
     def test_identity_needs_no_mutations(self):
         s = LabeledSeed.initial(a4_path_matrix())
