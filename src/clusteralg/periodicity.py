@@ -22,20 +22,20 @@ reported words.  A matrix replay repeats the walk's integer rule
 through the validating constructor, so it checks the walk's goal and
 bookkeeping, not the rule itself.
 
-The key walks of seeds also carry H = C^-1, whose rows are the
-g-vectors by tropical duality (Nakanishi-Zelevinsky, arXiv:1101.3736).
-Mutation at k rewrites row k of H only, a step that rests on the sign
-coherence of the c-vectors (Gross-Hacking-Keel-Kontsevich,
-arXiv:1411.1394).  So a key whose H differs from the goal's in d rows
-needs at least d more letters to return, and the walks skip every
-subtree where no return fits in the letters left.  A skipped subtree holds no hit, so the
-outputs and their order are those of the full walk.
+The searches (find_periods, and the separating periods of the
+distinguisher) meet in the middle.  Mutation at k is an involution, so
+a word u x takes the start rows to the goal rows exactly when the
+start's rows after u equal the goal's rows after reverse(x).  So
+_returns walks every word of half the length from both ends, keys each
+layer by its rows, and joins the two tables: about (n-1)^(L/2) steps
+where a walk over every word takes (n-1)^L.  The tables hold every
+state of the last half layer, so a search whose table would pass
+_MAX_TABLE_STATES is refused before its first step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ne
 from typing import Any, Callable, Iterator, Sequence, Union
 
 from .errors import InvariantViolation, NotBipartite
@@ -97,33 +97,98 @@ def find_periods(
     """All nonempty sigma-periods of length <= max_len, sorted by (length, lex).
 
     The empty sequence (a period of anything when sigma is the identity)
-    is never listed.  The walk runs on plain integer rows with no
+    is never listed.  The search runs on plain integer rows with no
     ExchangeMatrix per node (see _principal_side): a matrix's B, a
     seed's key [B; C].  A sequence is a hit when its rows, relabeled by
     sigma, are the target's rows: when they are the target's rows
-    relabeled by sigma^-1.  The walk shares mutation prefixes, so it
-    costs one row step per visited sequence node.  Its hits are then
-    replayed exactly on the target by exchange._replay before any is
-    listed, one target.mutate per distinct nonempty prefix of the hits,
-    and a hit whose replay does not return raises InvariantViolation.
-    A seed's walk also carries the g-vector rows H = C^-1 and skips
-    every subtree whose H differs from the goal's in more rows than it
-    has letters left; a matrix's walk visits every sequence.
+    relabeled by sigma^-1, the goal.  _returns meets in the middle: it
+    walks the target, and the goal with the symmetrizer relabeled to
+    match, to ceil(max_len/2) letters, so an essential search costs
+    about n(n-1)^(ceil(max_len/2)-1) row steps, not n(n-1)^(max_len-1),
+    and holds as many states at once.  A search whose table would pass
+    _MAX_TABLE_STATES raises ValueError before its first step.  The hits
+    are then replayed exactly on the target by exchange._replay before
+    any is listed, one target.mutate per distinct nonempty prefix of the
+    hits, and a hit whose replay does not return raises
+    InvariantViolation.
     """
     _require_count("max_len", max_len, 0)
     _require_permutation(sigma, target.rank)
     n = target.rank
-    start = _principal_side(target)
-    goal = _permute_rows(start[0], sigma.inverse())
-    # a seed goal's C is a permutation matrix, so its inverse is its transpose
-    goal_h = tuple(zip(*goal[n:]))
-    bound = None if start[1] is None else lambda side: _rows_apart(side[1], goal_h)
-    walk = _walk(start, n, max_len, _side_step, essential_only, bound=bound)
-    found = [seq for seq, (rows, _, _) in walk if rows == goal]
+    _require_table_size(n, max_len, essential_only)
+    rows, d = start = _principal_side(target)
+    g = sigma.inverse()
+    goal = _permute_rows(rows, g), tuple(d[i - 1] for i in g.images)
+    found = _returns(start, goal, n, max_len, essential_only)
     for seq, end in _replay(target, found):
         if end.permute(sigma) != target:
             raise InvariantViolation(f"row period {seq} failed its exact replay")
     return sorted(found, key=lambda t: (len(t), t))
+
+
+# the most walk states one table of _returns may hold (see _require_table_size):
+# a state of a dense rank-8 seed key takes about 1.6 KB, so a table about 210 MB
+_MAX_TABLE_STATES = 1 << 17
+
+
+def _require_table_size(n: int, max_len: int, essential_only: bool) -> None:
+    """Refuse a search whose table of _returns would pass _MAX_TABLE_STATES.
+
+    The table holds every word of length 1..ceil(max_len/2): n(n-1)^(k-1)
+    essential words of length k, or n^k.  The size is computed from n,
+    max_len and essential_only alone, so nothing is stepped before the
+    refusal.  Past 2^64 states the exact count is moot and is given as
+    a lower bound.  At rank 1 without essential_only, and at rank 2 with
+    it, a layer holds one or two words, so the table is small but its
+    words grow to ceil(max_len/2) letters, as the walk's own stack of
+    prefixes does.
+    """
+    depth = (max_len + 1) // 2
+    per = n - 1 if essential_only else n
+    if per < 2:
+        size = n * (depth if per else min(depth, 1))
+    else:
+        size = n * (per ** min(depth, 64) - 1) // (per - 1)
+    if size > _MAX_TABLE_STATES:
+        least = "more than " if per > 1 and depth > 64 else ""
+        raise ValueError(
+            f"a period search to length {max_len} at rank {n} would hold {least}{size} "
+            f"walk states, past the cap of {_MAX_TABLE_STATES}"
+        )
+
+
+def _returns(
+    start: tuple, goal: tuple, n: int, max_len: int, essential_only: bool
+) -> list[tuple[int, ...]]:
+    """Every word of length 1..max_len that takes the start rows to the goal rows.
+
+    Each _side_step is an involution, so start.(u x) == goal exactly when
+    start.u == goal.reverse(x).  The start, and the goal when it is not
+    the start, are walked to ceil(max_len/2) and each layer is keyed by
+    its rows; a word of length m is then a head u of length ceil(m/2)
+    and a tail x of length floor(m/2) whose rows meet.  When
+    essential_only is set, a join whose halves repeat a letter where
+    they meet is skipped.  The words come in no particular order.
+    """
+    ahead = _layers(start, n, (max_len + 1) // 2, essential_only)
+    back = ahead if goal == start else _layers(goal, n, max_len // 2, essential_only)
+    found = []
+    for m in range(1, max_len + 1):
+        tails = back[m // 2]
+        for rows, heads in ahead[(m + 1) // 2].items():
+            for y in tails.get(rows, ()):
+                for u in heads:
+                    if not (essential_only and y and u[-1] == y[-1]):
+                        found.append(u + y[::-1])
+    return found
+
+
+def _layers(side: tuple, n: int, depth: int, essential_only: bool) -> list[dict]:
+    """[{rows: words}] for the words of each length 0..depth walked from side."""
+    layers: list[dict] = [{side[0]: [()]}] + [{} for _ in range(depth)]
+    for seq, (rows, _) in _walk(side, n, depth, _side_step, essential_only):
+        layers[len(seq)].setdefault(rows, []).append(seq)
+    return layers
 
 
 def _walk(
@@ -132,24 +197,19 @@ def _walk(
     max_len: int,
     step: Callable[[Any, int], Any],
     essential_only: bool = True,
-    bound: Callable[[Any], int] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], Any]]:
     """Yield (seq, state) for every sequence of length 1..max_len over [1,n].
 
-    The package's one sequence walker: depth first in lexicographic
-    order, each prefix before its extensions, with state =
-    step(parent state, last letter), so a prefix is mutated once for all
-    its extensions.  Iterative, because max_len may exceed the
-    interpreter's recursion limit, and lazy: a sequence's state is
-    computed only when the walk reaches it.
-
-    bound(state), when given, is a lower bound on the further letters
-    after which a state can be a hit.  A sequence (the empty one too) is
-    not extended when fewer letters are left than its bound, so the
-    walk yields every sequence except those the bound proves are no
-    hits, in the same order.
+    The package's one sequence walker, for the half walks of _returns,
+    the distinguisher's conjugators and the tests' references: depth
+    first in lexicographic order, each prefix before its extensions, so
+    the sequences come in tuple order, with state = step(parent state,
+    last letter), so a prefix is mutated once for all its extensions.
+    Iterative, because max_len may exceed the interpreter's recursion
+    limit, and lazy: a sequence's state is computed only when the walk
+    reaches it.
     """
-    if max_len < 1 or (bound is not None and bound(start) > max_len):
+    if max_len < 1:
         return
     stack = [(start, (), iter(range(1, n + 1)))]
     while stack:
@@ -160,8 +220,7 @@ def _walk(
             seq = prefix + (k,)
             nxt = step(state, k)
             yield seq, nxt
-            left = max_len - len(seq)
-            if left and (bound is None or bound(nxt) <= left):
+            if len(seq) < max_len:
                 stack.append((nxt, seq, iter(range(1, n + 1))))
             break
         else:
@@ -342,29 +401,35 @@ def period_set_distinguisher(
     the period sets are equal.
 
     Conjugators are tried in (length, lex) order, essential ones only,
-    one length at a time, and candidate periods in lexicographic order.
-    Both walks run on the principal-coefficient keys of the two roots:
-    a side holds a candidate exactly when its key returns to the key it
-    had after the conjugator.  Each side carries its g-vector rows
-    H = C^-1 as well, and the period walk skips every subtree where
-    neither side's H can return in the letters left: a separating
-    period needs only one side to return, so the bound is the smaller
-    of the two sides' counts of rows that differ from their start.  Only
-    the side that holds the witness is replayed, exactly, before it is
-    reported, so a search costs one Laurent replay when it finds a
-    witness and none when it does not.
+    one length at a time, and for each the witness is the least
+    candidate period in tuple order (the order of _walk) that returns
+    exactly one side.  Both searches run on the principal-coefficient
+    keys of the two roots: a side holds a candidate exactly when its key
+    returns to the key it had after the conjugator.  Each side's return
+    set comes from _returns, which walks ceil(period_len/2) letters and
+    holds about n(n-1)^(ceil(period_len/2)-1) keys.  It has no early
+    exit, so a witness that comes early in a long search may cost more
+    than a walk over every word that stops at it; a search whose table
+    would pass _MAX_TABLE_STATES raises ValueError before its first
+    step.  Only the side that holds the witness is replayed, exactly,
+    before it is reported, so a search costs one Laurent replay when it
+    finds a witness and none when it does not.
     """
     if s1.rank != s2.rank:
         raise ValueError("rank mismatch")
     _require_count("depth", depth, 0)
     _require_count("period_len", period_len, 0)
     n = s1.rank
-    roots = (_principal_side(s1), _principal_side(s2))
+    _require_table_size(n, period_len, True)
+    one, two = _principal_side(s1), _principal_side(s2)
     for length in range(depth + 1):
-        walk = _walk(roots, n, length, _mutate_pair) if length else [((), roots)]
-        for conj, sides in walk:
+        if length:
+            walk = zip(_walk(one, n, length, _side_step), _walk(two, n, length, _side_step))
+        else:
+            walk = [(((), one), ((), two))]
+        for (conj, side1), (_, side2) in walk:
             if len(conj) == length:
-                hit = _search_separating_period(sides, n, period_len)
+                hit = _search_separating_period((side1, side2), n, period_len)
                 if hit is not None:
                     seq, side = hit
                     t = (s1, s2)[side - 1].apply(conj)
@@ -375,83 +440,49 @@ def period_set_distinguisher(
 
 
 def _principal_side(target: Target) -> tuple:
-    """The walk state at target: its rows, H and d.
+    """The walk state at target: its rows and d.
 
-    A seed's rows are the 2n rows of its key [B; I], with H = I; a
-    matrix's are the n rows of B, with no H (None).  d is the
-    symmetrizer of B, which every mutation keeps.
+    A seed's rows are the 2n rows of its key [B; I]; a matrix's are the
+    n rows of B.  d is the symmetrizer of B, which every mutation keeps.
     """
     if isinstance(target, LabeledSeed):
-        rows = _principal_rows(target.matrix)
-        return rows, rows[target.rank :], target.matrix.symmetrizer
-    return target.rows, None, target.symmetrizer
-
-
-def _mutate_pair(sides: tuple, k: int) -> tuple:
-    return _side_step(sides[0], k), _side_step(sides[1], k)
+        return _principal_rows(target.matrix), target.matrix.symmetrizer
+    return target.rows, target.symmetrizer
 
 
 def _side_step(side: tuple, k: int) -> tuple:
-    """A walk state mutated at k, on plain integer rows.
+    """A walk state mutated at k, on plain integer rows; an involution.
 
-    The rows, of B or of [B; C], follow exchange._mutate_rows, and H,
-    when the state carries it, follows _mutate_h.  As in mutate_matrix,
-    the new B must keep the root's symmetrizer, d_i b'_ij = -d_j b'_ji,
-    or the step raises.
+    The rows, of B or of [B; C], follow exchange._mutate_rows.  Column k
+    of C must be sign-coherent, as every c-vector is (Gross-Hacking-
+    Keel-Kontsevich, arXiv:1411.1394), and, as in mutate_matrix, the new
+    B must keep the root's symmetrizer, d_i b'_ij = -d_j b'_ji; else the
+    step raises.
     """
-    rows, H, d = side
+    rows, d = side
+    n = len(d)
+    column = [row[k - 1] for row in rows[n:]]
+    if column and min(column) < 0 < max(column):
+        raise InvariantViolation(f"column {k} of C is not sign-coherent: {column}")
     new = _mutate_rows(rows, k)
     for i, di in enumerate(d):
         row = new[i]
-        for j in range(i + 1, len(d)):
+        for j in range(i + 1, n):
             if di * row[j] != -d[j] * new[j][i]:
                 raise InvariantViolation("mutation broke the skew-symmetrizer")
-    return new, None if H is None else _mutate_h(rows, H, k), d
-
-
-def _mutate_h(rows: tuple, H: tuple, k: int) -> tuple:
-    """H = C^-1 after the mutation at k of the key rows [B; C]: row k changes, no other.
-
-    With eps the sign of column k of C and m_j = [eps b_kj]_+, the
-    mutation is C' = C M_k for the involution M_k that is the identity
-    but in row k, which is (m_1, ..., -1, ..., m_n); so H' = M_k H, and
-    h'_k = -h_k + sum_j m_j h_j.  That is the rule of exchange._mutate_rows
-    exactly when column k of C is sign-coherent.
-    """
-    a = k - 1
-    column = [row[a] for row in rows[len(H) :]]
-    if min(column) < 0 < max(column):
-        raise InvariantViolation(f"column {k} of C is not sign-coherent: {column}")
-    eps = 1 if max(column) > 0 else -1
-    new = [-x for x in H[a]]
-    for b, h in zip(rows[a], H):
-        m = eps * b
-        if m > 0:
-            new = [x + m * y for x, y in zip(new, h)]
-    return H[:a] + (tuple(new),) + H[k:]
-
-
-def _rows_apart(H: tuple, goal: tuple) -> int:
-    """The rows where H and goal differ: each letter rewrites one."""
-    return sum(map(ne, H, goal))
+    return new, d
 
 
 def _search_separating_period(
-    start: tuple, n: int, period_len: int
+    sides: tuple, n: int, period_len: int
 ) -> tuple[tuple[int, ...], int] | None:
-    """The first sequence, in walk order, whose key returns on one side only."""
-    (key1, h1, _), (key2, h2, _) = start
-
-    def bound(sides: tuple) -> int:
-        return min(_rows_apart(sides[0][1], h1), _rows_apart(sides[1][1], h2))
-
-    for seq, ((end1, _, _), (end2, _, _)) in _walk(
-        start, n, period_len, _mutate_pair, bound=bound
-    ):
-        p1 = end1 == key1
-        if p1 != (end2 == key2):
-            return seq, 1 if p1 else 2
-    return None
+    """The least sequence, in tuple order, whose key returns on one side only."""
+    one, two = (set(_returns(side, side, n, period_len, True)) for side in sides)
+    split = one ^ two
+    if not split:
+        return None
+    seq = min(split)
+    return seq, 1 if seq in one else 2
 
 
 def tropical_period_filter(t: LabeledSeed, seq: Sequence[int]) -> bool:

@@ -153,6 +153,17 @@ class TestPeriods:
         assert out[1] == "  1,1"
         assert out[-1] == "  " + ",".join(["1"] * 1500)
 
+    def test_a_search_past_the_table_cap_exits_one(self, files, capsys):
+        # the size comes from the rank and the length before any step
+        rc = main(["periods", "--seed", files["a4"], "--max-len", "60"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a period search to length 60 at rank 4 would hold "
+            "411782264189296 walk states, past the cap of 131072\n"
+        )
+
     @pytest.mark.parametrize("text", ["(+1 2)", "(\u0661 2)", "(1 a)", "(1 2) (3)"])
     def test_malformed_sigma_exits_one(self, files, capsys, text):
         rc = main(["periods", "--seed", files["path3"], "--sigma", text, "--max-len", "4"])
@@ -283,6 +294,18 @@ class TestDistinguishCommand:
         assert captured.out.startswith(
             "no separating period found (conjugators to depth 0, "
             "periods to length 1500)"
+        )
+
+    def test_a_seed_against_itself_at_length_18(self, tmp_path, capsys):
+        # acyclic_triangle(1, 1, 2): each search walks 9 letters from each end
+        p = tmp_path / "acyclic.json"
+        p.write_text("[[0, 1, 2], [-1, 0, 1], [-2, -1, 0]]")
+        rc = main(["distinguish", "--seed-a", str(p), "--seed-b", str(p),
+                   "--depth", "1", "--period-len", "18"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "no separating period found (conjugators to depth 1, "
+            "periods to length 18)\n"
         )
 
 

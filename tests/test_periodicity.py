@@ -611,6 +611,10 @@ def seed_mutations(monkeypatch):
     return calls
 
 
+# the essential words of length 1..5 at rank 3: one table of a search to length 10
+TABLE3 = 3 * (2**5 - 1)
+
+
 class TestDistinguisher:
     def test_path_vs_fork_witness(self):
         w = period_set_distinguisher(
@@ -640,13 +644,13 @@ class TestDistinguisher:
     @pytest.mark.parametrize(
         "B1, B2, expected, moves",
         [
-            (path3(1, 1), fork3(1, 1), ((), (1, 2, 1, 2, 3, 2, 3, 1, 2, 1), 2), 82),
+            (path3(1, 1), fork3(1, 1), ((), (1, 2, 1, 2, 3, 2, 3, 1, 2, 1), 2), 2 * TABLE3),
             (acyclic_triangle(1, 1, 2), fork_chord_triangle(1, 1, 2),
-             ((3,), (1, 2, 1, 2, 1, 2, 1, 2, 1, 2), 1), 4916),
+             ((3,), (1, 2, 1, 2, 1, 2, 1, 2, 1, 2), 1), 4 * 2 * TABLE3 + 2 * 3),
             (acyclic_triangle(1, 1, 2), cyclic_triangle(1, 1, 2),
-             ((), (1, 2, 1, 3, 2, 1, 3, 1, 2, 3), 2), 132),
+             ((), (1, 2, 1, 3, 2, 1, 3, 1, 2, 3), 2), 2 * TABLE3),
             (path3(1, 1), cyclic_triangle(1, 1, 1),
-             ((), (1, 2, 1, 2, 3, 2, 3, 1, 2, 1), 2), 82),
+             ((), (1, 2, 1, 2, 3, 2, 3, 1, 2, 1), 2), 2 * TABLE3),
         ],
         ids=["path-fork", "acyclic-forkchord", "acyclic-cyclic", "path-cyclic"],
     )
@@ -662,10 +666,19 @@ class TestDistinguisher:
         # key walks build no exchange matrix
         assert len(seed_mutations) == len(w.conjugator) + len(w.period)
         assert len(matrix_mutations) == len(seed_mutations)
-        # the pair walks skip what cannot return (238, 18440, 432 and 238
-        # key steps when they walked every word); the witness's replay
-        # walks its key once more first
+        # each conjugator searched walks one table per side (the 3 pair
+        # steps of the length-1 conjugators come before the witness's);
+        # the witness's replay walks its key once more first
         assert len(key_steps) == moves + len(w.period)
+
+    def test_a_seed_against_itself_walks_half_of_length_18(self, key_steps, seed_mutations):
+        # nothing separates a seed from itself; each of the four
+        # conjugators searched walks one table per side, 3 * (2**9 - 1)
+        # words of length 1..9, after the 3 pair steps of length 1
+        s = LabeledSeed.initial(acyclic_triangle(1, 1, 2))
+        assert period_set_distinguisher(s, s, depth=1, period_len=18) is None
+        assert len(key_steps) == 4 * 2 * 3 * (2**9 - 1) + 2 * 3
+        assert seed_mutations == []
 
     def test_none_within_tiny_budget(self, seed_mutations):
         w = period_set_distinguisher(
@@ -678,113 +691,130 @@ class TestDistinguisher:
         assert seed_mutations == []
 
 
-def _identity_rows(n: int) -> tuple:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def _plain_returns(start: tuple, goal: tuple, n: int, max_len: int, essential_only: bool):
+    """The words to max_len, in tuple order, whose rows reach goal's: a walk over every word."""
+    walk = _walk(start, n, max_len, periodicity._side_step, essential_only)
+    return [seq for seq, (rows, _) in walk if rows == goal[0]]
 
 
-def _product(X: tuple, Y: tuple) -> tuple:
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*Y)) for row in X)
+def _goal(target, sigma: Permutation) -> tuple:
+    """The walk state of target relabeled by sigma^-1, the goal of find_periods."""
+    g = sigma.inverse()
+    rows, d = periodicity._principal_side(target)
+    return exchange._permute_rows(rows, g), tuple(d[i - 1] for i in g.images)
 
 
-def _side_walk(B, max_len: int) -> dict:
-    """{seq: (rows, H, d)} for every essential word to max_len from [B; I], the root too."""
-    root = periodicity._principal_side(LabeledSeed.initial(B))
-    nodes = {(): root}
-    nodes.update(_walk(root, B.n, max_len, periodicity._side_step))
-    return nodes
+def _plain_distinguisher(s1: LabeledSeed, s2: LabeledSeed, depth: int, period_len: int):
+    """The distinguisher's keys walked over every candidate, stopping at the first split."""
+    n = s1.rank
+    step = periodicity._side_step
+
+    def pair(sides, k):
+        return step(sides[0], k), step(sides[1], k)
+
+    roots = periodicity._principal_side(s1), periodicity._principal_side(s2)
+    for length in range(depth + 1):
+        walk = _walk(roots, n, length, pair) if length else [((), roots)]
+        for conj, start in walk:
+            if len(conj) != length:
+                continue
+            for seq, ends in _walk(start, n, period_len, pair):
+                back = [end[0] == side[0] for end, side in zip(ends, start)]
+                if back[0] != back[1]:
+                    return conj, seq, 1 if back[0] else 2
+    return None
 
 
-def _without_bound(monkeypatch, search, *args):
-    """search(*args) with every _walk it starts ignoring its bound."""
-    walk = periodicity._walk
-    with monkeypatch.context() as m:
-        m.setattr(periodicity, "_walk", lambda *a, bound=None: walk(*a))
-        return search(*args)
+def _rank4_sigmas():
+    return [Permutation.identity(4), Permutation.transposition(4, 1, 2), Permutation([2, 3, 4, 1])]
 
 
-# the fixtures with a key that returns to an ancestor within the walk
-RETURNS_WITHIN_THE_WALK = {
-    "B2", "zero2", "A3-path", "A3-alternating", "weighted-path3", "cyclic-triangle",
-    "A4-path", "rank4-v1",
-}
+class TestMeetInTheMiddle:
+    """The half-length searches against walks over every word."""
 
-
-class TestKeyWalkBound:
-    """H = C^-1 rides along the key walks and prunes them without loss."""
-
+    @pytest.mark.parametrize("kind", ["matrix", "seed"])
     @pytest.mark.parametrize("B", ACTION_FIXTURES.values(), ids=ACTION_FIXTURES.keys())
-    def test_h_inverts_c_and_a_letter_rewrites_one_row(self, B):
-        nodes = _side_walk(B, 4 if B.n == 4 else 6)
-        for seq, (rows, H, _) in nodes.items():
-            assert _product(rows[B.n :], H) == _identity_rows(B.n), seq
-            if seq:
-                before = nodes[seq[:-1]][1]
-                k = seq[-1]
-                assert H[: k - 1] == before[: k - 1] and H[k:] == before[k:], seq
-
-    @pytest.mark.parametrize("name", ACTION_FIXTURES)
-    def test_no_node_before_a_return_is_farther_than_its_letters_left(self, name):
-        # the bound: a key whose H differs from the goal's in d rows is
-        # at least d letters from the goal
-        B = ACTION_FIXTURES[name]
-        nodes = _side_walk(B, 4 if B.n == 4 else 6)
-        returns = 0
-        for seq, (rows, _, _) in nodes.items():
-            for start in range(len(seq)):
-                goal_rows, goal_h, _ = nodes[seq[:start]]
-                if goal_rows != rows:
-                    continue
-                returns += 1
-                for at in range(start + 1, len(seq)):
-                    apart = periodicity._rows_apart(nodes[seq[:at]][1], goal_h)
-                    assert apart <= len(seq) - at, (seq, start, at)
-        assert returns > 0 or name not in RETURNS_WITHIN_THE_WALK
-
-    @pytest.mark.parametrize("B", ACTION_FIXTURES.values(), ids=ACTION_FIXTURES.keys())
-    def test_seed_periods_do_not_depend_on_the_bound(self, B, monkeypatch):
-        max_len = 4 if B.n == 4 else 6
-        sigmas = all_permutations(B.n) if B.n <= 3 else [
-            Permutation.identity(4), Permutation.transposition(4, 1, 2), Permutation([2, 3, 4, 1])
-        ]
-        s = LabeledSeed.initial(B)
+    def test_returns_match_a_plain_walk(self, B, kind):
+        target = B if kind == "matrix" else LabeledSeed.initial(B)
+        sigmas = all_permutations(B.n) if B.n <= 3 else _rank4_sigmas()
+        start = periodicity._principal_side(target)
         for sigma in sigmas:
+            goal = _goal(target, sigma)
             for essential_only in (True, False):
-                args = (s, sigma, max_len, essential_only)
-                assert find_periods(*args) == _without_bound(monkeypatch, find_periods, *args), (
-                    sigma, essential_only
-                )
+                plain = _plain_returns(start, goal, B.n, 6, essential_only)
+                for max_len in range(7):
+                    want = [w for w in plain if len(w) <= max_len]
+                    got = periodicity._returns(start, goal, B.n, max_len, essential_only)
+                    assert sorted(got) == want, (sigma, essential_only, max_len)
+                    found = find_periods(target, sigma, max_len, essential_only)
+                    assert found == sorted(want, key=lambda w: (len(w), w))
 
     @pytest.mark.parametrize(
         "B1, B2", DISTINGUISHER_PAIRS.values(), ids=DISTINGUISHER_PAIRS.keys()
     )
-    def test_witnesses_do_not_depend_on_the_bound(self, B1, B2, monkeypatch):
+    def test_witnesses_match_a_plain_walk(self, B1, B2):
         for args in _distinguisher_grid(B1, B2):
-            assert period_set_distinguisher(*args) == _without_bound(
-                monkeypatch, period_set_distinguisher, *args
-            ), args
+            w = period_set_distinguisher(*args)
+            got = None if w is None else (w.conjugator, w.period, w.period_holds_on)
+            assert got == _plain_distinguisher(*args), args
 
-    def test_a4_seed_periods_skip_most_key_steps(
-        self, monkeypatch, key_steps, seed_mutations, matrix_mutations
+    @pytest.mark.parametrize(
+        "sigma, max_len, steps",
+        [
+            # one table when the goal is the start: 4 + 12 + 36 words to length 3
+            (Permutation.identity(4), 6, 52),
+            # a goal that moves walks its own table, to length 3 and to length 2
+            (Permutation.transposition(4, 1, 2), 6, 52 + 52),
+            (Permutation.transposition(4, 1, 2), 5, 52 + 16),
+        ],
+        ids=["identity", "swap-even", "swap-odd"],
+    )
+    def test_a4_seed_periods_walk_half_the_length(
+        self, sigma, max_len, steps, key_steps, seed_mutations, matrix_mutations
     ):
-        # 1456 key steps when every word is walked
-        args = (LabeledSeed.initial(a4_path_matrix()), Permutation.identity(4), 6)
-        found = find_periods(*args)
-        assert len(found) == 26
-        assert len(key_steps) == 382
+        # a walk over every word takes 4 * (3**6 - 1) // 2 = 1456 key steps
+        found = find_periods(LabeledSeed.initial(a4_path_matrix()), sigma, max_len)
+        assert len(found) == (26 if sigma.is_identity() else 2)
+        assert len(key_steps) == steps
         # the walk builds no exchange matrix: every mutation is a replay's
         assert len(matrix_mutations) == len(seed_mutations)
-        del key_steps[:]
-        assert _without_bound(monkeypatch, find_periods, *args) == found
-        assert len(key_steps) == 4 * (3**6 - 1) // 2
 
-    @pytest.mark.parametrize("side", [0, 1])
-    def test_a_mixed_sign_column_of_c_is_refused(self, side):
+    def test_a_mixed_sign_column_of_c_is_refused(self):
         # no walk builds such a key: c-vectors are sign-coherent
         B = a2_matrix()
-        good = periodicity._principal_side(LabeledSeed.initial(B))
-        C = ((1, 0), (-1, 1))
-        bad = (B.rows + C, ((1, 0), (1, 1)), B.symmetrizer)
-        sides = (bad, good) if side == 0 else (good, bad)
+        bad = (B.rows + ((1, 0), (-1, 1)), B.symmetrizer)
         with pytest.raises(InvariantViolation, match="column 1 of C"):
-            periodicity._mutate_pair(sides, 1)
-        periodicity._mutate_pair(sides, 2)  # column 2 is (0, 1)
+            periodicity._side_step(bad, 1)
+        periodicity._side_step(bad, 2)  # column 2 is (0, 1)
+
+
+class TestTableCap:
+    """A search whose table would pass the cap is refused before its first step."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("essential_only", [True, False])
+    def test_the_size_is_the_states_of_one_table(self, n, essential_only, monkeypatch):
+        root = periodicity._principal_side(zero_matrix(n))
+        for max_len in range(8):
+            depth = (max_len + 1) // 2
+            size = sum(1 for _ in _walk(root, n, depth, periodicity._side_step, essential_only))
+            monkeypatch.setattr(periodicity, "_MAX_TABLE_STATES", size)
+            periodicity._require_table_size(n, max_len, essential_only)
+            monkeypatch.setattr(periodicity, "_MAX_TABLE_STATES", size - 1)
+            with pytest.raises(ValueError, match=f"would hold {size} walk states"):
+                periodicity._require_table_size(n, max_len, essential_only)
+
+    def test_find_periods_refuses_a_long_search(self, key_steps):
+        # 2 * (3**30 - 1) essential words of length 1..30 at rank 4
+        for target in (a4_path_matrix(), LabeledSeed.initial(a4_path_matrix())):
+            with pytest.raises(ValueError, match="would hold 411782264189296 walk states"):
+                find_periods(target, Permutation.identity(4), 60)
+        with pytest.raises(ValueError, match=r"would hold more than \d+ walk states"):
+            find_periods(a4_path_matrix(), Permutation.identity(4), 10**9)
+        assert key_steps == []
+
+    def test_the_distinguisher_refuses_a_long_search(self, key_steps):
+        s = LabeledSeed.initial(a3_path_matrix())
+        with pytest.raises(ValueError, match="past the cap"):
+            period_set_distinguisher(s, s, 2, 60)
+        assert key_steps == []
