@@ -134,9 +134,8 @@ def _exchanged(s: LabeledSeed, k: int, matrix: ExchangeMatrix) -> LabeledSeed:
     """s with x_k replaced through the exchange relation, carrying matrix.
 
     x'_k = (prod_i x_i^[b_ik]_+ + prod_i x_i^[-b_ik]_+) / x_k, computed
-    by symbolic.exchange_relation: a small relation through LaurentPoly
-    products and exact_div, any other on one packing from its factors
-    to its quotient.  The division is exact for every seed reachable
+    by symbolic.exchange_relation as LaurentPoly powers and products
+    divided by exact_div.  The division is exact for every seed reachable
     from an initial one, so when the cluster spans the ambient variables
     a division failure signals an implementation bug and surfaces as
     InvariantViolation.  A seed with more ambient variables than its

@@ -2,75 +2,137 @@
 
 Values are immutable.  A polynomial is a finite map from exponent
 vectors (tuples of ints, possibly negative) to nonzero integer
-coefficients; the zero polynomial is the empty map.  Equality, hashing
-and the canonical serialized string all go through the same sorted term
-list, so equal polynomials are indistinguishable everywhere.
+coefficients; the zero polynomial is the empty map.
 
-The multiplication and division kernels work on packed exponents
-(Kronecker substitution), done afresh inside each call: with a base B
-larger than every per-variable exponent range involved, the vector
-(e_1, ..., e_n) becomes the single int sum(e_i * B^(n-i)).  Packing is
-linear, so multiplying monomials adds their ints, and on any box of
-exponent vectors whose every width is below B no carry crosses a digit,
-so the map is one-to-one there and the order of the ints is
-lexicographic order, a monomial order.  A product packs its two
-factors; exact_div packs its numerator; exchange_relation packs a whole
-exchange relation at once, its factors, powers, sum and division, with
-a base that covers the hull of the numerator's exponents: the box
-spanned by the exponent bounds of its two products, which holds every
-partial product too.  Division on that hull box stays fail-fast and
-sound: a quotient that exists lies in the box [lo - lo(den),
-hi - hi(den)], and a borrow between digits still leaves it, since B -
-deg(den) > (hi - lo) - deg(den).  Results are unpacked back to exponent
-tuples before they are stored, so the term map, equality, hashing and
-canonical strings never see packed keys.
+The map is stored with each exponent vector packed into one int for the
+life of the polynomial (Kronecker substitution with a fixed base): the
+exponent e of variable i becomes the 15-bit digit e + 2^14, variable 1
+most significant, so every exponent lies in [-2^14, 2^14 - 1].  On that
+range no digit carries, so packing is one-to-one, multiplying monomials
+adds their ints (less the packed zero vector), and the order of the ints
+is the lexicographic order of the vectors, a monomial order.  Equality
+and hashing read the packed map; exponent tuples are decoded only where
+they are printed or returned (terms, sorted_terms, canonical_string,
+pretty) and where a sum loses a term (its box, below).
+
+Each polynomial also keeps its box, the componentwise minimum and
+maximum of its exponents (all zeros for the zero polynomial), and every
+operation keeps it exact: a product's box is the sum of its factors'
+boxes (extreme faces multiply in an integral domain), a quotient's is
+the numerator's less the divisor's, and a sum's is the union of its
+operands' unless a term cancels, when it is recomputed.  Every box a
+constructor, product, shift or quotient would produce is checked against
+the digit range before any key is formed, and one that leaves it raises
+ValueError instead of wrapping.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from operator import add, mul, sub
-from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
+from operator import add, sub
+from typing import Any, Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import NotDivisible
 
 Exponent = Tuple[int, ...]
 
-# Up to this many term pairs, packing and unpacking cost more than adding
-# exponent tuples directly.  Timed on the products that finite-type
-# orbits and affine belts multiply, the crossover lies between 64 and
-# 200 pairs.  An exchange relation whose every multiplication is this
-# small is not packed as a whole either.
-_SMALL_PRODUCT = 100
+_DIGIT = 15
+_MASK = (1 << _DIGIT) - 1
+_OFFSET = 1 << (_DIGIT - 1)
+_MIN_EXP, _MAX_EXP = -_OFFSET, _OFFSET - 1
+
+
+def _require_int(x: Any, what: str) -> None:
+    # bool is an int subclass; floats and strings are not coerced
+    if type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not an integer")
+
+
+def _require_nvars(nvars: Any) -> None:
+    _require_int(nvars, "variable count")
+    if nvars < 0:
+        raise ValueError("variable count must be nonnegative")
+
+
+def _require_exponent(exp: Any, nvars: int, what: str) -> Exponent:
+    """exp as a tuple of nvars ints, or raise ValueError."""
+    try:
+        exp = tuple(exp)
+    except TypeError:
+        raise ValueError(f"{what} {exp!r} is not a sequence") from None
+    if len(exp) != nvars:
+        raise ValueError(f"{what} {exp!r} has length {len(exp)}, expected {nvars}")
+    for e in exp:
+        _require_int(e, "exponent")
+    return exp
+
+
+def _check_box(lo: Exponent, hi: Exponent, what: str) -> None:
+    if lo and (min(lo) < _MIN_EXP or max(hi) > _MAX_EXP):
+        raise ValueError(
+            f"{what} spans exponents {lo} to {hi}, outside [{_MIN_EXP}, {_MAX_EXP}]"
+        )
+
+
+def _origin(nvars: int) -> int:
+    """The packed key of the zero exponent vector."""
+    return _OFFSET * ((1 << (_DIGIT * nvars)) - 1) // _MASK
+
+
+def _delta(exp: Iterable[int]) -> int:
+    """sum(e_i * 2^(15(n-i))): what adding exp does to a packed key."""
+    out = 0
+    for e in exp:
+        out = (out << _DIGIT) + e
+    return out
+
+
+def _decoder(nvars: int) -> Callable[[int], Exponent]:
+    shifts = range(_DIGIT * (nvars - 1), -1, -_DIGIT)
+    return lambda k: tuple([((k >> s) & _MASK) - _OFFSET for s in shifts])
+
+
+def _bounds(exps: Iterable[Exponent], nvars: int) -> tuple[Exponent, Exponent]:
+    """Componentwise minimum and maximum of the vectors (zeros if there are none)."""
+    cols = list(zip(*exps))
+    if not cols:
+        return (0,) * nvars, (0,) * nvars
+    return tuple(map(min, cols)), tuple(map(max, cols))
 
 
 class LaurentPoly:
     """An integer Laurent polynomial in a fixed number of variables."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "_terms", "_lo", "_hi", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, int] | None = None):
-        if nvars < 0:
-            raise ValueError("variable count must be nonnegative")
-        self.nvars = nvars
+        _require_nvars(nvars)
         clean: Dict[Exponent, int] = {}
         if terms:
             for exp, coeff in terms.items():
-                if len(exp) != nvars:
-                    raise ValueError(
-                        f"exponent vector {exp!r} has length {len(exp)}, expected {nvars}"
-                    )
+                _require_int(coeff, "coefficient")
+                exp = _require_exponent(exp, nvars, "exponent vector")
                 if coeff:
-                    clean[tuple(exp)] = coeff
-        self.terms = clean
+                    clean[exp] = coeff
+        lo, hi = _bounds(clean, nvars)
+        _check_box(lo, hi, "a polynomial")
+        origin = _origin(nvars)
+        self.nvars = nvars
+        self._terms = {_delta(exp) + origin: c for exp, c in clean.items()}
+        self._lo = lo
+        self._hi = hi
         self._hash: int | None = None
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: Dict[Exponent, int]) -> "LaurentPoly":
-        """Wrap a term map the caller built with valid keys and no zero coefficients."""
+    def _trusted(
+        cls, nvars: int, terms: Dict[int, int], lo: Exponent, hi: Exponent
+    ) -> "LaurentPoly":
+        """Wrap packed terms with no zero coefficients and their exact, in-range box."""
         p = object.__new__(cls)
         p.nvars = nvars
-        p.terms = terms
+        p._terms = terms
+        p._lo = lo
+        p._hi = hi
         p._hash = None
         return p
 
@@ -78,13 +140,14 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, nvars: int) -> "LaurentPoly":
-        return cls(nvars, {})
+        return cls.constant(nvars, 0)
 
     @classmethod
     def constant(cls, nvars: int, c: int) -> "LaurentPoly":
-        if c == 0:
-            return cls.zero(nvars)
-        return cls(nvars, {(0,) * nvars: c})
+        _require_nvars(nvars)
+        _require_int(c, "coefficient")
+        zeros = (0,) * nvars
+        return cls._trusted(nvars, {_origin(nvars): c} if c else {}, zeros, zeros)
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPoly":
@@ -97,6 +160,7 @@ class LaurentPoly:
     @classmethod
     def generator(cls, nvars: int, i: int) -> "LaurentPoly":
         """The variable x_i, 1-based."""
+        _require_int(i, "generator index")
         if not 1 <= i <= nvars:
             raise ValueError(f"generator index {i} out of range [1,{nvars}]")
         exp = [0] * nvars
@@ -105,23 +169,30 @@ class LaurentPoly:
 
     # -- structure ---------------------------------------------------
 
+    @property
+    def terms(self) -> Dict[Exponent, int]:
+        """A freshly decoded copy of the term map: editing it changes nothing here."""
+        decode = _decoder(self.nvars)
+        return {decode(k): c for k, c in self._terms.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.nvars: 1}
+        return self._terms == {_origin(self.nvars): 1}
 
     def sorted_terms(self) -> list[tuple[Exponent, int]]:
-        return sorted(self.terms.items())
+        decode = _decoder(self.nvars)
+        return [(decode(k), c) for k, c in sorted(self._terms.items())]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self._terms == other._terms
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.nvars, tuple(self.sorted_terms())))
+            self._hash = hash((self.nvars, frozenset(self._terms.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -137,60 +208,77 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            s = out.get(exp, 0) + coeff
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        out = dict(self._terms)
+        get = out.get
+        cancelled = False
+        for k, c in other._terms.items():
+            s = get(k, 0) + c
             if s:
-                out[exp] = s
+                out[k] = s
             else:
-                out.pop(exp, None)
-        return LaurentPoly(self.nvars, out)
+                del out[k]
+                cancelled = True
+        if cancelled:
+            lo, hi = _bounds(map(_decoder(self.nvars), out), self.nvars)
+        else:
+            lo = tuple(map(min, self._lo, other._lo))
+            hi = tuple(map(max, self._hi, other._hi))
+        return LaurentPoly._trusted(self.nvars, out, lo, hi)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_compatible(other)
-        small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        if not small.terms:
-            return LaurentPoly.zero(self.nvars)
-        if len(small.terms) == 1:
-            ((es, cs),) = small.terms.items()
-            if cs == 1 and not any(es):
+        small, big = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
+        if not small._terms:
+            return small
+        lo = tuple(map(add, small._lo, big._lo))
+        hi = tuple(map(add, small._hi, big._hi))
+        _check_box(lo, hi, "a product")
+        origin = _origin(self.nvars)
+        if len(small._terms) == 1:
+            ((ks, cs),) = small._terms.items()
+            ks -= origin
+            if not ks and cs == 1:
                 return big
-            return LaurentPoly._trusted(self.nvars, _shifted(big.terms, es, cs))
-        if len(small.terms) * len(big.terms) <= _SMALL_PRODUCT:
-            out: Dict[Exponent, int] = {}
-            get = out.get
-            for ea, ca in small.terms.items():
-                for eb, cb in big.terms.items():
-                    key = tuple(map(add, ea, eb))
-                    out[key] = get(key, 0) + ca * cb
-            return LaurentPoly._trusted(self.nvars, {e: c for e, c in out.items() if c})
-        a_lo, a_hi = _exponent_bounds(small.terms)
-        b_lo, b_hi = _exponent_bounds(big.terms)
-        lows = [x + y for x, y in zip(a_lo, b_lo)]
-        base = 1 + max(x + y - z for x, y, z in zip(a_hi, b_hi, lows))
-        weights = _weights(base, self.nvars)
-        packed = _packed_product(_packed(small.terms, weights), _packed(big.terms, weights))
-        offset = sum(map(mul, lows, weights))
-        return LaurentPoly._trusted(self.nvars, _unpack(packed, offset, lows, base))
+            out = {k + ks: c * cs for k, c in big._terms.items()}
+        elif small is big:
+            out = _square_terms(small._terms, origin)
+        else:
+            out = _product_terms(small._terms, big._terms, origin)
+        return LaurentPoly._trusted(self.nvars, out, lo, hi)
 
     def scale(self, c: int) -> "LaurentPoly":
+        _require_int(c, "coefficient")
         if c == 0:
             return LaurentPoly.zero(self.nvars)
-        return LaurentPoly(self.nvars, {e: c * k for e, k in self.terms.items()})
+        return LaurentPoly._trusted(
+            self.nvars, {k: c * v for k, v in self._terms.items()}, self._lo, self._hi
+        )
 
     def shift(self, exp: Exponent) -> "LaurentPoly":
         """Multiply by the monomial x^exp."""
-        if len(exp) != self.nvars:
-            raise ValueError(f"shift {exp!r} has length {len(exp)}, expected {self.nvars}")
-        return LaurentPoly._trusted(self.nvars, _shifted(self.terms, exp, 1))
+        exp = _require_exponent(exp, self.nvars, "shift")
+        if not self._terms:
+            return self
+        lo = tuple(map(add, self._lo, exp))
+        hi = tuple(map(add, self._hi, exp))
+        _check_box(lo, hi, "a shift")
+        d = _delta(exp)
+        return LaurentPoly._trusted(
+            self.nvars, {k + d: c for k, c in self._terms.items()}, lo, hi
+        )
 
     def pow(self, k: int) -> "LaurentPoly":
+        _require_int(k, "power")
         if k < 0:
             raise ValueError("negative powers only exist for monomials; use shift")
         if k == 0:
@@ -209,27 +297,19 @@ class LaurentPoly:
 
     def min_exponents(self) -> Exponent:
         """Componentwise minimum exponent over all terms (zero poly: all 0)."""
-        if not self.terms:
-            return (0,) * self.nvars
-        cols = zip(*self.terms.keys())
-        return tuple(min(col) for col in cols)
+        return self._lo
 
     def max_exponents(self) -> Exponent:
-        if not self.terms:
-            return (0,) * self.nvars
-        cols = zip(*self.terms.keys())
-        return tuple(max(col) for col in cols)
+        return self._hi
 
     def all_coefficients_positive(self) -> bool:
-        return all(c > 0 for c in self.terms.values())
+        return all(c > 0 for c in self._terms.values())
 
     # -- canonical serialization ------------------------------------
 
     def canonical_string(self) -> str:
         """Bit-exact key: terms "coeff:e1,...,en" sorted by exponent, ';'-joined."""
-        return ";".join(
-            f"{c}:{','.join(str(x) for x in e)}" for e, c in self.sorted_terms()
-        )
+        return ";".join(f"{c}:{','.join(map(str, e))}" for e, c in self.sorted_terms())
 
     @classmethod
     def from_canonical_string(cls, nvars: int, s: str) -> "LaurentPoly":
@@ -246,16 +326,15 @@ class LaurentPoly:
         """Human form num/den with a monomial denominator, e.g. (1 + x1)/x2."""
         if names is None:
             names = [f"x{i}" for i in range(1, self.nvars + 1)]
-        if not self.terms:
+        if not self._terms:
             return "0"
-        mins = self.min_exponents()
-        den_exp = tuple(-min(m, 0) for m in mins)
+        den_exp = tuple(-min(m, 0) for m in self._lo)
         num = self.shift(den_exp)
         num_str = _format_positive_part(num, names)
         if all(d == 0 for d in den_exp):
             return num_str
         den_str = _format_monomial(den_exp, 1, names)
-        if len(num.terms) > 1:
+        if len(num._terms) > 1:
             num_str = f"({num_str})"
         if "*" in den_str:
             den_str = f"({den_str})"
@@ -293,152 +372,57 @@ def _format_positive_part(p: LaurentPoly, names: list[str]) -> str:
     return " ".join(parts)
 
 
-def _exponent_bounds(terms: Mapping[Exponent, int]) -> tuple[Exponent, Exponent]:
-    """Componentwise minimum and maximum exponents of a nonempty term map."""
-    cols = list(zip(*terms))
-    return tuple(map(min, cols)), tuple(map(max, cols))
-
-
-def _weights(base: int, nvars: int) -> list[int]:
-    """Packing weights base^(n-1), ..., base, 1: variable 1 is most significant."""
-    return [base**i for i in range(nvars - 1, -1, -1)]
-
-
-def _shifted(terms: Mapping[Exponent, int], exp: Exponent, c: int) -> Dict[Exponent, int]:
-    """The term map of c * x^exp times the given terms."""
-    if not any(exp):
-        return {e: c * k for e, k in terms.items()}
-    return {tuple(map(add, e, exp)): c * k for e, k in terms.items()}
-
-
-def _unpack(
-    packed: Mapping[int, int], offset: int, lows: list[int], base: int
-) -> Dict[Exponent, int]:
-    """Term map of packed keys whose digits, after subtracting offset, lie in [0, base)."""
-    n = len(lows)
-    terms: Dict[Exponent, int] = {}
-    for k, c in packed.items():
-        if c:
-            r = k - offset
-            exp = [0] * n
-            for i in range(n - 1, -1, -1):
-                r, d = divmod(r, base)
-                exp[i] = d + lows[i]
-            terms[tuple(exp)] = c
-    return terms
-
-
-def _packed(terms: Mapping[Exponent, int], weights: list[int]) -> Dict[int, int]:
-    """The term map with every exponent vector packed to its int."""
-    return {sum(map(mul, e, weights)): c for e, c in terms.items()}
-
-
-def _packed_product(a: Mapping[int, int], b: Mapping[int, int]) -> Dict[int, int]:
-    """The product of two packed term maps; cancelled terms stay as zeros."""
-    b_items = list(b.items())
+def _product_terms(a: Mapping[int, int], b: Mapping[int, int], origin: int) -> Dict[int, int]:
+    """The packed terms of a times b, zeros dropped."""
+    b_items = [(kb - origin, cb) for kb, cb in b.items()]
     out: Dict[int, int] = {}
     get = out.get
     for ka, ca in a.items():
         for kb, cb in b_items:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
-    return out
+    return _nonzero(out)
 
 
-def _packed_square(a: Mapping[int, int]) -> Dict[int, int]:
-    """_packed_product(a, a), visiting each unordered pair of terms once."""
+def _square_terms(a: Mapping[int, int], origin: int) -> Dict[int, int]:
+    """_product_terms(a, a, origin), visiting each unordered pair of terms once."""
     items = list(a.items())
     out: Dict[int, int] = {}
     get = out.get
     for i, (ka, ca) in enumerate(items):
-        k = ka + ka
+        ka -= origin
+        k = ka + ka + origin
         out[k] = get(k, 0) + ca * ca
         ca += ca
         for kb, cb in items[i + 1 :]:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
-    return out
+    return _nonzero(out)
 
 
-def _packed_quotient(
-    rem: Dict[int, int],
-    q: LaurentPoly,
-    lo: list[int],
-    hi: list[int],
-    base: int,
-    weights: list[int],
-    fail: Callable[[], NotDivisible],
-) -> Dict[Exponent, int]:
-    """The term map of rem / q, or raise fail(); rem is consumed.
-
-    rem is a numerator packed by weights, the powers of base, with every
-    exponent in the box [lo, hi], and base exceeds every width hi - lo.
-    q is packed so that a remainder key minus q's leading key is the
-    quotient term's key relative to the corner lo - q_lo of the box a
-    quotient must lie in, and only quotient terms are unpacked.  See
-    exact_div for why each check is sound.
-    """
-    q_lo, q_hi = _exponent_bounds(q.terms)
-    n = len(lo)
-    box = [h - l - (qh - ql) for l, h, ql, qh in zip(lo, hi, q_lo, q_hi)]
-    shift_back = [a - b for a, b in zip(lo, q_lo)]
-    shift = sum(map(mul, shift_back, weights))
-    den = sorted(((k + shift, c) for k, c in _packed(q.terms, weights).items()), reverse=True)
-    lead_key, lead_coeff = den[0]
-    den_rest = den[1:]
-    # Every key in rem has exactly one heap entry; cancelled terms stay
-    # in rem as zeros until their entry is popped.
-    heap = [-k for k in rem]
-    heapify(heap)
-    quot: Dict[Exponent, int] = {}
-    while heap:
-        k = -heappop(heap)
-        c = rem.pop(k)
-        if not c:
-            continue
-        t = k - lead_key
-        if c % lead_coeff:
-            raise fail()
-        r = t
-        exp = [0] * n
-        for i in range(n - 1, -1, -1):
-            r, d = divmod(r, base)
-            if d > box[i]:
-                raise fail()
-            exp[i] = d + shift_back[i]
-        if r:
-            raise fail()
-        tc = c // lead_coeff
-        quot[tuple(exp)] = tc
-        for dk, dc in den_rest:
-            key = dk + t
-            old = rem.get(key)
-            if old is None:
-                rem[key] = -tc * dc
-                heappush(heap, -key)
-            else:
-                rem[key] = old - tc * dc
-    return quot
+def _nonzero(terms: Dict[int, int]) -> Dict[int, int]:
+    return {k: c for k, c in terms.items() if c} if 0 in terms.values() else terms
 
 
 def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Return r with q*r == p, or raise NotDivisible.
 
-    A monomial q divides term by term.  Otherwise, if a quotient exists,
-    its exponents lie in the box [lo - q_lo, hi - q_hi] for any box
-    [lo, hi] holding p's exponents (extreme faces multiply in an
-    integral domain), so every remainder exponent stays in [lo, hi] and
-    the packed keys carry nothing between digits.  Here [lo, hi] is
-    p's own bounds; exchange_relation passes its numerator's hull.
-    Single-divisor division then takes the largest remaining key from a
-    max-heap each step.  The leading-term test is fail-fast and sound:
-    over an integral domain the remainder q*(r - acc) always has leading
-    term divisible by q's, so the first quotient term that leaves the
-    box or has a non-integer coefficient certifies there is no
-    integer-coefficient quotient.  A borrow between digits always
-    leaves the box, since the lowest borrowing digit wraps to at least
-    base - deg_i(q), which exceeds hi_i - lo_i - deg_i(q); a box with a
-    negative width fails at the first nonzero term.
+    If r exists, its box is [lo, hi] = [p_lo - q_lo, p_hi - q_hi] (extreme
+    faces multiply in an integral domain), so a box with a negative width
+    means no quotient, and one outside the digit range raises ValueError.
+    A monomial q then divides term by term.  Otherwise single-divisor
+    division takes the largest remaining key from a max-heap each step.
+    Every remainder key is a product of a term of q and a quotient term
+    in [lo, hi], so its exponents stay in p's box and it is a valid key.
+    The leading-term test is fail-fast and sound: over an integral
+    domain the remainder q*(r - acc) always has leading term divisible
+    by q's, so the first quotient term that leaves [lo, hi] or has a
+    non-integer coefficient certifies there is no integer-coefficient
+    quotient.  A candidate key minus the corner lo is decoded digit by
+    digit; a borrow between digits always leaves the box, since the
+    lowest borrowing digit wraps to at least 2^15 - deg_i(q), which
+    exceeds the width hi_i - lo_i = (p_hi_i - p_lo_i) - deg_i(q) because
+    p's widths are below 2^15.
     """
     if p.nvars != q.nvars:
         raise ValueError("variable-count mismatch")
@@ -446,26 +430,66 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("exact_div by the zero polynomial")
     n = p.nvars
     if p.is_zero():
-        return LaurentPoly.zero(n)
+        return p
 
     def fail() -> NotDivisible:
         return NotDivisible(
             f"{p.canonical_string()!r} is not divisible by {q.canonical_string()!r}"
         )
 
-    if len(q.terms) == 1:
-        ((eq, cq),) = q.terms.items()
-        if any(c % cq for c in p.terms.values()):
+    lo = tuple(map(sub, p._lo, q._lo))
+    hi = tuple(map(sub, p._hi, q._hi))
+    origin = _origin(n)
+    if len(q._terms) == 1:
+        _check_box(lo, hi, "a quotient")
+        ((kq, cq),) = q._terms.items()
+        if cq != 1 and any(c % cq for c in p._terms.values()):
             raise fail()
-        return LaurentPoly._trusted(
-            n, {tuple(map(sub, e, eq)): c // cq for e, c in p.terms.items()}
-        )
-    lo, hi = _exponent_bounds(p.terms)
-    base = 1 + max(map(sub, hi, lo))
-    weights = _weights(base, n)
-    return LaurentPoly._trusted(
-        n, _packed_quotient(_packed(p.terms, weights), q, lo, hi, base, weights, fail)
-    )
+        d = origin - kq
+        return LaurentPoly._trusted(n, {k + d: c // cq for k, c in p._terms.items()}, lo, hi)
+    widths = [h - l for l, h in zip(lo, hi)]
+    if min(widths) < 0:
+        raise fail()
+    _check_box(lo, hi, "a quotient")
+    den = sorted(q._terms.items(), reverse=True)
+    lead_key, lead_coeff = den[0]
+    den_rest = [(k - origin, c) for k, c in den[1:]]
+    to_quotient = origin - lead_key
+    to_corner = to_quotient - origin - _delta(lo)
+    widths.reverse()
+    rem = dict(p._terms)
+    # Every key in rem has exactly one heap entry; cancelled terms stay
+    # in rem as zeros until their entry is popped.
+    heap = [-k for k in rem]
+    heapify(heap)
+    quot: Dict[int, int] = {}
+    get, pop, push, mask, digit = rem.get, rem.pop, heappush, _MASK, _DIGIT
+    while heap:
+        k = -heappop(heap)
+        c = pop(k)
+        if not c:
+            continue
+        if c % lead_coeff:
+            raise fail()
+        r = k + to_corner
+        for w in widths:
+            if r & mask > w:
+                raise fail()
+            r >>= digit
+        if r:
+            raise fail()
+        t = k + to_quotient
+        tc = c // lead_coeff
+        quot[t] = tc
+        for dk, dc in den_rest:
+            key = dk + t
+            old = get(key)
+            if old is None:
+                rem[key] = -tc * dc
+                push(heap, -key)
+            else:
+                rem[key] = old - tc * dc
+    return LaurentPoly._trusted(n, quot, lo, hi)
 
 
 def exchange_relation(
@@ -478,92 +502,20 @@ def exchange_relation(
     With plus the pairs (x_i, b_ik) for b_ik > 0, minus the pairs
     (x_i, -b_ik) for b_ik < 0 and x = x_k, this is the exchange relation
     x'_k = (prod_i x_i^[b_ik]_+ + prod_i x_i^[-b_ik]_+) / x_k; an empty
-    side is the empty product 1.  When x is a monomial, or every
-    multiplication the relation makes would take the tuple branch of
-    LaurentPoly.__mul__ (each side's term counts, raised to their
-    exponents, multiply to at most _SMALL_PRODUCT), the relation is
-    exact_div(prod + prod, x) through LaurentPoly.pow and __mul__.
-    Otherwise it runs on one packing whose base covers the hull of the
-    numerator's exponents, the box spanned by the two products' bounds:
-    each factor is packed once, powers go by square-and-multiply with
-    squares visiting each unordered pair of terms once, the products are
-    added on packed keys, and exact_div's quotient loop divides them on
-    the hull box, so only the quotient is unpacked.  Inputs that are not
-    the arguments of a relation (a zero factor or divisor, an exponent
-    below 1, mismatched variable counts) take the first route, whose
-    operations answer them.
+    side is the empty product 1.  Powers square at half cost through
+    LaurentPoly.pow.
     """
     nvars = x.nvars
-    if (
-        len(x.terms) == 1
-        or max(_terms_bound(plus), _terms_bound(minus)) <= _SMALL_PRODUCT
-        or not x.terms
-        or not all(a > 0 and f.terms and f.nvars == nvars for f, a in (*plus, *minus))
-    ):
-        return exact_div(_product(plus, nvars) + _product(minus, nvars), x)
-
-    sides = []
-    for side in plus, minus:
-        lo, hi = [0] * nvars, [0] * nvars
-        for f, a in side:
-            f_lo, f_hi = _exponent_bounds(f.terms)
-            lo = [s + a * e for s, e in zip(lo, f_lo)]
-            hi = [s + a * e for s, e in zip(hi, f_hi)]
-        sides.append((lo, hi))
-    (p_lo, p_hi), (m_lo, m_hi) = sides
-    lo = list(map(min, p_lo, m_lo))
-    hi = list(map(max, p_hi, m_hi))
-    base = 1 + max(map(sub, hi, lo))
-    weights = _weights(base, nvars)
-    num = _packed_side(plus, weights)
-    get = num.get
-    for key, c in _packed_side(minus, weights).items():
-        num[key] = get(key, 0) + c
-
-    def fail() -> NotDivisible:
-        return NotDivisible(
-            f"the exchange relation is not divisible by {x.canonical_string()!r}"
-        )
-
-    return LaurentPoly._trusted(nvars, _packed_quotient(num, x, lo, hi, base, weights, fail))
+    return exact_div(_product(plus, nvars) + _product(minus, nvars), x)
 
 
-def _terms_bound(side: list[tuple[LaurentPoly, int]]) -> int:
-    """prod |f|^a over the side's pairs (f, a).
-
-    It bounds the terms of the side's product and the term pairs of
-    every multiplication that forms it.
-    """
-    out = 1
-    for f, a in side:
-        out *= len(f.terms) ** a
-    return out
-
-
-def _product(side: list[tuple[LaurentPoly, int]], nvars: int) -> LaurentPoly:
+def _product(side: Sequence[tuple[LaurentPoly, int]], nvars: int) -> LaurentPoly:
     """prod f^a over the side, through LaurentPoly.pow and __mul__."""
     out = None
     for f, a in side:
         f = f.pow(a)
         out = f if out is None else out * f
     return LaurentPoly.one(nvars) if out is None else out
-
-
-def _packed_side(side: list[tuple[LaurentPoly, int]], weights: list[int]) -> Dict[int, int]:
-    """prod f^a over the side on packed keys; a new map the caller may consume."""
-    out = None
-    for f, a in side:
-        g = _packed(f.terms, weights)
-        power = None
-        while True:
-            if a & 1:
-                power = g if power is None else _packed_product(power, g)
-            a >>= 1
-            if not a:
-                break
-            g = _packed_square(g)
-        out = power if out is None else _packed_product(out, power)
-    return {0: 1} if out is None else out
 
 
 def generators(nvars: int) -> tuple[LaurentPoly, ...]:
