@@ -27,6 +27,7 @@ from .exchange import (
     _require_count,
     _require_indecomposable,
     _require_index,
+    _require_replays,
     matrix_mutation_class,
 )
 from .periodicity import (
@@ -680,9 +681,10 @@ def automorphism_finiteness_probe(s: LabeledSeed, budget: int) -> ProbeResult:
     matrix period none of whose first `budget` powers, checked on keys
     (see ProbeResult), returns the seed; candidates come from the
     bound-violation walk, the source/sink composite of a bipartite
-    matrix, and a short generic period search, in that order.  A
-    decomposable matrix is refused with DecomposableMatrix, as the group
-    enumerations refuse it.
+    matrix, and a short generic period search, in that order.  The two
+    words built here are replayed on B by exchange._require_replays, and
+    the search replays its own periods.  A decomposable matrix is
+    refused with DecomposableMatrix, as the group enumerations refuse it.
     """
     _require_count("budget", budget, 1)
     B = s.matrix
@@ -698,7 +700,6 @@ def automorphism_finiteness_probe(s: LabeledSeed, budget: int) -> ProbeResult:
     if ft.witness is None:
         return ProbeResult("unknown", None, 0, budget)
 
-    ident = Permutation.identity(B.n)
     candidates: list[tuple[int, ...]] = []
     if fmt.status == "yes" and ft.witness is not None:
         w = ft.witness
@@ -710,11 +711,10 @@ def automorphism_finiteness_probe(s: LabeledSeed, budget: int) -> ProbeResult:
         sinks = [k for k in range(1, B.n + 1) if eps[k - 1] == -1]
         sources = [k for k in range(1, B.n + 1) if eps[k - 1] == +1]
         candidates.append(tuple(sinks + sources))
-    candidates.extend(find_periods(B, ident, max_len=min(B.n + 1, 4)))
+    _require_replays(B, dict.fromkeys(candidates, B), "probe candidate")
+    candidates.extend(find_periods(B, Permutation.identity(B.n), max_len=min(B.n + 1, 4)))
 
     for word in candidates:
-        if not is_sigma_period(B, word, ident).holds:
-            raise InvariantViolation("constructed witness is not a matrix period")
         if _return_power(s, word, budget) is None:
             return ProbeResult("infinite", word, budget, budget)
     return ProbeResult("unknown", None, budget, budget)

@@ -649,3 +649,16 @@ def _replay(
             trail.append(trail[-1].mutate(k))
         last = word
         yield word, trail[-1]
+
+
+def _require_replays(root: Any, ends: dict, what: str) -> None:
+    """Replay every word of ends on root; each must reach its value exactly.
+
+    The package's one check of a reported word (a period, a group element,
+    an L or P witness, a swap gadget): ends maps each word to the value it
+    must reach, the words are replayed by _replay, and the first that
+    misses raises InvariantViolation, its message naming what it was.
+    """
+    for word, moved in _replay(root, ends):
+        if moved != ends[word]:
+            raise InvariantViolation(f"{what} word {word} does not replay")

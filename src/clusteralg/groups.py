@@ -12,15 +12,18 @@ from a closed enumeration (or, for L and P at rank 2, the rank-2 rules)
 or an explicit unknown carrying the budget it failed at.
 
 Every reported element and witness is a word replayed exactly on the
-initial seed or matrix before it is returned, and every replay goes
-through exchange._replay: the words are replayed along their prefix
-tree, one mutation per distinct nonempty prefix, and never read the
-orbit's memo of exchange relations.
+initial seed or matrix before it is returned, and every replay is the
+package's one check of a reported word, exchange._require_replays: the
+words are replayed along their prefix tree (exchange._replay), one
+mutation per distinct nonempty prefix, and never read the orbit's memo
+of exchange relations.  Group elements are keyed by value: L and P map
+each member Permutation to its witness word.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation
@@ -28,13 +31,13 @@ from .exchange import (
     ExchangeMatrix,
     MatrixClass,
     Permutation,
-    _replay,
     _require_count,
     _require_indecomposable,
+    _require_replays,
     all_permutations,
     matrix_mutation_class,
 )
-from .seeds import LabeledSeed, OrbitGraph, apply_sequence, orbit, permute_seed
+from .seeds import LabeledSeed, OrbitGraph, orbit, permute_seed
 from .symbolic import LaurentPoly
 
 
@@ -72,7 +75,7 @@ def enumerate_saut_plus(s: LabeledSeed, budget: int) -> SautEnumeration:
 
     An incomplete orbit yields a truncated, flagged enumeration; the
     elements found are still genuine.  Each element's word is replayed
-    exactly on s (see exchange._replay, one mutation per distinct
+    exactly on s by exchange._require_replays (one mutation per distinct
     nonempty prefix of the words) and must reach the element's cluster
     with the matrix B, or InvariantViolation is raised.
     """
@@ -97,34 +100,34 @@ def _saut_from_orbit(s: LabeledSeed, graph: OrbitGraph, budget: int) -> SautEnum
     return SautEnumeration(elements, graph.complete, len(graph), budget)
 
 
-def _require_replays(root: ExchangeMatrix | LabeledSeed, ends: dict, what: str) -> None:
-    """Replay every word of ends on root; each must reach its value exactly.
-
-    The replay is exchange._replay, so words that share a prefix share
-    its mutations, and root.mutate is the only rule used.
-    """
-    for word, moved in _replay(root, ends):
-        if moved != ends[word]:
-            raise InvariantViolation(f"{what} witness {word} does not replay")
-
-
 @dataclass
 class LPResult:
     """The permutation-periodic groups, with per-element certainty.
 
-    members lists are certain; unknown lists hold permutations whose
-    membership could not be settled within budget.  exact means the
-    group is fully determined (unknown list empty).
+    L_witnesses and P_witnesses map each member, a Permutation, to a word
+    replayed exactly before it is reported: an L word takes B to
+    B^sigma, a P word takes s to s^sigma.  L_members and P_members are
+    read-only views of their keys, in the order of all_permutations.
+    P_certificates maps each permutation a rank-2 rule puts outside P to
+    the reason.  The unknown lists hold permutations whose membership
+    could not be settled within budget; exact means the group is fully
+    determined (unknown list empty).
     """
 
-    L_members: list[Permutation]
-    P_members: list[Permutation]
-    L_unknown: list[Permutation]
-    P_unknown: list[Permutation]
-    L_witnesses: dict = field(default_factory=dict)
-    P_witnesses: dict = field(default_factory=dict)
-    P_certificates: dict = field(default_factory=dict)
+    L_witnesses: dict[Permutation, tuple[int, ...]] = field(default_factory=dict)
+    P_witnesses: dict[Permutation, tuple[int, ...]] = field(default_factory=dict)
+    P_certificates: dict[Permutation, str] = field(default_factory=dict)
+    L_unknown: list[Permutation] = field(default_factory=list)
+    P_unknown: list[Permutation] = field(default_factory=list)
     budget: int = 0
+
+    @property
+    def L_members(self) -> KeysView[Permutation]:
+        return self.L_witnesses.keys()
+
+    @property
+    def P_members(self) -> KeysView[Permutation]:
+        return self.P_witnesses.keys()
 
     @property
     def L_exact(self) -> bool:
@@ -148,8 +151,7 @@ def _rank2_swap_in_L(B: ExchangeMatrix, swapped: ExchangeMatrix) -> tuple[int, .
     """
     if B.rows[0][1] != -B.rows[1][0]:
         return None
-    if B.apply(_RANK2_L_WITNESS) != swapped:
-        raise InvariantViolation("rank-2 L swap witness does not replay")
+    _require_replays(B, {_RANK2_L_WITNESS: swapped}, "rank-2 L")
     return _RANK2_L_WITNESS
 
 
@@ -166,8 +168,7 @@ def _rank2_swap(s: LabeledSeed, swapped: LabeledSeed) -> tuple[int, ...] | str:
     b12, b21 = s.matrix.rows[0][1], s.matrix.rows[1][0]
     bc = -b12 * b21
     if bc == 1:
-        if apply_sequence(s, _A2_SWAP_WITNESS) != swapped:
-            raise InvariantViolation("A2 swap witness does not replay")
+        _require_replays(s, {_A2_SWAP_WITNESS: swapped}, "rank-2 P")
         return _A2_SWAP_WITNESS
     if b12 != -b21:
         return f"rank 2, bc = {bc}: b12 != -b21, so the swap is not in L"
@@ -177,29 +178,21 @@ def _rank2_swap(s: LabeledSeed, swapped: LabeledSeed) -> tuple[int, ...] | str:
 def compute_L_P(s: LabeledSeed, budget: int) -> LPResult:
     """L = relabelings of B reachable by matrix mutation; P = same for the seed.
 
-    Both are decided per permutation.  Closed searches give exact
-    answers; a rank-2 search cut by the budget falls back to the rank-2
-    rules (_rank2_swap_in_L, _rank2_swap); anything else leaves the
-    permutation unknown.  Every witness returned is replayed exactly
-    once first: an L word on B must reach B^sigma, a P word on s must
-    reach s^sigma, or InvariantViolation is raised.  The rank-2 rules
-    replay their own witnesses, so only the closure witnesses are
-    replayed here.
+    Both are decided per permutation, in one pass over the matrix class
+    and the mutation-only orbit (see _lp_from_closures).  Closed searches
+    give exact answers; a rank-2 search cut by the budget falls back to
+    the rank-2 rules (_rank2_swap_in_L, _rank2_swap); anything else
+    leaves the permutation unknown.  Every witness returned is replayed
+    exactly once first, by exchange._require_replays: an L word on B must
+    reach B^sigma, a P word on s must reach s^sigma.  The rank-2 rules
+    replay their own witnesses; the closure witnesses come back from the
+    pass with their targets and are replayed here.
     """
     _require_count("budget", budget, 1)
     _require_indecomposable(s.matrix, "group enumeration")
     mclass = matrix_mutation_class(s.matrix, max_matrices=budget)
     graph = orbit(s, max_seeds=budget, with_permutations=False)
-    lp = _lp_from_closures(s, mclass, graph, budget)
-    l_ends, p_ends = {}, {}
-    for g in lp.L_members:
-        target = s.matrix.permute(g)
-        if mclass.find(target) is not None:
-            l_ends[lp.L_witnesses[g.cycle_notation()]] = target
-    for g in lp.P_members:
-        target = s.permute(g)
-        if graph.find(target) is not None:
-            p_ends[lp.P_witnesses[g.cycle_notation()]] = target
+    lp, l_ends, p_ends = _lp_from_closures(s, mclass, graph, budget)
     _require_replays(s.matrix, l_ends, "L")
     _require_replays(s, p_ends, "P")
     return lp
@@ -207,70 +200,70 @@ def compute_L_P(s: LabeledSeed, budget: int) -> LPResult:
 
 def _lp_from_closures(
     s: LabeledSeed, mclass: MatrixClass, graph: OrbitGraph, budget: int
-) -> LPResult:
+) -> tuple[LPResult, dict, dict]:
     """compute_L_P on an already built matrix class and mutation-only orbit.
 
-    The closure witnesses are not replayed here; the rank-2 rules replay
-    their own.
+    Returns the result with the closure witnesses, not yet replayed, and
+    their targets: {word: B^sigma} for L and {word: s^sigma} for P.  The
+    rank-2 rules replay their own witnesses.
     """
     n = s.rank
-    out = LPResult([], [], [], [], budget=budget)
+    out = LPResult(budget=budget)
+    l_ends: dict[tuple[int, ...], ExchangeMatrix] = {}
+    p_ends: dict[tuple[int, ...], LabeledSeed] = {}
     for sigma in all_permutations(n):
         target_m = s.matrix.permute(sigma)
         found = mclass.find(target_m)
         if found is not None:
-            out.L_members.append(sigma)
-            out.L_witnesses[sigma.cycle_notation()] = mclass.words[found]
+            out.L_witnesses[sigma] = mclass.words[found]
+            l_ends[mclass.words[found]] = target_m
         elif mclass.complete:
             pass
         elif n == 2:
             witness = _rank2_swap_in_L(s.matrix, target_m)
             if witness is not None:
-                out.L_members.append(sigma)
-                out.L_witnesses[sigma.cycle_notation()] = witness
+                out.L_witnesses[sigma] = witness
         else:
             out.L_unknown.append(sigma)
 
         target_s = s.permute(sigma)
         sfound = graph.find(target_s)
         if sfound is not None:
-            out.P_members.append(sigma)
-            out.P_witnesses[sigma.cycle_notation()] = graph.words[sfound][0]
+            out.P_witnesses[sigma] = graph.words[sfound][0]
+            p_ends[graph.words[sfound][0]] = target_s
         elif graph.complete:
             pass
         elif n == 2:
             answer = _rank2_swap(s, target_s)
             if isinstance(answer, str):
-                out.P_certificates[sigma.cycle_notation()] = answer
+                out.P_certificates[sigma] = answer
             else:
-                out.P_members.append(sigma)
-                out.P_witnesses[sigma.cycle_notation()] = answer
+                out.P_witnesses[sigma] = answer
         else:
             out.P_unknown.append(sigma)
-    _verify_subgroups(out, n)
-    return out
+    _verify_subgroups(out)
+    return out, l_ends, p_ends
 
 
-def _verify_subgroups(r: LPResult, n: int) -> None:
+def _verify_subgroups(r: LPResult) -> None:
     """Closure, containment and normality checks on the exact parts."""
-    pset = set(r.P_members)
-    lset = set(r.L_members)
+    pset, lset = r.P_members, r.L_members
     if r.P_exact and not pset <= lset and r.L_exact:
         raise InvariantViolation("P is not contained in L")
     if r.L_exact:
-        for a in r.L_members:
-            for b in r.L_members:
+        for a in lset:
+            for b in lset:
                 if a.compose(b) not in lset:
                     raise InvariantViolation("L is not closed under composition")
     if r.P_exact:
-        for a in r.P_members:
-            for b in r.P_members:
+        for a in pset:
+            for b in pset:
                 if a.compose(b) not in pset:
                     raise InvariantViolation("P is not closed under composition")
     if r.L_exact and r.P_exact:
-        for g in r.L_members:
+        for g in lset:
             ginv = g.inverse()
-            for p in r.P_members:
+            for p in pset:
                 if ginv.compose(p).compose(g) not in pset:
                     raise InvariantViolation("P is not normal in L")
 
@@ -319,39 +312,37 @@ def enumerate_aut_plus(s: LabeledSeed, budget: int) -> AutPlusEnumeration:
     mutation-only orbit relabeled by some pi with t^pi carrying B, that
     is t.matrix == B^(pi^-1) with pi^-1 in L.  One element per distinct
     relabeled seed, witnessed by the orbit word of the first t reaching
-    it.  Both witness conditions are re-verified on exact replays of the
-    distinct words through exchange._replay, one mutation per distinct
-    nonempty prefix (on D4, 24 elements share 4 words and 13 prefixes).
-    The identity is always in L, so every orbit seed that carries B is
-    an Aut+ image, and these replays check it: the SAut+ words are not
-    replayed a second time, and neither are the L and P witnesses, of
-    which only the orders are read.  The count is exact whenever SAut+
-    and L are, and the summary cross-checks it against |SAut+| |L| / |P|
-    when all four are exact.  The orbit is shared by SAut+, P and Aut+;
-    the matrix class by L.
+    it.  Each distinct word is replayed exactly by
+    exchange._require_replays and must reach the orbit seed t it was read
+    from, one mutation per distinct nonempty prefix (on D4, 24 elements
+    share 4 words and 13 prefixes); the matrix condition is checked on
+    each element.  The identity is always in L, so every orbit seed that
+    carries B is an Aut+ image, and these replays check it: the SAut+
+    words are not replayed a second time, and neither are the L and P
+    witnesses, of which only the orders are read.  The count is exact
+    whenever SAut+ and L are, and the summary cross-checks it against
+    |SAut+| |L| / |P| when all four are exact.  The orbit is shared by
+    SAut+, P and Aut+; the matrix class by L.
     """
     _require_count("budget", budget, 1)
     _require_indecomposable(s.matrix, "group enumeration")
     plain = orbit(s, max_seeds=budget, with_permutations=False)
     saut = _saut_from_orbit(s, plain, budget)
-    lp = _lp_from_closures(
+    lp, _, _ = _lp_from_closures(
         s, matrix_mutation_class(s.matrix, max_matrices=budget), plain, budget
     )
     relabelings: dict[ExchangeMatrix, list[Permutation]] = {}
     for tau in lp.L_members:
         relabelings.setdefault(s.matrix.permute(tau), []).append(tau.inverse())
-    witnesses: dict[LabeledSeed, tuple[tuple[int, ...], Permutation]] = {}
+    witnesses: dict[LabeledSeed, tuple[tuple[int, ...], Permutation, LabeledSeed]] = {}
     for idx, t in enumerate(plain.seeds):
         for pi in relabelings.get(t.matrix, ()):
-            witnesses.setdefault(permute_seed(t, pi), (plain.words[idx][0], pi))
+            witnesses.setdefault(permute_seed(t, pi), (plain.words[idx][0], pi, t))
     # elements reached along one orbit word differ only in pi
-    ends = dict(_replay(s, (word for word, _ in witnesses.values())))
+    _require_replays(s, {word: t for word, _, t in witnesses.values()}, "Aut+")
     elements = []
-    for image, (word, pi) in witnesses.items():
-        moved = ends[word]
-        if permute_seed(moved, pi) != image:
-            raise InvariantViolation("orbit word does not replay to its seed")
-        if moved.matrix != s.matrix.permute(pi.inverse()):
+    for image, (word, pi, t) in witnesses.items():
+        if t.matrix != s.matrix.permute(pi.inverse()):
             raise InvariantViolation("direct witness matrix condition failed")
         elements.append(DirectAutomorphism(image.cluster, pi, word))
 

@@ -16,11 +16,12 @@ does.  The type of the target is read only for the walk's start and
 the report's kind.  So is_sigma_period answers "no" from the rows
 alone, with nothing mutated, and every "yes" it gives and every period
 a search reports is first replayed exactly on the target: Laurent
-arithmetic for a seed, mutate_matrix for a matrix.  find_periods
-replays its hits through exchange._replay, the package's one replay of
-reported words.  A matrix replay repeats the walk's integer rule
-through the validating constructor, so it checks the walk's goal and
-bookkeeping, not the rule itself.
+arithmetic for a seed, mutate_matrix for a matrix.  Both go through
+exchange._require_replays, the package's one check of a reported word,
+which compares each end with the one goal target^(sigma^-1).  A matrix
+replay repeats the walk's integer rule through the validating
+constructor, so it checks the walk's goal and bookkeeping, not the rule
+itself.
 
 The searches (find_periods, and the separating periods of the
 distinguisher) meet in the middle.  Mutation at k is an involution, so
@@ -30,7 +31,8 @@ _returns walks every word of half the length from both ends, keys each
 layer by its rows, and joins the two tables: about (n-1)^(L/2) steps
 where a walk over every word takes (n-1)^L.  The tables hold every
 state of the last half layer, so a search whose table would pass
-_MAX_TABLE_STATES is refused before its first step.
+_MAX_TABLE_STATES states, or _MAX_TABLE_LETTERS letters in its words,
+is refused before its first step.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ from .exchange import (
     _mutate_rows,
     _permute_rows,
     _principal_rows,
-    _replay,
     _require_count,
     _require_permutation,
+    _require_replays,
     validate_sequence,
 )
 from .seeds import LabeledSeed, apply_sequence, inverse_sequence
@@ -71,9 +73,10 @@ def is_sigma_period(target: Target, seq: Sequence[int], sigma: Permutation) -> P
     do not reach the goal of find_periods the answer is no, and nothing
     is mutated.  For a seed that "no" is exact by synchronicity, and it
     holds for a subseed too, even one whose exchange relations are not
-    Laurent.  When the rows do reach the goal, the answer is the exact
-    replay target.apply(seq).permute(sigma) == target, and a replay that
-    disagrees with the rows raises InvariantViolation.
+    Laurent.  When the rows do reach the goal, seq is replayed exactly
+    by exchange._require_replays and must reach target^(sigma^-1), the
+    target relabeled by sigma^-1; a replay that disagrees with the rows
+    raises InvariantViolation.
     """
     seq = validate_sequence(seq, target.rank)
     _require_permutation(sigma, target.rank)
@@ -81,10 +84,10 @@ def is_sigma_period(target: Target, seq: Sequence[int], sigma: Permutation) -> P
     side = start = _principal_side(target)
     for k in seq:
         side = _side_step(side, k)
-    if side[0] != _permute_rows(start[0], sigma.inverse()):
+    g = sigma.inverse()
+    if side[0] != _permute_rows(start[0], g):
         return PeriodReport(seq, sigma, kind, False)
-    if target.apply(seq).permute(sigma) != target:
-        raise InvariantViolation(f"row period {seq} failed its exact replay")
+    _require_replays(target, {seq: target.permute(g)}, "period")
     return PeriodReport(seq, sigma, kind, True)
 
 
@@ -106,11 +109,12 @@ def find_periods(
     match, to ceil(max_len/2) letters, so an essential search costs
     about n(n-1)^(ceil(max_len/2)-1) row steps, not n(n-1)^(max_len-1),
     and holds as many states at once.  A search whose table would pass
-    _MAX_TABLE_STATES raises ValueError before its first step.  The hits
-    are then replayed exactly on the target by exchange._replay before
-    any is listed, one target.mutate per distinct nonempty prefix of the
-    hits, and a hit whose replay does not return raises
-    InvariantViolation.
+    _MAX_TABLE_STATES states or _MAX_TABLE_LETTERS letters raises
+    ValueError before its first step.  The hits are then replayed
+    exactly on the target by exchange._require_replays before any is
+    listed, one target.mutate per distinct nonempty prefix of the hits,
+    and each must reach the one goal target^(sigma^-1), or
+    InvariantViolation is raised.
     """
     _require_count("max_len", max_len, 0)
     _require_permutation(sigma, target.rank)
@@ -120,28 +124,33 @@ def find_periods(
     g = sigma.inverse()
     goal = _permute_rows(rows, g), tuple(d[i - 1] for i in g.images)
     found = _returns(start, goal, n, max_len, essential_only)
-    for seq, end in _replay(target, found):
-        if end.permute(sigma) != target:
-            raise InvariantViolation(f"row period {seq} failed its exact replay")
+    if found:
+        _require_replays(target, dict.fromkeys(found, target.permute(g)), "period")
     return sorted(found, key=lambda t: (len(t), t))
 
 
 # the most walk states one table of _returns may hold (see _require_table_size):
 # a state of a dense rank-8 seed key takes about 1.6 KB, so a table about 210 MB
 _MAX_TABLE_STATES = 1 << 17
+# the most letters the words of one table and the walk's stack of prefixes may
+# hold together: a letter is an 8-byte tuple slot, so about 134 MB
+_MAX_TABLE_LETTERS = 1 << 24
 
 
 def _require_table_size(n: int, max_len: int, essential_only: bool) -> None:
-    """Refuse a search whose table of _returns would pass _MAX_TABLE_STATES.
+    """Refuse a search whose table of _returns would pass either cap.
 
-    The table holds every word of length 1..ceil(max_len/2): n(n-1)^(k-1)
-    essential words of length k, or n^k.  The size is computed from n,
-    max_len and essential_only alone, so nothing is stepped before the
-    refusal.  Past 2^64 states the exact count is moot and is given as
-    a lower bound.  At rank 1 without essential_only, and at rank 2 with
-    it, a layer holds one or two words, so the table is small but its
-    words grow to ceil(max_len/2) letters, as the walk's own stack of
-    prefixes does.
+    The table holds every word of length 1..d, d = ceil(max_len/2):
+    n(n-1)^(k-1) essential words of length k, or n^k.  The size is
+    computed from n, max_len and essential_only alone, so nothing is
+    stepped before the refusal.  Past 2^64 states the exact count is
+    moot and is given as a lower bound.  At rank 1 without
+    essential_only, and at rank 2 with it, a layer holds n words, so the
+    states stay few while the words grow: the table's n d(d+1)/2 letters
+    and the d(d+1)/2 of _walk's stack of prefixes are held against
+    _MAX_TABLE_LETTERS.  At any other rank a table within the state cap
+    has words of at most 16 letters, at most 2^21 letters in all, so
+    there only the state cap binds.
     """
     depth = (max_len + 1) // 2
     per = n - 1 if essential_only else n
@@ -154,6 +163,12 @@ def _require_table_size(n: int, max_len: int, essential_only: bool) -> None:
         raise ValueError(
             f"a period search to length {max_len} at rank {n} would hold {least}{size} "
             f"walk states, past the cap of {_MAX_TABLE_STATES}"
+        )
+    letters = (n + 1) * depth * (depth + 1) // 2 if per == 1 else 0
+    if letters > _MAX_TABLE_LETTERS:
+        raise ValueError(
+            f"a period search to length {max_len} at rank {n} would hold {letters} "
+            f"letters in its words, past the cap of {_MAX_TABLE_LETTERS}"
         )
 
 
@@ -434,7 +449,7 @@ def period_set_distinguisher(
                     seq, side = hit
                     t = (s1, s2)[side - 1].apply(conj)
                     if not is_sigma_period(t, seq, Permutation.identity(n)).holds:
-                        raise InvariantViolation(f"key period {seq} failed its exact replay")
+                        raise InvariantViolation(f"key period {seq} does not return its key")
                     return DistinguisherWitness(conj, seq, side)
     return None
 

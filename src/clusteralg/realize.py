@@ -4,8 +4,8 @@ On a seed whose quiver is connected with all edge weights 1, any
 permutation of the positions can be produced by pure mutation.  The
 construction routes one variable at a time along simple edges using the
 five-step swap gadget, shrinking the working subquiver each stage.  Each
-gadget is replayed once, in swap_gadget, and that chain of checked
-replays is the plan's exact replay.
+gadget is replayed once, in swap_gadget, by exchange._require_replays,
+and that chain of checked replays is the plan's exact replay.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from .exchange import (
     _is_connected,
     _require_index,
     _require_permutation,
+    _require_replays,
 )
 from .seeds import (
     LabeledSeed,
     MutationSequence,
-    apply_sequence,
     format_sequence,
     permute_seed,
 )
@@ -88,10 +88,8 @@ def _swap_gadget(s: LabeledSeed, i: int, j: int) -> tuple[MutationSequence, Labe
         weight = abs(s.matrix.entry(i, j) * s.matrix.entry(j, i))
         raise ValueError(f"no simple edge between {i} and {j}: weight {weight}")
     seq = (i, j, i, j, i)
-    moved = apply_sequence(s, seq)
     swapped = permute_seed(s, Permutation.transposition(s.rank, i, j))
-    if moved != swapped:
-        raise InvariantViolation("swap gadget did not act as the transposition")
+    _require_replays(s, {seq: swapped}, "swap gadget")
     return seq, swapped
 
 

@@ -101,9 +101,12 @@ def _bounds(exps: Iterable[Exponent], nvars: int) -> tuple[Exponent, Exponent]:
 
 
 class LaurentPoly:
-    """An integer Laurent polynomial in a fixed number of variables."""
+    """An integer Laurent polynomial in a fixed number of variables.
 
-    __slots__ = ("nvars", "_terms", "_lo", "_hi", "_hash")
+    nvars is read-only, a property over the slot _nvars.
+    """
+
+    __slots__ = ("_nvars", "_terms", "_lo", "_hi", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, int] | None = None):
         _require_nvars(nvars)
@@ -117,7 +120,7 @@ class LaurentPoly:
         lo, hi = _bounds(clean, nvars)
         _check_box(lo, hi, "a polynomial")
         origin = _origin(nvars)
-        self.nvars = nvars
+        self._nvars = nvars
         self._terms = {_delta(exp) + origin: c for exp, c in clean.items()}
         self._lo = lo
         self._hi = hi
@@ -129,12 +132,16 @@ class LaurentPoly:
     ) -> "LaurentPoly":
         """Wrap packed terms with no zero coefficients and their exact, in-range box."""
         p = object.__new__(cls)
-        p.nvars = nvars
+        p._nvars = nvars
         p._terms = terms
         p._lo = lo
         p._hi = hi
         p._hash = None
         return p
+
+    @property
+    def nvars(self) -> int:
+        return self._nvars
 
     # -- constructors ------------------------------------------------
 
@@ -172,38 +179,38 @@ class LaurentPoly:
     @property
     def terms(self) -> Dict[Exponent, int]:
         """A freshly decoded copy of the term map: editing it changes nothing here."""
-        decode = _decoder(self.nvars)
+        decode = _decoder(self._nvars)
         return {decode(k): c for k, c in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {_origin(self.nvars): 1}
+        return self._terms == {_origin(self._nvars): 1}
 
     def sorted_terms(self) -> list[tuple[Exponent, int]]:
-        decode = _decoder(self.nvars)
+        decode = _decoder(self._nvars)
         return [(decode(k), c) for k, c in sorted(self._terms.items())]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        return self._nvars == other._nvars and self._terms == other._terms
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self._terms.items())))
+            self._hash = hash((self._nvars, frozenset(self._terms.items())))
         return self._hash
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self.nvars}, {dict(self.sorted_terms())!r})"
+        return f"LaurentPoly({self._nvars}, {dict(self.sorted_terms())!r})"
 
     # -- ring operations --------------------------------------------
 
     def _check_compatible(self, other: "LaurentPoly") -> None:
-        if self.nvars != other.nvars:
+        if self._nvars != other._nvars:
             raise ValueError(
-                f"variable-count mismatch: {self.nvars} vs {other.nvars}"
+                f"variable-count mismatch: {self._nvars} vs {other._nvars}"
             )
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -223,11 +230,11 @@ class LaurentPoly:
                 del out[k]
                 cancelled = True
         if cancelled:
-            lo, hi = _bounds(map(_decoder(self.nvars), out), self.nvars)
+            lo, hi = _bounds(map(_decoder(self._nvars), out), self._nvars)
         else:
             lo = tuple(map(min, self._lo, other._lo))
             hi = tuple(map(max, self._hi, other._hi))
-        return LaurentPoly._trusted(self.nvars, out, lo, hi)
+        return LaurentPoly._trusted(self._nvars, out, lo, hi)
 
     def __neg__(self) -> "LaurentPoly":
         return self.scale(-1)
@@ -243,7 +250,7 @@ class LaurentPoly:
         lo = tuple(map(add, small._lo, big._lo))
         hi = tuple(map(add, small._hi, big._hi))
         _check_box(lo, hi, "a product")
-        origin = _origin(self.nvars)
+        origin = _origin(self._nvars)
         if len(small._terms) == 1:
             ((ks, cs),) = small._terms.items()
             ks -= origin
@@ -254,19 +261,19 @@ class LaurentPoly:
             out = _square_terms(small._terms, origin)
         else:
             out = _product_terms(small._terms, big._terms, origin)
-        return LaurentPoly._trusted(self.nvars, out, lo, hi)
+        return LaurentPoly._trusted(self._nvars, out, lo, hi)
 
     def scale(self, c: int) -> "LaurentPoly":
         _require_int(c, "coefficient")
         if c == 0:
-            return LaurentPoly.zero(self.nvars)
+            return LaurentPoly.zero(self._nvars)
         return LaurentPoly._trusted(
-            self.nvars, {k: c * v for k, v in self._terms.items()}, self._lo, self._hi
+            self._nvars, {k: c * v for k, v in self._terms.items()}, self._lo, self._hi
         )
 
     def shift(self, exp: Exponent) -> "LaurentPoly":
         """Multiply by the monomial x^exp."""
-        exp = _require_exponent(exp, self.nvars, "shift")
+        exp = _require_exponent(exp, self._nvars, "shift")
         if not self._terms:
             return self
         lo = tuple(map(add, self._lo, exp))
@@ -274,7 +281,7 @@ class LaurentPoly:
         _check_box(lo, hi, "a shift")
         d = _delta(exp)
         return LaurentPoly._trusted(
-            self.nvars, {k + d: c for k, c in self._terms.items()}, lo, hi
+            self._nvars, {k + d: c for k, c in self._terms.items()}, lo, hi
         )
 
     def pow(self, k: int) -> "LaurentPoly":
@@ -282,7 +289,7 @@ class LaurentPoly:
         if k < 0:
             raise ValueError("negative powers only exist for monomials; use shift")
         if k == 0:
-            return LaurentPoly.one(self.nvars)
+            return LaurentPoly.one(self._nvars)
         result = None
         base = self
         while True:
@@ -325,7 +332,7 @@ class LaurentPoly:
     def pretty(self, names: list[str] | None = None) -> str:
         """Human form num/den with a monomial denominator, e.g. (1 + x1)/x2."""
         if names is None:
-            names = [f"x{i}" for i in range(1, self.nvars + 1)]
+            names = [f"x{i}" for i in range(1, self._nvars + 1)]
         if not self._terms:
             return "0"
         den_exp = tuple(-min(m, 0) for m in self._lo)
@@ -424,11 +431,11 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     exceeds the width hi_i - lo_i = (p_hi_i - p_lo_i) - deg_i(q) because
     p's widths are below 2^15.
     """
-    if p.nvars != q.nvars:
+    if p._nvars != q._nvars:
         raise ValueError("variable-count mismatch")
     if q.is_zero():
         raise ZeroDivisionError("exact_div by the zero polynomial")
-    n = p.nvars
+    n = p._nvars
     if p.is_zero():
         return p
 
@@ -505,7 +512,7 @@ def exchange_relation(
     side is the empty product 1.  Powers square at half cost through
     LaurentPoly.pow.
     """
-    nvars = x.nvars
+    nvars = x._nvars
     return exact_div(_product(plus, nvars) + _product(minus, nvars), x)
 
 

@@ -296,6 +296,17 @@ class TestDistinguishCommand:
             "periods to length 1500)"
         )
 
+    def test_a_rank_2_search_of_length_100000_exits_1(self, files, capsys):
+        # each layer holds two words, so only the letters of its words can bind
+        rc = main(["distinguish", "--seed-a", files["kron"],
+                   "--seed-b", files["kron"], "--depth", "0",
+                   "--period-len", "100000"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "letters in its words, past the cap" in captured.err
+        assert captured.out == ""
+
     def test_a_seed_against_itself_at_length_18(self, tmp_path, capsys):
         # acyclic_triangle(1, 1, 2): each search walks 9 letters from each end
         p = tmp_path / "acyclic.json"

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from clusteralg import groups, seeds
+from clusteralg import exchange, groups, seeds
 from clusteralg.errors import DecomposableMatrix, InvariantViolation
-from clusteralg.exchange import ExchangeMatrix, Permutation
+from clusteralg.exchange import ExchangeMatrix, Permutation, all_permutations
 from clusteralg.fixtures import (
     a2_matrix,
     a3_alternating_matrix,
@@ -29,6 +31,9 @@ from clusteralg.groups import (
 )
 from clusteralg.seeds import LabeledSeed, orbit
 from clusteralg.symbolic import LaurentPoly
+
+
+SWAP = Permutation.transposition(2, 1, 2)
 
 
 def a2_seed() -> LabeledSeed:
@@ -64,7 +69,7 @@ class TestLP:
         assert r.L_exact and r.P_exact
         assert len(r.L_members) == 2 and len(r.P_members) == 2
         # the closed orbit answers first, with its BFS witness
-        assert r.P_witnesses == {"id": (), "(1 2)": (1, 2, 1, 2, 1)}
+        assert r.P_witnesses == {Permutation.identity(2): (), SWAP: (1, 2, 1, 2, 1)}
         assert not r.P_certificates
 
     def test_rank3_path_L_and_P_are_S3(self):
@@ -79,7 +84,7 @@ class TestLP:
         r = compute_L_P(LabeledSeed.initial(kronecker_matrix(2)), budget=30)
         assert r.L_exact and len(r.L_members) == 2
         assert r.P_exact and len(r.P_members) == 1
-        assert r.P_members[0].is_identity()
+        assert next(iter(r.P_members)).is_identity()
         assert r.P_certificates
 
     @pytest.mark.parametrize("budget", [1, 3, 5])
@@ -104,12 +109,11 @@ class TestLP:
         r = compute_L_P(s, budget)
         assert r.P_exact
         assert len(r.P_members) == (2 if bc == 1 else 1)
-        for name, seq in r.P_witnesses.items():
-            sigma = Permutation.from_cycle_notation(2, name)
+        for sigma, seq in r.P_witnesses.items():
             assert s.apply(seq) == s.permute(sigma)
         if bc == 1:
-            assert r.P_witnesses["(1 2)"] == (1, 2, 1, 2, 1)
-        assert list(r.P_certificates) == ([] if bc == 1 else ["(1 2)"])
+            assert r.P_witnesses[SWAP] == (1, 2, 1, 2, 1)
+        assert list(r.P_certificates) == ([] if bc == 1 else [SWAP])
         for certificate in r.P_certificates.values():
             assert f"bc = {bc}" in certificate
             assert ("not in L" in certificate) == (b12 != -b21)
@@ -134,18 +138,40 @@ class TestLP:
         r = compute_L_P(LabeledSeed.initial(B), budget)
         assert r.L_exact
         assert len(r.L_members) == (2 if skew else 1)
-        for name, seq in r.L_witnesses.items():
-            assert B.apply(seq) == B.permute(Permutation.from_cycle_notation(2, name))
+        for sigma, seq in r.L_witnesses.items():
+            assert B.apply(seq) == B.permute(sigma)
         if skew:
-            assert r.L_witnesses["(1 2)"] == (1,)
+            assert r.L_witnesses[SWAP] == (1,)
         assert set(r.P_members) <= set(r.L_members)
+
+    @pytest.mark.parametrize(
+        "B, budget",
+        [(a3_path_matrix(), 2000), (kronecker_matrix(2), 12), (a2_matrix(), 1)],
+        ids=["A3", "kronecker", "A2-cut"],
+    )
+    def test_each_relabeled_target_is_built_once(self, monkeypatch, B, budget):
+        # B^sigma once for L and once inside s^sigma for P, and nothing rebuilt
+        # for the replays, the rank-2 rules included
+        seed_perms, matrix_perms = [], []
+        real_seed, real_matrix = seeds.permute_seed, exchange.apply_permutation_matrix
+        monkeypatch.setattr(
+            seeds, "permute_seed", lambda t, g: seed_perms.append(g) or real_seed(t, g)
+        )
+        monkeypatch.setattr(
+            exchange,
+            "apply_permutation_matrix",
+            lambda M, g: matrix_perms.append(g) or real_matrix(M, g),
+        )
+        compute_L_P(LabeledSeed.initial(B), budget)
+        perms = list(all_permutations(B.n))
+        assert seed_perms == perms
+        assert Counter(g.images for g in matrix_perms) == {g.images: 2 for g in perms}
 
     def test_membership_witnesses_replay(self):
         from clusteralg.periodicity import is_sigma_period
 
         r = compute_L_P(a2_seed(), budget=100)
-        for name, seq in r.P_witnesses.items():
-            sigma = Permutation.from_cycle_notation(2, name)
+        for sigma, seq in r.P_witnesses.items():
             # witness reaches the permuted seed, so the inverse closes the loop
             assert is_sigma_period(a2_seed(), seq, sigma.inverse()).holds
 
@@ -387,7 +413,11 @@ class TestClosureSharing:
             e.witness for e in saut.elements
         ]
         lp = compute_L_P(s, budget)
-        shared = seen["_lp_from_closures"]
+        shared, l_ends, p_ends = seen["_lp_from_closures"]
+        # the closure witnesses come back with their targets, ready to replay
+        assert l_ends[()] == B and p_ends[()] == s
+        assert all(l_ends[w] == B.permute(g) for g, w in lp.L_witnesses.items() if w in l_ends)
+        assert all(p_ends[w] == s.permute(g) for g, w in lp.P_witnesses.items() if w in p_ends)
         assert shared.L_witnesses == lp.L_witnesses
         assert shared.P_witnesses == lp.P_witnesses
         assert (shared.L_members, shared.P_members) == (lp.L_members, lp.P_members)
@@ -462,7 +492,7 @@ class TestReplays:
         # the cut orbit leaves the swap to _rank2_swap, whose replay of
         # (1, 2, 1, 2, 1) is the only one
         r = compute_L_P(a2_seed(), budget)
-        assert r.P_witnesses["(1 2)"] == (1, 2, 1, 2, 1)
+        assert r.P_witnesses[SWAP] == (1, 2, 1, 2, 1)
         assert len(seed_mutations) == 5
 
     @pytest.mark.parametrize("enumerate_group", [enumerate_saut_plus, enumerate_aut_plus])
@@ -487,7 +517,7 @@ class TestReplays:
             return graph
 
         monkeypatch.setattr(groups, "orbit", corrupted)
-        with pytest.raises(InvariantViolation, match="does not replay"):
+        with pytest.raises(InvariantViolation, match=r"Aut\+ word \(.*\) does not replay"):
             enumerate_group(LabeledSeed.initial(B), budget)
 
     @pytest.mark.parametrize("group", ["L", "P"])
@@ -496,10 +526,13 @@ class TestReplays:
         real = groups._lp_from_closures
 
         def corrupted(*args):
-            lp = real(*args)
-            getattr(lp, f"{group}_witnesses")["(1 2)"] = (1, 2)
-            return lp
+            lp, l_ends, p_ends = real(*args)
+            witnesses = getattr(lp, f"{group}_witnesses")
+            ends = l_ends if group == "L" else p_ends
+            ends[(1, 2)] = ends.pop(witnesses[SWAP])
+            witnesses[SWAP] = (1, 2)
+            return lp, l_ends, p_ends
 
         monkeypatch.setattr(groups, "_lp_from_closures", corrupted)
-        with pytest.raises(InvariantViolation, match=f"{group} witness \\(1, 2\\) does not"):
+        with pytest.raises(InvariantViolation, match=f"^{group} word \\(1, 2\\) does not replay"):
             compute_L_P(a2_seed(), 100)

@@ -273,7 +273,7 @@ class TestSeedPredicate:
     def test_a_key_that_fakes_a_return_fails_its_replay(self, target, monkeypatch):
         # a row step that stays put makes every sequence return
         monkeypatch.setattr(periodicity, "_side_step", lambda side, k: side)
-        with pytest.raises(InvariantViolation, match="failed its exact replay"):
+        with pytest.raises(InvariantViolation, match=r"^period word \(1,\) does not replay"):
             is_sigma_period(target, (1,), Permutation.identity(2))
 
     @pytest.mark.parametrize("seq", [(), (1, 2)])
@@ -818,3 +818,50 @@ class TestTableCap:
         with pytest.raises(ValueError, match="past the cap"):
             period_set_distinguisher(s, s, 2, 60)
         assert key_steps == []
+
+    @pytest.mark.parametrize("n, essential_only", [(2, True), (1, False)])
+    def test_the_letters_are_those_of_the_table_and_the_stack(self, n, essential_only):
+        # a layer holds n words, and the walk's stack the prefixes of one word
+        root = periodicity._principal_side(zero_matrix(n))
+        for max_len in range(1, 12):
+            depth = (max_len + 1) // 2
+            walk = _walk(root, n, depth, periodicity._side_step, essential_only)
+            letters = sum(len(seq) for seq, _ in walk) + depth * (depth + 1) // 2
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(periodicity, "_MAX_TABLE_LETTERS", letters)
+                periodicity._require_table_size(n, max_len, essential_only)
+                mp.setattr(periodicity, "_MAX_TABLE_LETTERS", letters - 1)
+                with pytest.raises(ValueError, match=f"would hold {letters} letters"):
+                    periodicity._require_table_size(n, max_len, essential_only)
+
+    @pytest.mark.parametrize(
+        "n, essential_only", [(2, False), (3, True), (3, False), (4, True), (8, True)]
+    )
+    def test_past_rank_2_only_the_state_cap_binds(self, n, essential_only):
+        # every length the state cap admits has words of at most 16 letters
+        per = n - 1 if essential_only else n
+        for max_len in range(64):
+            try:
+                periodicity._require_table_size(n, max_len, essential_only)
+            except ValueError as exc:
+                assert "walk states" in str(exc)
+                break
+            depth = (max_len + 1) // 2
+            table = sum(k * n * per ** (k - 1) for k in range(1, depth + 1))
+            assert depth <= 16
+            assert table + depth * (depth + 1) // 2 <= periodicity._MAX_TABLE_LETTERS
+        else:
+            pytest.fail("the state cap never bound")
+
+    def test_rank_2_searches_of_length_100000_are_refused(self, key_steps):
+        s = LabeledSeed.initial(kronecker_matrix(2))
+        for target in (s, s.matrix):
+            with pytest.raises(ValueError, match="letters in its words, past the cap"):
+                find_periods(target, Permutation.identity(2), 100000)
+        with pytest.raises(ValueError, match="letters in its words, past the cap"):
+            find_periods(LabeledSeed.initial(rank1_matrix()), Permutation.identity(1), 100000,
+                         essential_only=False)
+        with pytest.raises(ValueError, match="letters in its words, past the cap"):
+            period_set_distinguisher(s, s, 0, 100000)
+        assert key_steps == []
+        periodicity._require_table_size(2, 6000, True)

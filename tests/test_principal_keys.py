@@ -312,7 +312,7 @@ class TestPeriodKeys:
     def test_a_false_key_hit_fails_its_replay(self, target, monkeypatch):
         # a row step that stays at the root makes every sequence a hit
         monkeypatch.setattr(periodicity, "_side_step", lambda side, k: side)
-        with pytest.raises(InvariantViolation, match="failed its exact replay"):
+        with pytest.raises(InvariantViolation, match=r"^period word \(1,\) does not replay"):
             find_periods(target, Permutation.identity(2), 1)
 
 

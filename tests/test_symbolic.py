@@ -397,6 +397,15 @@ def test_editing_terms_leaves_the_polynomial_unchanged():
     assert p == LaurentPoly(2, {(0, 0): 1, (1, -1): 2})
 
 
+def test_nvars_is_read_only():
+    # a writable nvars would decode the packed keys with the wrong digit count
+    p = LaurentPoly.generator(2, 1)
+    with pytest.raises(AttributeError):
+        p.nvars = 3
+    assert p.nvars == 2
+    assert p.canonical_string() == "1:1,0"
+
+
 @pytest.mark.parametrize(
     "build",
     [
