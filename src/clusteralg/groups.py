@@ -185,16 +185,17 @@ def compute_L_P(s: LabeledSeed, budget: int) -> LPResult:
     leaves the permutation unknown.  Every witness returned is replayed
     exactly once first, by exchange._require_replays: an L word on B must
     reach B^sigma, a P word on s must reach s^sigma.  The rank-2 rules
-    replay their own witnesses; the closure witnesses come back from the
-    pass with their targets and are replayed here.
+    replay their own witnesses; the closure targets come back from the
+    pass keyed by permutation, and the reported witness of each is
+    replayed here against it.
     """
     _require_count("budget", budget, 1)
     _require_indecomposable(s.matrix, "group enumeration")
     mclass = matrix_mutation_class(s.matrix, max_matrices=budget)
     graph = orbit(s, max_seeds=budget, with_permutations=False)
-    lp, l_ends, p_ends = _lp_from_closures(s, mclass, graph, budget)
-    _require_replays(s.matrix, l_ends, "L")
-    _require_replays(s, p_ends, "P")
+    lp, l_targets, p_targets = _lp_from_closures(s, mclass, graph, budget)
+    _require_replays(s.matrix, {lp.L_witnesses[g]: t for g, t in l_targets.items()}, "L")
+    _require_replays(s, {lp.P_witnesses[g]: t for g, t in p_targets.items()}, "P")
     return lp
 
 
@@ -203,20 +204,21 @@ def _lp_from_closures(
 ) -> tuple[LPResult, dict, dict]:
     """compute_L_P on an already built matrix class and mutation-only orbit.
 
-    Returns the result with the closure witnesses, not yet replayed, and
-    their targets: {word: B^sigma} for L and {word: s^sigma} for P.  The
-    rank-2 rules replay their own witnesses.
+    Returns the result, its closure witnesses not yet replayed, with the
+    targets those witnesses must reach: {sigma: B^sigma} for L and
+    {sigma: s^sigma} for P, each built once.  The rank-2 rules replay
+    their own witnesses.
     """
     n = s.rank
     out = LPResult(budget=budget)
-    l_ends: dict[tuple[int, ...], ExchangeMatrix] = {}
-    p_ends: dict[tuple[int, ...], LabeledSeed] = {}
+    l_targets: dict[Permutation, ExchangeMatrix] = {}
+    p_targets: dict[Permutation, LabeledSeed] = {}
     for sigma in all_permutations(n):
         target_m = s.matrix.permute(sigma)
         found = mclass.find(target_m)
         if found is not None:
             out.L_witnesses[sigma] = mclass.words[found]
-            l_ends[mclass.words[found]] = target_m
+            l_targets[sigma] = target_m
         elif mclass.complete:
             pass
         elif n == 2:
@@ -230,7 +232,7 @@ def _lp_from_closures(
         sfound = graph.find(target_s)
         if sfound is not None:
             out.P_witnesses[sigma] = graph.words[sfound][0]
-            p_ends[graph.words[sfound][0]] = target_s
+            p_targets[sigma] = target_s
         elif graph.complete:
             pass
         elif n == 2:
@@ -242,7 +244,7 @@ def _lp_from_closures(
         else:
             out.P_unknown.append(sigma)
     _verify_subgroups(out)
-    return out, l_ends, p_ends
+    return out, l_targets, p_targets
 
 
 def _verify_subgroups(r: LPResult) -> None:

@@ -133,7 +133,11 @@ def find_periods(
 # a state of a dense rank-8 seed key takes about 1.6 KB, so a table about 210 MB
 _MAX_TABLE_STATES = 1 << 17
 # the most letters the words of one table and the walk's stack of prefixes may
-# hold together: a letter is an 8-byte tuple slot, so about 134 MB
+# hold together: a letter is an 8-byte tuple slot, so about 134 MB per table.
+# A search whose goal is not its start holds a second table, and the words it
+# finds, neither counted: at rank 2 and length 6686, the longest admitted, peak
+# RSS read 106 MB for Kronecker(2) and sigma = id, 196 MB for its swap (two
+# tables), and 236 MB for the A2 seed and its swap (two tables, 1338 periods)
 _MAX_TABLE_LETTERS = 1 << 24
 
 
@@ -148,7 +152,10 @@ def _require_table_size(n: int, max_len: int, essential_only: bool) -> None:
     essential_only, and at rank 2 with it, a layer holds n words, so the
     states stay few while the words grow: the table's n d(d+1)/2 letters
     and the d(d+1)/2 of _walk's stack of prefixes are held against
-    _MAX_TABLE_LETTERS.  At any other rank a table within the state cap
+    _MAX_TABLE_LETTERS.  The bound is per table: the goal's table, when
+    the goal is not the start, and the words found are not counted, so
+    a search at the cap may hold about twice as much (see the cap's
+    comment).  At any other rank a table within the state cap
     has words of at most 16 letters, at most 2^21 letters in all, so
     there only the state cap binds.
     """

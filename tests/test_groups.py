@@ -413,11 +413,17 @@ class TestClosureSharing:
             e.witness for e in saut.elements
         ]
         lp = compute_L_P(s, budget)
-        shared, l_ends, p_ends = seen["_lp_from_closures"]
-        # the closure witnesses come back with their targets, ready to replay
-        assert l_ends[()] == B and p_ends[()] == s
-        assert all(l_ends[w] == B.permute(g) for g, w in lp.L_witnesses.items() if w in l_ends)
-        assert all(p_ends[w] == s.permute(g) for g, w in lp.P_witnesses.items() if w in p_ends)
+        shared, l_targets, p_targets = seen["_lp_from_closures"]
+        # every permutation a closure finds comes back with its target,
+        # keyed by the permutation, and with the closure word as witness
+        mclass, graph = seen["matrix_mutation_class"], seen["orbit"]
+        in_class = {g for g in lp.L_witnesses if mclass.find(B.permute(g)) is not None}
+        in_orbit = {g for g in lp.P_witnesses if graph.find(s.permute(g)) is not None}
+        assert Permutation.identity(B.n) in in_class & in_orbit
+        assert l_targets == {g: B.permute(g) for g in in_class}
+        assert p_targets == {g: s.permute(g) for g in in_orbit}
+        assert all(lp.L_witnesses[g] == mclass.words[mclass.find(t)] for g, t in l_targets.items())
+        assert all(lp.P_witnesses[g] == graph.words[graph.find(t)][0] for g, t in p_targets.items())
         assert shared.L_witnesses == lp.L_witnesses
         assert shared.P_witnesses == lp.P_witnesses
         assert (shared.L_members, shared.P_members) == (lp.L_members, lp.P_members)
@@ -526,12 +532,9 @@ class TestReplays:
         real = groups._lp_from_closures
 
         def corrupted(*args):
-            lp, l_ends, p_ends = real(*args)
-            witnesses = getattr(lp, f"{group}_witnesses")
-            ends = l_ends if group == "L" else p_ends
-            ends[(1, 2)] = ends.pop(witnesses[SWAP])
-            witnesses[SWAP] = (1, 2)
-            return lp, l_ends, p_ends
+            lp, l_targets, p_targets = real(*args)
+            getattr(lp, f"{group}_witnesses")[SWAP] = (1, 2)
+            return lp, l_targets, p_targets
 
         monkeypatch.setattr(groups, "_lp_from_closures", corrupted)
         with pytest.raises(InvariantViolation, match=f"^{group} word \\(1, 2\\) does not replay"):

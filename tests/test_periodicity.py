@@ -865,3 +865,9 @@ class TestTableCap:
             period_set_distinguisher(s, s, 0, 100000)
         assert key_steps == []
         periodicity._require_table_size(2, 6000, True)
+
+    def test_the_longest_rank_2_search_admitted_is_6686(self):
+        # 3 d(d+1)/2 letters at depth d = ceil(L/2): 3343 fits under 2^24, 3344 does not
+        periodicity._require_table_size(2, 6686, True)
+        with pytest.raises(ValueError, match="letters in its words, past the cap"):
+            periodicity._require_table_size(2, 6687, True)
