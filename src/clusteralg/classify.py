@@ -399,10 +399,6 @@ class Main1Flags:
     ii: bool
     iii: bool
 
-    @property
-    def any(self) -> bool:
-        return self.i or self.ii or self.iii
-
     def to_json_dict(self) -> dict:
         return {"i": self.i, "ii": self.ii, "iii": self.iii}
 

@@ -103,14 +103,6 @@ class ExchangeMatrix:
         """Largest |entry|, max |b_ij|; 0 for a zero matrix."""
         return max(abs(x) for row in self.rows for x in row)
 
-    def max_abs_product(self) -> int:
-        """max over pairs of |b_ij * b_ji|."""
-        best = 0
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                best = max(best, abs(self.rows[i][j] * self.rows[j][i]))
-        return best
-
     def underlying_edges(self) -> list[tuple[int, int]]:
         """Edges {i,j} (1-based, i<j) of the underlying undirected graph."""
         return [
@@ -457,7 +449,7 @@ class Permutation:
 
     @classmethod
     def from_cycle_notation(cls, n: int, text: str) -> "Permutation":
-        """Parse "(1 2)(3 4)"; "id", "()" and "" all mean the identity.
+        """Parse "(1 2)(3 4)"; "id", "e", "()" and "" all mean the identity.
 
         Entries are ASCII digits separated by spaces or commas, and cycles
         are disjoint and written next to each other with nothing between

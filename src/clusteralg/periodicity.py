@@ -52,7 +52,7 @@ from .exchange import (
     _require_replays,
     validate_sequence,
 )
-from .seeds import LabeledSeed, apply_sequence, inverse_sequence
+from .seeds import LabeledSeed
 
 Target = Union[ExchangeMatrix, LabeledSeed]
 
@@ -247,32 +247,6 @@ def _walk(
             break
         else:
             stack.pop()
-
-
-def conjugate_period(
-    s: LabeledSeed,
-    i: Sequence[int],
-    j: Sequence[int],
-    sigma: Permutation | None = None,
-) -> tuple[int, ...]:
-    """Transport the sigma-period i of s to a sigma-period of apply(s, j).
-
-    The transported sequence is reverse(j) ++ i ++ sigma(j).  It is
-    re-verified on the mutated seed; failure means i was not actually a
-    sigma-period of s.  Words that are not sequences of ints in range and
-    a sigma that is not a Permutation of the seed's rank are refused
-    first, as is_sigma_period refuses them.
-    """
-    i = validate_sequence(i, s.rank)
-    j = validate_sequence(j, s.rank)
-    if sigma is None:
-        sigma = Permutation.identity(s.rank)
-    _require_permutation(sigma, s.rank)
-    out = inverse_sequence(j) + i + tuple(sigma(k) for k in j)
-    moved = apply_sequence(s, j)
-    if not is_sigma_period(moved, out, sigma).holds:
-        raise ValueError("conjugation failed: the input was not a sigma-period")
-    return out
 
 
 def subseed(s: LabeledSeed, I: Sequence[int]) -> LabeledSeed:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .errors import DecomposableMatrix, InvariantViolation
 from .exchange import (
-    ExchangeMatrix,
     Permutation,
     _is_connected,
     _require_index,
@@ -47,24 +46,6 @@ def _smallest_noncut(edges: list[tuple[int, int]], vertices: set[int]) -> int:
         if _is_connected(vertices - {v}, edges):
             return v
     raise InvariantViolation("a connected graph always has a removable vertex")
-
-
-def connected_order(B: ExchangeMatrix) -> tuple[int, ...]:
-    """Vertex ordering whose every prefix induces a connected subquiver.
-
-    Built back to front by repeatedly deleting the smallest vertex whose
-    removal keeps the remainder connected.
-    """
-    edges = B.underlying_edges()
-    vertices = set(range(1, B.n + 1))
-    if not _is_connected(vertices, edges):
-        raise DecomposableMatrix("quiver is disconnected")
-    removed = []
-    while vertices:
-        v = _smallest_noncut(edges, vertices)
-        removed.append(v)
-        vertices = vertices - {v}
-    return tuple(reversed(removed))
 
 
 def swap_gadget(s: LabeledSeed, i: int, j: int) -> MutationSequence:

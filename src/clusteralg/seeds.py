@@ -296,24 +296,22 @@ def orbit(
     """
     _require_count("max_seeds", max_seeds, 1)
     n = s.rank
-    gens: dict[str, int | Permutation] = {f"mu{k}": k for k in range(1, n + 1)}
+    # each closure move is labeled by itself: the index k or the transposition
     moves: list = [
-        (label, lambda rows, k=k: _mutate_rows(rows, k), lambda w, k=k: (w[0] + (w[1](k),), w[1]))
-        for label, k in gens.items()
+        (k, lambda rows, k=k: _mutate_rows(rows, k), lambda w, k=k: (w[0] + (w[1](k),), w[1]))
+        for k in range(1, n + 1)
     ]
     if with_permutations:
         for i in range(1, n):
             g = Permutation.transposition(n, i, i + 1)
-            label = g.cycle_notation()
-            gens[label] = g
             moves.append(
                 (
-                    label,
+                    g,
                     lambda rows, g=g: _permute_rows(rows, g),
                     lambda w, g=g: (w[0], w[1].compose(g)),
                 )
             )
-    edges: list[tuple[int, str, int]] = []
+    edges: list[tuple[int, int | Permutation, int]] = []
     keys, words, _, complete = _closure(
         _principal_rows(s.matrix), ((), Permutation.identity(n)), moves, max_seeds, edges=edges
     )
@@ -321,11 +319,10 @@ def orbit(
     index = {s: 0}
     matrices = {s.matrix.rows: s.matrix}
     relations: dict[tuple, LaurentPoly] = {}
-    for source, label, target in edges:
+    for source, g, target in edges:
         if target < len(seeds):
             continue
         # edges are in discovery order, so this one discovered target
-        g = gens[label]
         parent = seeds[source]
         rows = keys[target][:n]
         matrix = matrices.get(rows)
@@ -340,7 +337,9 @@ def orbit(
         if index.setdefault(t, target) != target:
             raise InvariantViolation("two principal-coefficient keys built one seed")
         seeds.append(t)
-    return OrbitGraph(seeds, words, edges, complete, with_permutations, max_seeds, index)
+    names = {g: f"mu{g}" if type(g) is int else g.cycle_notation() for g, _, _ in moves}
+    labeled = [(source, names[g], target) for source, g, target in edges]
+    return OrbitGraph(seeds, words, labeled, complete, with_permutations, max_seeds, index)
 
 
 def seed_from_json(text: str) -> tuple[LabeledSeed, list[str]]:

@@ -21,9 +21,10 @@ operation keeps it exact: a product's box is the sum of its factors'
 boxes (extreme faces multiply in an integral domain), a quotient's is
 the numerator's less the divisor's, and a sum's is the union of its
 operands' unless a term cancels, when it is recomputed.  Every box a
-constructor, product, shift or quotient would produce is checked against
-the digit range before any key is formed, and one that leaves it raises
-ValueError instead of wrapping.
+constructor, product, power, shift or quotient would produce is checked
+against the digit range before any key is formed, and one that leaves it
+raises ValueError instead of wrapping.  A power is checked once, before
+its first product.
 """
 
 from __future__ import annotations
@@ -185,9 +186,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_one(self) -> bool:
-        return self._terms == {_origin(self._nvars): 1}
-
     def sorted_terms(self) -> list[tuple[Exponent, int]]:
         decode = _decoder(self._nvars)
         return [(decode(k), c) for k, c in sorted(self._terms.items())]
@@ -290,6 +288,9 @@ class LaurentPoly:
             raise ValueError("negative powers only exist for monomials; use shift")
         if k == 0:
             return LaurentPoly.one(self._nvars)
+        # f^k has k times f's box, and every product below is a power of f
+        # no higher than k, so this raises exactly when a product would
+        _check_box(tuple(k * e for e in self._lo), tuple(k * e for e in self._hi), "a power")
         result = None
         base = self
         while True:
@@ -317,17 +318,6 @@ class LaurentPoly:
     def canonical_string(self) -> str:
         """Bit-exact key: terms "coeff:e1,...,en" sorted by exponent, ';'-joined."""
         return ";".join(f"{c}:{','.join(map(str, e))}" for e, c in self.sorted_terms())
-
-    @classmethod
-    def from_canonical_string(cls, nvars: int, s: str) -> "LaurentPoly":
-        if not s:
-            return cls.zero(nvars)
-        terms: Dict[Exponent, int] = {}
-        for part in s.split(";"):
-            coeff_str, exp_str = part.split(":")
-            exp = tuple(int(x) for x in exp_str.split(",")) if exp_str else ()
-            terms[exp] = int(coeff_str)
-        return cls(nvars, terms)
 
     def pretty(self, names: list[str] | None = None) -> str:
         """Human form num/den with a monomial denominator, e.g. (1 + x1)/x2."""

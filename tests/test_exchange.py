@@ -116,14 +116,12 @@ class TestExchangeMatrix:
         for k in range(1, 4):
             assert (-B).mutate(k) == -(B.mutate(k))
 
-    def test_v_and_max_abs_product(self):
+    def test_v(self):
         assert a2_matrix().v() == 1
         assert kronecker_matrix(2).v() == 2
         # the largest |entry|, whichever sign it has
         assert b2_matrix().v() == (-b2_matrix()).v() == 2
         assert g2_matrix().v() == (-g2_matrix()).v() == 3
-        assert kronecker_matrix(2).max_abs_product() == 4
-        assert b2_matrix().max_abs_product() == 2
 
     def test_acyclicity(self):
         assert a3_path_matrix().is_acyclic()

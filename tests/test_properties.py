@@ -305,9 +305,10 @@ class TestLaurentProperties:
         assert exact_div(p * q, q) == p
 
     @settings(max_examples=200)
-    @given(polys())
-    def test_canonical_string_round_trip(self, p):
-        assert LaurentPoly.from_canonical_string(p.nvars, p.canonical_string()) == p
+    @given(polys(), polys())
+    def test_canonical_strings_agree_with_equality(self, p, q):
+        assert LaurentPoly(p.nvars, p.terms).canonical_string() == p.canonical_string()
+        assert (p.canonical_string() == q.canonical_string()) == (p == q)
 
     @settings(max_examples=200)
     @given(polys(positive=True), polys(positive=True))

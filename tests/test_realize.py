@@ -16,51 +16,9 @@ from clusteralg.fixtures import (
     a3_path_matrix,
     a4_path_matrix,
     b2_matrix,
-    zero_matrix,
 )
-from clusteralg.realize import connected_order, realize_permutation, swap_gadget
+from clusteralg.realize import realize_permutation, swap_gadget
 from clusteralg.seeds import LabeledSeed, apply_sequence, permute_seed
-
-
-def _prefix_connected(B: ExchangeMatrix, order: tuple[int, ...]) -> bool:
-    edges = B.underlying_edges()
-    for cut in range(1, len(order) + 1):
-        kept = set(order[:cut])
-        reach = {order[0]}
-        frontier = [order[0]]
-        while frontier:
-            cur = frontier.pop()
-            for a, b in edges:
-                for x, y in ((a, b), (b, a)):
-                    if x == cur and y in kept and y not in reach:
-                        reach.add(y)
-                        frontier.append(y)
-        if reach != kept:
-            return False
-    return True
-
-
-class TestConnectedOrder:
-    def test_path_order(self):
-        order = connected_order(a4_path_matrix())
-        assert order == (4, 3, 2, 1)
-        assert _prefix_connected(a4_path_matrix(), order)
-
-    def test_every_prefix_connected(self):
-        B = a3_path_matrix()
-        assert _prefix_connected(B, connected_order(B))
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(DecomposableMatrix):
-            connected_order(zero_matrix(2))
-
-    def test_skew_symmetrizable_matrix(self):
-        # B3: skew-symmetrizable with symmetrizer (2, 2, 1), not skew-symmetric
-        B = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -2, 0]])
-        assert not B.is_skew_symmetric()
-        order = connected_order(B)
-        assert order == (3, 2, 1)
-        assert _prefix_connected(B, order)
 
 
 class TestSwapGadget:

@@ -117,25 +117,61 @@ def _is_cycle_notation(node: ast.AST | None) -> bool:
     )
 
 
+def _own_nodes(scope: ast.AST):
+    """The nodes of scope, without descending into the functions it defines."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def _cycle_notation_keys(tree: ast.Module) -> list[int]:
-    """Lines where a cycle_notation() result indexes, keys or looks up a dict."""
+    """Lines where a string label indexes, keys or looks up a dict.
+
+    A label is a cycle_notation() result, a local name of the same scope
+    bound to one, or an f-string.
+    """
     lines = []
-    for node in ast.walk(tree):
-        keys: list = []
-        if isinstance(node, ast.Subscript):
-            keys = [node.slice]
-        elif isinstance(node, ast.Dict):
-            keys = node.keys
-        elif isinstance(node, ast.DictComp):
-            keys = [node.key]
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("get", "setdefault", "pop", "fromkeys")
-        ):
-            keys = node.args[:1]
-        lines.extend(node.lineno for key in keys if _is_cycle_notation(key))
-    return lines
+    scopes = [tree] + [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    ]
+    for scope in scopes:
+        nodes = list(_own_nodes(scope))
+        labels = {
+            target.id
+            for node in nodes
+            if isinstance(node, ast.Assign) and _is_cycle_notation(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+
+        def is_label(key: ast.AST | None) -> bool:
+            return (
+                _is_cycle_notation(key)
+                or isinstance(key, ast.JoinedStr)
+                or (isinstance(key, ast.Name) and key.id in labels)
+            )
+
+        for node in nodes:
+            keys: list = []
+            if isinstance(node, ast.Subscript):
+                keys = [node.slice]
+            elif isinstance(node, ast.Dict):
+                keys = node.keys
+            elif isinstance(node, ast.DictComp):
+                keys = [node.key]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("get", "setdefault", "pop", "fromkeys")
+            ):
+                keys = node.args[:1]
+            lines.extend(node.lineno for key in keys if is_label(key))
+    return sorted(lines)
 
 
 def test_no_cycle_notation_string_keys_a_dict():
@@ -151,3 +187,17 @@ def test_the_key_check_sees_the_old_string_keys():
         "ends[lp.P_witnesses[g.cycle_notation()]] = t\n"
     )
     assert _cycle_notation_keys(old) == [1, 2, 3]
+    # the keying orbit used before its closure moves were labeled by themselves
+    old = ast.parse(
+        "def orbit(n, edges):\n"
+        "    gens = {f'mu{k}': k for k in range(1, n + 1)}\n"
+        "    for i in range(1, n):\n"
+        "        g = Permutation.transposition(n, i, i + 1)\n"
+        "        label = g.cycle_notation()\n"
+        "        gens[label] = g\n"
+        "    for source, label, target in edges:\n"
+        "        g = gens[label]\n"
+        "    names = {k: f'mu{k}' for k in range(1, n + 1)}\n"
+        "    return names[g]\n"
+    )
+    assert _cycle_notation_keys(old) == [2, 6, 8]

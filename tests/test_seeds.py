@@ -148,7 +148,7 @@ B3 = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -2, 0]])
 
 def _rebuilt(s: LabeledSeed) -> LabeledSeed:
     """s rebuilt from fresh objects that share nothing with it."""
-    cluster = [LaurentPoly.from_canonical_string(s.nvars, p.canonical_string()) for p in s.cluster]
+    cluster = [LaurentPoly(s.nvars, p.terms) for p in s.cluster]
     return LabeledSeed(cluster, ExchangeMatrix(s.matrix.to_lists()))
 
 

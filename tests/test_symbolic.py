@@ -63,7 +63,7 @@ def test_pow_matches_repeated_multiplication():
     x, y = generators(2)
     p = x + y + LaurentPoly.one(2)
     assert p.pow(3) == p * p * p
-    assert p.pow(0).is_one()
+    assert p.pow(0) == LaurentPoly.one(2)
     assert p.pow(1) == p
 
 
@@ -119,11 +119,13 @@ def test_exact_div_by_zero():
         exact_div(LaurentPoly.one(1), LaurentPoly.zero(1))
 
 
-def test_canonical_string_roundtrip():
+def test_canonical_strings_agree_with_equality():
     p = LaurentPoly(2, {(-1, 2): -3, (0, 0): 1})
-    s = p.canonical_string()
-    assert LaurentPoly.from_canonical_string(2, s) == p
-    assert LaurentPoly.from_canonical_string(2, "") == LaurentPoly.zero(2)
+    assert p.canonical_string() == "-3:-1,2;1:0,0"
+    assert LaurentPoly.zero(2).canonical_string() == ""
+    others = [LaurentPoly(2, {(-1, 2): -3}), LaurentPoly(2, {(-1, 2): 3, (0, 0): 1}), -p]
+    for q in [p, LaurentPoly(2, {(0, 0): 1, (-1, 2): -3})] + others:
+        assert (q.canonical_string() == p.canonical_string()) == (q == p)
 
 
 def test_pretty_uses_monomial_denominator():
@@ -363,6 +365,29 @@ def test_product_leaving_the_range_raises():
     with pytest.raises(ValueError):
         p * p
     assert (p * x2).max_exponents() == (HIGH - 1, 1)
+
+
+def test_power_leaving_the_range_raises_before_any_product(monkeypatch):
+    x1, x2 = generators(2)
+    f = exact_div(LaurentPoly.one(2) + x2, x1)
+    near = [
+        (exact_div(LaurentPoly.one(2) + x2, x1.pow(4096)), 4),  # reaches LOW in x1
+        (LaurentPoly(2, {(5461, 0): 1, (0, -5461): -2}), 3),  # HIGH in x1, LOW + 1 in x2
+    ]
+    for p, k in near:
+        expected = p
+        for _ in range(k - 1):
+            expected = expected * p
+        assert p.pow(k) == expected
+    powers = [(f, 100000), (f, HIGH + 1)] + [(p, k + 1) for p, k in near]
+
+    def no_product(*_):
+        raise AssertionError("a power out of range took a product")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", no_product)
+    for p, k in powers:
+        with pytest.raises(ValueError, match=r"a power spans exponents \(.*\) to \(.*\), outside"):
+            p.pow(k)
 
 
 def test_shift_leaving_the_range_raises():
