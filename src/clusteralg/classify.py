@@ -2,14 +2,16 @@
 
 Finite type is decided from B alone by the Barot–Geiss–Zelevinsky test
 (math/0411341) at any budget: a "yes" carries the positive admissible
-quasi-Cartan companion, and a "no" the bound witness of the class search
-(2x2 products over 3) where a budgeted search finds one, else the
-theorem's obstruction.  Finite mutation type is decided through the
-class-wide 2x2 product bound 4, searched breadth-first with pruning;
-finite type implies it (Fomin–Zelevinsky, math/0208229).  The same
-search machinery yields the m-invariant upper bound, mutation-acyclicity,
-the three sufficient relabeling-transitivity conditions, a cosmetic
-Dynkin-diagram labeling, and the automorphism-finiteness probe.
+quasi-Cartan companion, a "no" the class walk's first 2x2 product over 3
+if the budget reaches one, else the theorem's obstruction.  Finite
+mutation type is the class-wide product bound 4 on each component of
+rank >= 3 (a component of rank <= 2 has a two-matrix class); finite type
+implies it (Fomin–Zelevinsky, math/0208229).  One breadth-first walk,
+_bounded_class_search, reads every class: the first violation of each
+bound and, when asked, the least v and an acyclic member, for the
+m-invariant bound, mutation-acyclicity, the three sufficient
+relabeling-transitivity conditions and the automorphism-finiteness
+probe.  A cosmetic Dynkin-diagram labeling reads B alone.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from .errors import InvariantViolation
 from .exchange import (
     ExchangeMatrix,
-    MatrixClass,
     Permutation,
     _closure,
     _mutation_moves,
@@ -28,7 +29,6 @@ from .exchange import (
     _require_indecomposable,
     _require_index,
     _require_replays,
-    matrix_mutation_class,
 )
 from .periodicity import (
     _principal_side,
@@ -101,6 +101,8 @@ class FiniteTypeCertificate:
         if self.cycle is not None:
             return (
                 self.companion is None
+                and type(self.cycle) is tuple
+                and all(type(v) is int for v in self.cycle)  # 1.0 == 1 would pass `in`
                 and tuple(v - 1 for v in self.cycle) in cycles
                 and not _is_oriented(B, tuple(v - 1 for v in self.cycle))
             )
@@ -244,9 +246,9 @@ def _bgz_decision(B: ExchangeMatrix, budget: int) -> Decision:
     """Finite type from B alone, with no search.
 
     A pair with |b_ij b_ji| > 3 answers "no" with the bound witness the
-    class search would find first, at the root.
+    class walk would find first, at the root.
     """
-    hit = _violating_pair(B, 3)
+    hit = _violating_pair(B, 3, tuple(range(B.n)))
     if hit is not None:
         return Decision("no", BoundWitness((), *hit), budget)
     cycles = _chordless_cycles(B)
@@ -259,98 +261,32 @@ def _bgz_decision(B: ExchangeMatrix, budget: int) -> Decision:
     return Decision("yes" if certificate.finite else "no", None, budget, certificate)
 
 
-def _witnessed(theorem: Decision, found: Decision) -> Decision:
-    """A finite-type "no" of the theorem, with the search's bound witness if it found one.
+def _refuting_vertices(B: ExchangeMatrix, bound: int) -> tuple[int, ...]:
+    """The vertices (0-based) among whose pairs a class member can break bound.
 
-    A search that closes the class without a violation contradicts the
-    theorem (FZ: infinite type has a product over 3 in its class).
+    Any pair can break bound 3.  Bound 4 holds on a component of rank <= 2,
+    whose class is {C, -C}, so only a pair in a component of three or more
+    vertices can break it.  Mutation keeps components: b_ij changes only
+    when i and j are both adjacent to k.
     """
-    if found.status == "yes":
-        raise InvariantViolation("a closed class search contradicts infinite type")
-    return found if found.status == "no" else theorem
-
-
-def _violating_pair(M: ExchangeMatrix, bound: int) -> tuple[int, int, int] | None:
-    for i in range(1, M.n + 1):
-        for j in range(i + 1, M.n + 1):
-            product = abs(M.entry(i, j) * M.entry(j, i))
-            if product > bound:
-                return i, j, product
-    return None
-
-
-def _bounded_class_search(
-    B: ExchangeMatrix, bounds: tuple[int, ...], budget: int
-) -> tuple[Decision, ...]:
-    """One BFS of the mutation class deciding each product bound in bounds.
-
-    A bound's answer is "no" at its first violation, and the walk stops
-    once every bound has one; with ascending bounds that is the first
-    violation of the last.  Each new matrix is checked before the budget
-    is, so the first matrix past the budget can still give "no".
-    """
-    witnesses: dict[int, BoundWitness] = {}
-
-    def violates(M: ExchangeMatrix, word: tuple[int, ...]) -> bool:
-        for bound in bounds:
-            if bound not in witnesses:
-                hit = _violating_pair(M, bound)
-                if hit is not None:
-                    witnesses[bound] = BoundWitness(word, *hit)
-        return len(witnesses) == len(bounds)
-
-    _, _, _, complete = _closure(B, (), _mutation_moves(B.n), budget, visit=violates)
-    open_status = "yes" if complete else "unknown"
+    if bound == 3:
+        return tuple(range(B.n))
+    forks = [sum(map(bool, row)) >= 2 for row in B.rows]
     return tuple(
-        Decision("no", witnesses[bound], budget)
-        if bound in witnesses
-        else Decision(open_status, None, budget)
-        for bound in bounds
+        i for i, row in enumerate(B.rows) if forks[i] or any(f for f, x in zip(forks, row) if x)
     )
 
 
-def _bound_decision(mclass: MatrixClass, bound: int, budget: int) -> Decision:
-    """_bounded_class_search's answer, read off a class built to budget + 1."""
-    for M, word in zip(mclass.matrices, mclass.words):
-        hit = _violating_pair(M, bound)
-        if hit is not None:
-            return Decision("no", BoundWitness(word, *hit), budget)
-    closed = mclass.complete and len(mclass) <= budget
-    return Decision("yes" if closed else "unknown", None, budget)
-
-
-def is_finite_mutation_type(B: ExchangeMatrix, budget: int) -> Decision:
-    """Finitely many matrices in the class iff products stay <= 4 (rank >= 3).
-
-    The class search answers first; where its budget cuts it, finite
-    type (which implies finite mutation type) still gives "yes".
-    """
-    _require_count("budget", budget, 1)
-    if B.n <= 2:
-        # class is {B, -B}
-        return Decision("yes", None, budget)
-    found = _bounded_class_search(B, (4,), budget)[0]
-    if found.status == "unknown":
-        theorem = _bgz_decision(B, budget)
-        if theorem.status == "yes":
-            return theorem
-    return found
-
-
-def is_finite_type(B: ExchangeMatrix, budget: int) -> Decision:
-    """Finitely many seeds, decided by the Barot–Geiss–Zelevinsky test.
-
-    The answer does not depend on the budget.  A "yes" carries the
-    positive admissible companion as its certificate.  A "no" carries
-    the first bound witness (a class member with |b_ij b_ji| > 3) of a
-    class search of `budget` matrices; when that search is cut first,
-    it carries the theorem's obstruction as its certificate instead.
-    """
-    _require_count("budget", budget, 1)
-    theorem = _bgz_decision(B, budget)
-    if theorem.status == "yes" or theorem.witness is not None:
-        return theorem
-    return _witnessed(theorem, _bounded_class_search(B, (3,), budget)[0])
+def _violating_pair(
+    M: ExchangeMatrix, bound: int, vertices: tuple[int, ...]
+) -> tuple[int, int, int] | None:
+    rows = M.rows
+    for a, i in enumerate(vertices):
+        for j in vertices[a + 1 :]:
+            product = abs(rows[i][j] * rows[j][i])
+            if product > bound:
+                return i + 1, j + 1, product
+    return None
 
 
 @dataclass(frozen=True)
@@ -371,24 +307,99 @@ class MSearch:
         return self.min_v <= 1 or self.complete
 
 
+def _bounded_class_search(
+    B: ExchangeMatrix, bounds: tuple[int, ...], budget: int, m_search: bool = False
+) -> tuple[dict[int, Decision], MSearch | None]:
+    """One BFS of the mutation class: the one walk behind every decision here.
+
+    A bound reads "no" at its first violation among the matrices the walk
+    meets, the first past the budget included; "yes" when the walk closes
+    the class or no pair can break the bound; else "unknown".  m_search
+    adds MSearch over the first `budget` matrices and walks to the budget;
+    without it the walk stops once every breakable bound has a witness.
+    """
+    vertices = {bound: _refuting_vertices(B, bound) for bound in bounds}
+    breakable = [bound for bound in bounds if vertices[bound]]
+    witnesses: dict[int, BoundWitness] = {}
+
+    def visit(M: ExchangeMatrix, word: tuple[int, ...]) -> bool:
+        for bound in breakable:
+            if bound not in witnesses:
+                hit = _violating_pair(M, bound, vertices[bound])
+                if hit is not None:
+                    witnesses[bound] = BoundWitness(word, *hit)
+        return not m_search and len(witnesses) == len(breakable)
+
+    items, words, _, complete = _closure(B, (), _mutation_moves(B.n), budget, visit=visit)
+    decisions = {
+        bound: Decision("no", witnesses[bound], budget)
+        if bound in witnesses
+        else Decision("yes" if complete or not vertices[bound] else "unknown", None, budget)
+        for bound in bounds
+    }
+    if not m_search:
+        return decisions, None
+    v = [M.v() for M in items]
+    least = v.index(min(v))
+    acyclic = next((word for M, word in zip(items, words) if M.is_acyclic()), None)
+    return decisions, MSearch(v[least], words[least], acyclic, complete, len(items), budget)
+
+
+def _finite_type(B: ExchangeMatrix, theorem: Decision, found: dict | None = None) -> Decision:
+    """The theorem's finite type; a "no" carries the walk's first bound-3 witness.
+
+    Without the caller's walk (found), one is made here unless that witness
+    is the root's.  A walk closing the class without one contradicts the
+    theorem (FZ: infinite type has a product over 3 in its class).
+    """
+    if theorem.status == "yes" or theorem.witness is not None:
+        return theorem
+    if found is None:
+        found, _ = _bounded_class_search(B, (3,), theorem.budget)
+    if found[3].status == "yes":
+        raise InvariantViolation("a closed class search contradicts infinite type")
+    return found[3] if found[3].status == "no" else theorem
+
+
+def _finite_mutation_type(B: ExchangeMatrix, found: dict[int, Decision]) -> Decision:
+    """The walk's bound-4 answer, or finite type's "yes" where the budget cuts the walk."""
+    fmt = found[4]
+    if fmt.status == "unknown":
+        theorem = _bgz_decision(B, fmt.budget)
+        if theorem.status == "yes":
+            return theorem
+    return fmt
+
+
+def is_finite_mutation_type(B: ExchangeMatrix, budget: int) -> Decision:
+    """Finitely many matrices in the class iff products stay <= 4 (rank >= 3).
+
+    The bound applies per component of rank >= 3, since one of rank <= 2
+    has a two-matrix class: a matrix whose components all have rank <= 2
+    reads "yes" at any budget.  Else the class walk answers; where its
+    budget cuts it, finite type (implying finite mutation type) gives "yes".
+    """
+    _require_count("budget", budget, 1)
+    return _finite_mutation_type(B, _bounded_class_search(B, (4,), budget)[0])
+
+
+def is_finite_type(B: ExchangeMatrix, budget: int) -> Decision:
+    """Finitely many seeds, decided by the Barot–Geiss–Zelevinsky test.
+
+    The answer does not depend on the budget.  A "yes" carries the
+    positive admissible companion as its certificate.  A "no" carries
+    the first bound witness (a class member with |b_ij b_ji| > 3) of a
+    class walk of `budget` matrices; when that walk is cut first, it
+    carries the theorem's obstruction as its certificate instead.
+    """
+    _require_count("budget", budget, 1)
+    return _finite_type(B, _bgz_decision(B, budget))
+
+
 def search_m_and_acyclic(B: ExchangeMatrix, budget: int) -> MSearch:
-    return _m_search(matrix_mutation_class(B, max_matrices=budget), budget)
-
-
-def _m_search(mclass: MatrixClass, budget: int) -> MSearch:
-    """The m-invariant search over the first `budget` matrices of mclass."""
-    matrices = mclass.matrices[:budget]
-    min_v = None
-    min_word: tuple[int, ...] = ()
-    acyclic_word = None
-    for M, word in zip(matrices, mclass.words):
-        v = M.v()
-        if min_v is None or v < min_v:
-            min_v, min_word = v, word
-        if acyclic_word is None and M.is_acyclic():
-            acyclic_word = word
-    complete = mclass.complete and len(mclass) <= budget
-    return MSearch(min_v, min_word, acyclic_word, complete, len(matrices), budget)
+    """The least v and the first acyclic member over `budget` matrices of the class."""
+    _require_count("budget", budget, 1)
+    return _bounded_class_search(B, (), budget, m_search=True)[1]
 
 
 @dataclass(frozen=True)
@@ -562,34 +573,22 @@ def _render(status: str, budget: int) -> str:
 def classify(B: ExchangeMatrix, budget: int) -> Classification:
     """Every decision for B from a single walk of its mutation class.
 
-    Finite type comes from the Barot–Geiss–Zelevinsky test, as in
-    is_finite_type.  The class is built once, to budget + 1 matrices:
-    the bound searches (the witness of a finite-type "no", finite
-    mutation type) also examine the first matrix past their budget,
-    while the m-invariant and acyclicity search reads only the first
-    budget matrices.  Each field equals what the standalone functions
-    return for the same budget.
+    The walk reads the bounds and the m-search to the budget, and finite
+    type, finite mutation type, m and acyclicity read it through the
+    helpers of is_finite_type, is_finite_mutation_type and
+    search_m_and_acyclic: each field equals what the standalone function
+    returns for the same budget.
     """
     _require_count("budget", budget, 1)
     theorem = _bgz_decision(B, budget)
-    mclass = matrix_mutation_class(B, budget + 1)
-    if theorem.status == "yes":
-        ft = theorem
-    else:
-        ft = _witnessed(theorem, _bound_decision(mclass, 3, budget))
-    if B.n <= 2:
-        fmt = Decision("yes", None, budget)
-    else:
-        fmt = _bound_decision(mclass, 4, budget)
-        if fmt.status == "unknown" and ft.status == "yes":
-            fmt = ft
-    msearch = _m_search(mclass, budget)
-    if msearch.acyclic_word is not None:
-        acyclic_status = "yes"
-    elif msearch.complete:
-        acyclic_status = "no"
-    else:
-        acyclic_status = "unknown"
+    # finite type's "yes" reads no bound-3 witness
+    bounds = (4,) if theorem.status == "yes" else (3, 4)
+    found, msearch = _bounded_class_search(B, bounds, budget, m_search=True)
+    ft = _finite_type(B, theorem, found)
+    fmt = _finite_mutation_type(B, found)
+    acyclic_status = (
+        "yes" if msearch.acyclic_word is not None else "no" if msearch.complete else "unknown"
+    )
     if ft.status == "yes" and (fmt.status != "yes" or acyclic_status == "no"):
         raise InvariantViolation(
             "finite type must imply finite mutation type and mutation-acyclic"
@@ -688,16 +687,14 @@ def automorphism_finiteness_probe(s: LabeledSeed, budget: int) -> ProbeResult:
     theorem = _bgz_decision(B, budget)
     if theorem.status == "yes":
         return ProbeResult("finite", None, 0, budget)
-    # one walk answers both bounds; a product over 4 is also over 3
-    found, fmt = _bounded_class_search(B, (3, 4), budget)
-    ft = _witnessed(theorem, found)
-    if B.n <= 2:
-        fmt = Decision("yes", None, budget)
+    # one walk answers both bounds
+    found, _ = _bounded_class_search(B, (3, 4), budget)
+    ft = _finite_type(B, theorem, found)
     if ft.witness is None:
         return ProbeResult("unknown", None, 0, budget)
 
     candidates: list[tuple[int, ...]] = []
-    if fmt.status == "yes" and ft.witness is not None:
+    if _finite_mutation_type(B, found).status == "yes":
         w = ft.witness
         word = _alternating_return_word(B, w.sequence, w.i, w.j, budget)
         if word is not None:

@@ -4,7 +4,7 @@ On a seed whose quiver is connected with all edge weights 1, any
 permutation of the positions can be produced by pure mutation.  The
 construction routes one variable at a time along simple edges using the
 five-step swap gadget, shrinking the working subquiver each stage.  Each
-gadget is replayed once, in swap_gadget, by exchange._require_replays,
+gadget is replayed once, in _swap_gadget, by exchange._require_replays,
 and that chain of checked replays is the plan's exact replay.
 """
 

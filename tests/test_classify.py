@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +99,69 @@ class TestDecisions:
         # entry(0, 2) would wrap to row 3, where A3 has |b_32 b_23| = 1
         with pytest.raises(error, match="mutation index"):
             BoundWitness((), i, j, 1).replay(a3_path_matrix(), 0)
+
+
+KRONECKER3_A1 = ExchangeMatrix([[0, 3, 0], [-3, 0, 0], [0, 0, 0]])
+KRONECKER3_A2 = ExchangeMatrix([[0, 3, 0, 0], [-3, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+
+
+class TestDecomposable:
+    """Bound 4 is read per component: one of rank <= 2 has a two-matrix class."""
+
+    @pytest.mark.parametrize("B", [KRONECKER3_A1, KRONECKER3_A2], ids=["K3+A1", "K3+A2"])
+    @pytest.mark.parametrize("budget", [1, 3, 200])
+    def test_rank_two_components_read_yes_at_any_budget(self, B, budget):
+        # the class of K3 + A_n is {C, -C} times A_n's: 2 and 4 matrices,
+        # though the product 9 of K3 sits in every one of them
+        d = is_finite_mutation_type(B, budget)
+        assert (d.status, d.witness) == ("yes", None)
+        c = classify(B, budget)
+        assert (c.finite_mutation_type, c.finite_mutation_type_witness) == ("yes", None)
+        assert c.finite_type == "no" and c.finite_type_witness.product == 9
+
+    def test_a_rank_three_component_still_reads_no(self):
+        # K3 with a pendant vertex, plus an isolated vertex: the product 9
+        # lies in a connected part of rank 3
+        B = ExchangeMatrix([[0, 3, 0, 0], [-3, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 0]])
+        for budget in (1, 3, 200):
+            d = is_finite_mutation_type(B, budget)
+            assert d.status == "no"
+            assert (d.witness.sequence, d.witness.product) == ((), 9)
+            assert d.witness.replay(B, 4)
+            c = classify(B, budget)
+            assert c.finite_mutation_type == "no"
+            assert c.finite_mutation_type_witness == d.witness
+
+
+class TestOneWalk:
+    """Every decision in classify.py reads the one walk, _bounded_class_search."""
+
+    @staticmethod
+    def _callers(tree: ast.Module, name: str) -> list[str]:
+        """The top-level definitions of tree (or "<module>"), once per call of name."""
+        return [
+            node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in tree.body
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call)
+            and name in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None))
+        ]
+
+    def test_only_the_walk_reads_the_closure(self):
+        tree = ast.parse(Path(classify_module.__file__).read_text())
+        assert self._callers(tree, "_closure") == ["_bounded_class_search"]
+        assert self._callers(tree, "matrix_mutation_class") == []
+
+    def test_the_check_sees_a_second_class_reader(self):
+        old = ast.parse(
+            "def classify(B, budget):\n"
+            "    mclass = matrix_mutation_class(B, budget + 1)\n"
+            "def _bounded_class_search(B, bounds, budget):\n"
+            "    return exchange._closure(B, (), [], budget)\n"
+            "CLASS = _closure(A2, (), [], 1)\n"
+        )
+        assert self._callers(old, "matrix_mutation_class") == ["classify"]
+        assert self._callers(old, "_closure") == ["_bounded_class_search", "<module>"]
 
 
 class TestMSearch:
@@ -253,17 +318,19 @@ class TestClassifyBudgetSweep:
 
     @pytest.mark.parametrize("fixture", CLASSIFY_FIXTURES, ids=lambda f: f.__name__)
     def test_probe_matches_standalone_searches(self, fixture, monkeypatch):
-        # the probe's one walk must give the answer the probe gives when fed
-        # the two standalone decisions
+        # the probe's one walk of both bounds must give the answer the probe
+        # gives when fed two separate walks, one per bound
         B = fixture()
         s = LabeledSeed.initial(B)
         mclass = matrix_mutation_class(B, SWEEP_CAP)
         top = len(mclass) + 2 if mclass.complete else SWEEP_CAP
+        walk = classify_module._bounded_class_search
         for budget in range(1, top + 1):
             probe = automorphism_finiteness_probe(s, budget)
-            decisions = (is_finite_type(B, budget), is_finite_mutation_type(B, budget))
+            found = {bound: walk(B, (bound,), budget)[0][bound] for bound in (3, 4)}
+            assert walk(B, (3, 4), budget)[0] == found, budget
             with monkeypatch.context() as m:
-                m.setattr(classify_module, "_bounded_class_search", lambda *a: decisions)
+                m.setattr(classify_module, "_bounded_class_search", lambda *a: (found, None))
                 assert probe == automorphism_finiteness_probe(s, budget), budget
 
     def test_violation_just_past_the_budget(self):

@@ -152,7 +152,7 @@ def test_agrees_with_the_class_search():
     answers = {"yes": 0, "no": 0}
     skew_symmetrizable = 0
     for B in GRID:
-        (found,) = classify_module._bounded_class_search(B, (3,), 3000)
+        found = classify_module._bounded_class_search(B, (3,), 3000)[0][3]
         d = is_finite_type(B, 3000)
         if found.status != "unknown":
             assert d.status == found.status, B
@@ -237,6 +237,15 @@ class TestCertificates:
         assert not bad.replay(SQUARE)
         # with the right signs but a wrong minor the replay fails too
         assert not type(cert)(None, cert.companion, 3).replay(SQUARE)
+
+    @pytest.mark.parametrize(
+        "cycle", [("a",), 5, (1.0, 2.0, 3.0), (True, 2, 3)], ids=["str", "int", "floats", "bool"]
+    )
+    def test_a_malformed_cycle_fails_the_replay(self, cycle):
+        # (1.0, 2.0, 3.0) equals the obstruction (1, 2, 3), but is no cycle of vertices
+        cert = is_finite_type(affine_a(2, 1), 1).certificate
+        assert cert.cycle == (1, 2, 3) and cert.replay(affine_a(2, 1))
+        assert not type(cert)(cycle, None, 0).replay(affine_a(2, 1))
 
     def test_obstructions_replay_only_on_their_matrix(self):
         cyclic = is_finite_type(affine_a(2, 1), 1)
