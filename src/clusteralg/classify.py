@@ -11,24 +11,30 @@ _bounded_class_search, reads every class: the first violation of each
 bound and, when asked, the least v and an acyclic member, for the
 m-invariant bound, mutation-acyclicity, the three sufficient
 relabeling-transitivity conditions and the automorphism-finiteness
-probe.  A cosmetic Dynkin-diagram labeling reads B alone.
+probe.  The diagram questions here (chordless cycles, components, the
+companion's edges) read exchange's one reader of B's diagram, as does
+the cosmetic Dynkin label exchange.dynkin_type.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InvariantViolation
 from .exchange import (
     ExchangeMatrix,
     Permutation,
+    _bits,
     _closure,
+    _components,
     _mutation_moves,
+    _neighbours,
     _require_count,
     _require_indecomposable,
     _require_index,
     _require_replays,
+    dynkin_type,
 )
 from .periodicity import (
     _principal_side,
@@ -60,14 +66,6 @@ class BoundWitness:
         M = B.apply(self.sequence)
         value = abs(M.entry(self.i, self.j) * M.entry(self.j, self.i))
         return value == self.product and value > bound
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sequence": list(self.sequence),
-            "i": self.i,
-            "j": self.j,
-            "product": self.product,
-        }
 
 
 @dataclass(frozen=True)
@@ -145,13 +143,6 @@ class Decision:
     certificate: FiniteTypeCertificate | None = None
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _chordless_cycles(B: ExchangeMatrix) -> list[tuple[int, ...]]:
     """Every chordless cycle of B's diagram, 0-based, once each.
 
@@ -162,7 +153,7 @@ def _chordless_cycles(B: ExchangeMatrix) -> list[tuple[int, ...]]:
     every neighbour of an inner path vertex, none of which may come next.
     """
     n = B.n
-    adj = [sum(1 << j for j in range(n) if B.rows[i][j]) for i in range(n)]
+    adj = _neighbours(B)
     cycles = []
     for s in range(n):
         low = (1 << (s + 1)) - 1
@@ -193,12 +184,9 @@ def _admissible_companion(
     elimination on bit masks; free unknowns take 0 (a_ij < 0).  BGZ show
     the system is solvable once every chordless cycle is oriented.
     """
-    n = B.n
     edge: dict[tuple[int, int], int] = {}  # both orientations of an edge share its bit
-    for i in range(n):
-        for j in range(i + 1, n):
-            if B.rows[i][j]:
-                edge[i, j] = edge[j, i] = 1 << (len(edge) // 2)
+    for i, j in B.underlying_edges():
+        edge[i - 1, j - 1] = edge[j - 1, i - 1] = 1 << (len(edge) // 2)
     pivots: list[tuple[int, int, int]] = []  # (pivot bit, row mask, right side), reduced
     for c in cycles:
         mask, rhs = sum(edge[c[k - 1], c[k]] for k in range(len(c))), 1
@@ -266,15 +254,14 @@ def _refuting_vertices(B: ExchangeMatrix, bound: int) -> tuple[int, ...]:
 
     Any pair can break bound 3.  Bound 4 holds on a component of rank <= 2,
     whose class is {C, -C}, so only a pair in a component of three or more
-    vertices can break it.  Mutation keeps components: b_ij changes only
-    when i and j are both adjacent to k.
+    vertices can break it, and those components' vertices are returned.
+    Mutation keeps components: b_ij changes only when i and j are both
+    adjacent to k.
     """
     if bound == 3:
         return tuple(range(B.n))
-    forks = [sum(map(bool, row)) >= 2 for row in B.rows]
-    return tuple(
-        i for i, row in enumerate(B.rows) if forks[i] or any(f for f, x in zip(forks, row) if x)
-    )
+    components = _components(_neighbours(B), (1 << B.n) - 1)
+    return tuple(_bits(sum(c for c in components if c.bit_count() >= 3)))
 
 
 def _violating_pair(
@@ -297,7 +284,6 @@ class MSearch:
     min_v_word: tuple[int, ...]
     acyclic_word: tuple[int, ...] | None
     complete: bool
-    matrices_seen: int
     budget: int
 
     @property
@@ -342,7 +328,7 @@ def _bounded_class_search(
     v = [M.v() for M in items]
     least = v.index(min(v))
     acyclic = next((word for M, word in zip(items, words) if M.is_acyclic()), None)
-    return decisions, MSearch(v[least], words[least], acyclic, complete, len(items), budget)
+    return decisions, MSearch(v[least], words[least], acyclic, complete, budget)
 
 
 def _finite_type(B: ExchangeMatrix, theorem: Decision, found: dict | None = None) -> Decision:
@@ -410,9 +396,6 @@ class Main1Flags:
     ii: bool
     iii: bool
 
-    def to_json_dict(self) -> dict:
-        return {"i": self.i, "ii": self.ii, "iii": self.iii}
-
 
 def _edge_is_simple(B: ExchangeMatrix, i: int, j: int) -> bool:
     return abs(B.entry(i, j)) == 1
@@ -450,120 +433,26 @@ def _main1_flags(B: ExchangeMatrix, min_v: int) -> Main1Flags:
     return Main1Flags(flag_i, flag_ii, flag_iii)
 
 
-def dynkin_type(B: ExchangeMatrix) -> tuple[str, int] | None:
-    """Best-effort Dynkin label and Coxeter number for a tree-shaped diagram.
-
-    Purely cosmetic: classification decisions never consult this.
-    """
-    n = B.n
-    if n == 1:
-        return "A1", 2
-    edges = B.underlying_edges()
-    if len(edges) != n - 1 or not B.is_indecomposable():
-        return None
-    weights = {e: abs(B.entry(*e) * B.entry(e[1], e[0])) for e in edges}
-    heavy = sorted(w for w in weights.values() if w > 1)
-    degree = {i: 0 for i in range(1, n + 1)}
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    is_path = max(degree.values()) <= 2
-
-    if not heavy:
-        if is_path:
-            return f"A{n}", n + 1
-        branch = [v for v, d in degree.items() if d >= 3]
-        if len(branch) != 1 or max(degree.values()) > 3:
-            return None
-        arms = sorted(_arm_lengths(edges, branch[0], n))
-        if arms[0] == 1 and arms[1] == 1:
-            return f"D{n}", 2 * n - 2
-        if arms[0] == 1 and arms[1] == 2 and arms[2] in (2, 3, 4):
-            rank = 4 + arms[2]
-            h = {6: 12, 7: 18, 8: 30}[rank]
-            return f"E{rank}", h
-        return None
-    if heavy == [2] and is_path:
-        (edge,) = [e for e, w in weights.items() if w == 2]
-        a, b = edge
-        if n == 2:
-            return "B2", 4
-        if degree[a] == 1 or degree[b] == 1:
-            return f"B/C{n}", 2 * n
-        if n == 4:
-            return "F4", 12
-        return None
-    if heavy == [3] and n == 2:
-        return "G2", 6
-    return None
-
-
-def _arm_lengths(edges: list[tuple[int, int]], branch: int, n: int) -> list[int]:
-    adj = {i: [] for i in range(1, n + 1)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    arms = []
-    for start in adj[branch]:
-        length = 0
-        prev, cur = branch, start
-        while cur is not None:
-            length += 1
-            nxt = [w for w in adj[cur] if w != prev]
-            prev, cur = cur, (nxt[0] if nxt else None)
-        arms.append(length)
-    return arms
-
-
 @dataclass
 class Classification:
     """The full decision record for one exchange matrix."""
 
     finite_type: str
+    finite_type_witness: BoundWitness | None
     finite_mutation_type: str
+    finite_mutation_type_witness: BoundWitness | None
     mutation_acyclic: str
+    mutation_acyclic_witness: tuple[int, ...] | None
     v: int
     m_upper_bound: int
     m_witness: tuple[int, ...]
     m_exact: bool
-    main1: Main1Flags | None
-    finite_type_witness: BoundWitness | None
-    finite_mutation_type_witness: BoundWitness | None
-    mutation_acyclic_witness: tuple[int, ...] | None
+    main1_conditions: Main1Flags | None
     dynkin: str | None
     budget: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "finite_type": self.finite_type,
-                "finite_type_witness": (
-                    self.finite_type_witness.to_json_dict()
-                    if self.finite_type_witness
-                    else None
-                ),
-                "finite_mutation_type": self.finite_mutation_type,
-                "finite_mutation_type_witness": (
-                    self.finite_mutation_type_witness.to_json_dict()
-                    if self.finite_mutation_type_witness
-                    else None
-                ),
-                "mutation_acyclic": self.mutation_acyclic,
-                "mutation_acyclic_witness": (
-                    list(self.mutation_acyclic_witness)
-                    if self.mutation_acyclic_witness is not None
-                    else None
-                ),
-                "v": self.v,
-                "m_upper_bound": self.m_upper_bound,
-                "m_witness": list(self.m_witness),
-                "m_exact": self.m_exact,
-                "main1_conditions": self.main1.to_json_dict() if self.main1 else None,
-                "dynkin": self.dynkin,
-                "budget": self.budget,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def _render(status: str, budget: int) -> str:
@@ -597,16 +486,16 @@ def classify(B: ExchangeMatrix, budget: int) -> Classification:
     dynkin = dynkin_type(B)
     return Classification(
         _render(ft.status, budget),
+        ft.witness,
         _render(fmt.status, budget),
+        fmt.witness,
         _render(acyclic_status, budget),
+        msearch.acyclic_word,
         B.v(),
         msearch.min_v,
         msearch.min_v_word,
         msearch.m_certified,
         main1,
-        ft.witness,
-        fmt.witness,
-        msearch.acyclic_word,
         dynkin[0] if dynkin else None,
         budget,
     )

@@ -2,7 +2,11 @@
 
 Everything here is purely matrix-level: no cluster variables.  All
 indices in the public API are 1-based.  Values are immutable and
-hashable so they can serve directly as keys in orbit searches.
+hashable so they can serve directly as keys in orbit searches.  B's
+diagram is read in one place, the neighbour and arrow bit masks of
+_neighbours and _arrows; edges, triangles, components, acyclicity, the
+bipartition and the Dynkin label here, and the diagram questions of
+classify and realize, all read those masks.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from graphlib import CycleError, TopologicalSorter
 from math import gcd, lcm
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -105,27 +108,25 @@ class ExchangeMatrix:
 
     def underlying_edges(self) -> list[tuple[int, int]]:
         """Edges {i,j} (1-based, i<j) of the underlying undirected graph."""
-        return [
-            (i + 1, j + 1)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.rows[i][j] != 0
-        ]
+        adj = _neighbours(self)
+        return [(i + 1, j + 1) for i in range(self.n) for j in _bits(adj[i] & _above(i))]
 
     def is_indecomposable(self) -> bool:
-        return _is_connected(range(1, self.n + 1), self.underlying_edges())
+        return len(_components(_neighbours(self), (1 << self.n) - 1)) == 1
 
     def is_acyclic(self) -> bool:
-        """No directed cycle among the arrows i -> j (b_ij > 0)."""
-        succ = {
-            i: [j for j in range(self.n) if self.rows[i][j] > 0] for i in range(self.n)
-        }
-        # graphlib reads the lists as predecessors; reversing every arrow
-        # keeps every cycle
-        try:
-            TopologicalSorter(succ).prepare()
-        except CycleError:
-            return False
+        """No directed cycle among the arrows i -> j (b_ij > 0).
+
+        Sinks of what is left are removed until nothing is left, or until
+        no vertex left is a sink, which only a directed cycle allows.
+        """
+        arrows = _arrows(self)
+        left = (1 << self.n) - 1
+        while left:
+            sinks = sum(1 << i for i in _bits(left) if not arrows[i] & left)
+            if not sinks:
+                return False
+            left ^= sinks
         return True
 
     def bipartition(self) -> tuple[int, ...] | None:
@@ -134,26 +135,23 @@ class ExchangeMatrix:
         Exists iff every vertex is a source or a sink; sources and
         isolated vertices get +1, sinks get -1 (canonical choice).
         """
-        eps = []
-        for i in range(self.n):
-            has_pos = any(x > 0 for x in self.rows[i])
-            has_neg = any(x < 0 for x in self.rows[i])
-            if has_pos and has_neg:
-                return None
-            eps.append(-1 if has_neg else 1)
-        return tuple(eps)
+        arrows = _arrows(self)
+        heads = 0  # the vertices some arrow points to
+        for out in arrows:
+            heads |= out
+        if any(out and heads >> i & 1 for i, out in enumerate(arrows)):
+            return None
+        return tuple(-1 if heads >> i & 1 else 1 for i in range(self.n))
 
     def underlying_triangles(self) -> list[tuple[int, int, int]]:
         """3-cycles {i<j<k} of the underlying undirected graph."""
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.rows[i][j] == 0:
-                    continue
-                for k in range(j + 1, self.n):
-                    if self.rows[i][k] != 0 and self.rows[j][k] != 0:
-                        out.append((i + 1, j + 1, k + 1))
-        return out
+        adj = _neighbours(self)
+        return [
+            (i + 1, j + 1, k + 1)
+            for i in range(self.n)
+            for j in _bits(adj[i] & _above(i))
+            for k in _bits(adj[i] & adj[j] & _above(j))
+        ]
 
     # -- mutation and permutation ------------------------------------
 
@@ -225,23 +223,97 @@ def _find_symmetrizer(grid: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _is_connected(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> bool:
-    """Whether the edges among vertices connect them all (vacuous when empty)."""
-    remaining = set(vertices)
-    if not remaining:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in remaining}
-    for i, j in edges:
-        if i in remaining and j in remaining:
-            adj[i].append(j)
-            adj[j].append(i)
-    stack = [remaining.pop()]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j in remaining:
-                remaining.remove(j)
-                stack.append(j)
-    return not remaining
+# -- the diagram of B ------------------------------------------------
+#
+# Bit j of mask i stands for vertex j (0-based), so ascending bit order
+# is ascending vertex order: the order of every list read from the
+# masks, and of the realization routes.
+
+
+def _neighbours(B: ExchangeMatrix) -> list[int]:
+    """Neighbour masks of B's diagram: bit j of entry i is set when b_ij != 0."""
+    return [sum(1 << j for j, x in enumerate(row) if x) for row in B.rows]
+
+
+def _arrows(B: ExchangeMatrix) -> list[int]:
+    """Arrow masks of B's diagram: bit j of entry i is set when b_ij > 0, i -> j."""
+    return [sum(1 << j for j, x in enumerate(row) if x > 0) for row in B.rows]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _above(v: int) -> int:
+    """The mask of every vertex above v."""
+    return -2 << v
+
+
+def _components(adj: list[int], within: int) -> list[int]:
+    """Components of the diagram induced on the vertex mask within, by least vertex."""
+    out = []
+    while within:
+        component = frontier = within & -within
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj[v]
+            frontier = reach & within & ~component
+            component |= frontier
+        out.append(component)
+        within &= ~component
+    return out
+
+
+def dynkin_type(B: ExchangeMatrix) -> tuple[str, int] | None:
+    """Best-effort Dynkin label and Coxeter number for a tree-shaped diagram.
+
+    Purely cosmetic: classification decisions never consult this.
+    """
+    n = B.n
+    if n == 1:
+        return "A1", 2
+    adj = _neighbours(B)
+    everyone = (1 << n) - 1
+    degree = [mask.bit_count() for mask in adj]
+    if sum(degree) != 2 * (n - 1) or len(_components(adj, everyone)) != 1:
+        return None
+    weights = {e: abs(B.entry(*e) * B.entry(e[1], e[0])) for e in B.underlying_edges()}
+    heavy = sorted(w for w in weights.values() if w > 1)
+    is_path = max(degree) <= 2
+
+    if not heavy:
+        if is_path:
+            return f"A{n}", n + 1
+        branch = [v for v, d in enumerate(degree) if d >= 3]
+        if len(branch) != 1 or max(degree) > 3:
+            return None
+        # the arms of a tree are its components once the branch vertex goes
+        arms = sorted(c.bit_count() for c in _components(adj, everyone ^ 1 << branch[0]))
+        if arms[0] == 1 and arms[1] == 1:
+            return f"D{n}", 2 * n - 2
+        if arms[0] == 1 and arms[1] == 2 and arms[2] in (2, 3, 4):
+            rank = 4 + arms[2]
+            h = {6: 12, 7: 18, 8: 30}[rank]
+            return f"E{rank}", h
+        return None
+    if heavy == [2] and is_path:
+        (edge,) = [e for e, w in weights.items() if w == 2]
+        a, b = edge
+        if n == 2:
+            return "B2", 4
+        if degree[a - 1] == 1 or degree[b - 1] == 1:
+            return f"B/C{n}", 2 * n
+        if n == 4:
+            return "F4", 12
+        return None
+    if heavy == [3] and n == 2:
+        return "G2", 6
+    return None
 
 
 def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -507,7 +579,6 @@ class MatrixClass:
     matrices: list[ExchangeMatrix]
     words: list[tuple[int, ...]]  # mutation sequence reaching each matrix
     complete: bool
-    max_matrices: int
     index: dict
 
     def find(self, B: ExchangeMatrix) -> int | None:
@@ -543,7 +614,7 @@ def matrix_mutation_class(B: ExchangeMatrix, max_matrices: int) -> MatrixClass:
     """
     _require_count("max_matrices", max_matrices, 1)
     matrices, words, index, complete = _closure(B, (), _mutation_moves(B.n), max_matrices)
-    return MatrixClass(matrices, words, complete, max_matrices, index)
+    return MatrixClass(matrices, words, complete, index)
 
 
 def _mutation_moves(n: int) -> list[tuple[int, Callable, Callable]]:

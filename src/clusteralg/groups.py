@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import KeysView
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import InvariantViolation
 from .exchange import (
@@ -284,17 +284,7 @@ class GroupSummary:
     budget: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "saut_order": self.saut_order,
-                "aut_plus_order": self.aut_plus_order,
-                "L_order": self.L_order,
-                "P_order": self.P_order,
-                "exactness_verified": self.exactness_verified,
-                "budget": self.budget,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 @dataclass

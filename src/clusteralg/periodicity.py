@@ -50,6 +50,7 @@ from .exchange import (
     _require_count,
     _require_permutation,
     _require_replays,
+    dynkin_type,
     validate_sequence,
 )
 from .seeds import LabeledSeed
@@ -328,8 +329,6 @@ class BeltReport:
     epsilon: tuple[int, ...]
     seeds: list[LabeledSeed]  # positions 0..S of the belt
     return_period: int | None
-    steps_requested: int
-    mirror: bool
     dynkin_name: str | None = None
     coxeter_number: int | None = None
 
@@ -366,9 +365,7 @@ def bipartite_belt(seed: LabeledSeed, steps: int, mirror: bool = False) -> BeltR
             period = s
             break
 
-    report = BeltReport(eps, seeds, period, steps, mirror)
-    from .classify import dynkin_type  # cosmetic annotation; avoids an import cycle
-
+    report = BeltReport(eps, seeds, period)
     named = dynkin_type(seed.matrix)
     if named is not None:
         report.dynkin_name, report.coxeter_number = named

@@ -3,9 +3,12 @@
 On a seed whose quiver is connected with all edge weights 1, any
 permutation of the positions can be produced by pure mutation.  The
 construction routes one variable at a time along simple edges using the
-five-step swap gadget, shrinking the working subquiver each stage.  Each
-gadget is replayed once, in _swap_gadget, by exchange._require_replays,
-and that chain of checked replays is the plan's exact replay.
+five-step swap gadget, shrinking the working subquiver each stage.  The
+working subquiver is a vertex mask over the neighbour masks of
+exchange._neighbours; its connectivity, removable vertex and routes all
+read them, in ascending vertex order.  Each gadget is replayed once, in
+_swap_gadget, by exchange._require_replays, and that chain of checked
+replays is the plan's exact replay.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from dataclasses import dataclass
 from .errors import DecomposableMatrix, InvariantViolation
 from .exchange import (
     Permutation,
-    _is_connected,
+    _bits,
+    _components,
+    _neighbours,
     _require_index,
     _require_permutation,
     _require_replays,
@@ -29,21 +34,10 @@ from .seeds import (
 )
 
 
-def _adjacency(edges: list[tuple[int, int]], vertices: set[int]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for a, b in edges:
-        if a in vertices and b in vertices:
-            adj[a].append(b)
-            adj[b].append(a)
-    for v in adj:
-        adj[v].sort()
-    return adj
-
-
-def _smallest_noncut(edges: list[tuple[int, int]], vertices: set[int]) -> int:
-    """Smallest vertex whose removal keeps the rest connected."""
-    for v in sorted(vertices):
-        if _is_connected(vertices - {v}, edges):
+def _smallest_noncut(adj: list[int], active: int) -> int:
+    """Smallest vertex (0-based) of the mask active whose removal keeps the rest connected."""
+    for v in _bits(active):
+        if len(_components(adj, active ^ 1 << v)) == 1:
             return v
     raise InvariantViolation("a connected graph always has a removable vertex")
 
@@ -95,17 +89,15 @@ class RealizationPlan:
         return lines
 
 
-def _shortest_path(
-    adj: dict[int, list[int]], start: int, goal: int
-) -> list[int]:
-    """BFS path; ascending neighbor order makes the choice deterministic."""
+def _shortest_path(adj: list[int], active: int, start: int, goal: int) -> list[int]:
+    """BFS path (0-based) inside the mask active; ascending neighbour order fixes the choice."""
     parent = {start: None}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
         if cur == goal:
             break
-        for w in adj[cur]:
+        for w in _bits(adj[cur] & active):
             if w not in parent:
                 parent[w] = cur
                 queue.append(w)
@@ -137,24 +129,24 @@ def realize_permutation(s: LabeledSeed, sigma: Permutation) -> RealizationPlan:
     sigma_inv = sigma.inverse()
     current = s
     content = {p: p for p in range(1, n + 1)}
-    active = set(range(1, n + 1))
+    active = (1 << n) - 1  # bit p - 1 for each position p still in play
     stages: list[MutationSequence] = []
     finalized: list[int] = []
 
-    while len(active) > 1:
-        cur_edges = current.matrix.underlying_edges()
-        if not _is_connected(active, cur_edges):
+    while active & (active - 1):
+        adj = _neighbours(current.matrix)
+        if len(_components(adj, active)) != 1:
             raise InvariantViolation("working subquiver lost connectivity")
-        v = _smallest_noncut(cur_edges, active)
+        v = _smallest_noncut(adj, active) + 1
         w0 = sigma_inv(content[v])
-        if w0 not in active:
+        if not active >> (w0 - 1) & 1:
             raise InvariantViolation("target position left play before its variable")
         if w0 == v:
             stages.append(())
             finalized.append(v)
-            active.remove(v)
+            active ^= 1 << (v - 1)
             continue
-        path = _shortest_path(_adjacency(cur_edges, active), w0, v)
+        path = [w + 1 for w in _shortest_path(adj, active, w0 - 1, v - 1)]
         stage_seq: list[int] = []
         for wk in path[1:]:
             # the gadget's replay has just built the transposed seed
@@ -165,9 +157,9 @@ def realize_permutation(s: LabeledSeed, sigma: Permutation) -> RealizationPlan:
             raise InvariantViolation("stage did not deliver the required variable")
         stages.append(tuple(stage_seq))
         finalized.append(w0)
-        active.remove(w0)
+        active ^= 1 << (w0 - 1)
 
-    last = active.pop()
+    last = active.bit_length()
     if content[last] != sigma(last):
         raise InvariantViolation("final position holds the wrong variable")
 

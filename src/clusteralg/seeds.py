@@ -256,7 +256,6 @@ class OrbitGraph:
     edges: list[tuple[int, str, int]]
     complete: bool
     with_permutations: bool
-    max_seeds: int
     index: dict = field(repr=False, default_factory=dict)
 
     def find(self, s: LabeledSeed) -> int | None:
@@ -339,7 +338,7 @@ def orbit(
         seeds.append(t)
     names = {g: f"mu{g}" if type(g) is int else g.cycle_notation() for g, _, _ in moves}
     labeled = [(source, names[g], target) for source, g, target in edges]
-    return OrbitGraph(seeds, words, labeled, complete, with_permutations, max_seeds, index)
+    return OrbitGraph(seeds, words, labeled, complete, with_permutations, index)
 
 
 def seed_from_json(text: str) -> tuple[LabeledSeed, list[str]]:

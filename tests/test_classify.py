@@ -222,7 +222,7 @@ class TestClassification:
         assert c.finite_mutation_type == "no"
         assert c.mutation_acyclic == "yes"
         assert (c.v, c.m_upper_bound, c.m_exact) == (1, 1, True)
-        assert c.main1.i and not c.main1.ii
+        assert c.main1_conditions.i and not c.main1_conditions.ii
         assert c.dynkin is None
 
     def test_budget_tags_unknown_statuses(self):
@@ -238,7 +238,7 @@ class TestClassification:
 
     def test_symmetrizable_record_skips_quiver_flags(self):
         c = classify(b2_matrix(), budget=100)
-        assert c.main1 is None
+        assert c.main1_conditions is None
         assert c.finite_type == "yes"
         assert c.dynkin == "B2"
         assert (c.v, c.m_upper_bound, c.m_exact) == (2, 2, True)
@@ -314,7 +314,7 @@ class TestClassifyBudgetSweep:
             ), budget
             assert c.mutation_acyclic_witness == m.acyclic_word, budget
             if B.is_skew_symmetric():
-                assert c.main1 == main1_conditions(B, budget), budget
+                assert c.main1_conditions == main1_conditions(B, budget), budget
 
     @pytest.mark.parametrize("fixture", CLASSIFY_FIXTURES, ids=lambda f: f.__name__)
     def test_probe_matches_standalone_searches(self, fixture, monkeypatch):

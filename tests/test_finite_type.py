@@ -166,6 +166,108 @@ def test_agrees_with_the_class_search():
     assert skew_symmetrizable > 400
 
 
+def _simple_skew_symmetric(n: int):
+    """Every rank-n skew-symmetric matrix with entries in {-1, 0, 1}."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for values in itertools.product((-1, 0, 1), repeat=len(pairs)):
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), x in zip(pairs, values):
+            rows[i][j], rows[j][i] = x, -x
+        yield ExchangeMatrix(rows)
+
+
+def _reference_components(B: ExchangeMatrix) -> list[list[int]]:
+    """Components (0-based) by union-find over the nonzero entries, by least vertex."""
+    parent = list(range(B.n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, j in itertools.combinations(range(B.n), 2):
+        if B.rows[i][j]:
+            parent[root(i)] = root(j)
+    groups: dict[int, list[int]] = {}
+    for v in range(B.n):
+        groups.setdefault(root(v), []).append(v)
+    return sorted(groups.values())
+
+
+def _reference_has_directed_cycle(B: ExchangeMatrix) -> bool:
+    """Depth-first search over the arrows i -> j (b_ij > 0) for a back edge."""
+    state = [0] * B.n  # 0 unseen, 1 on the path, 2 done
+
+    def visit(v: int) -> bool:
+        state[v] = 1
+        for w in range(B.n):
+            if B.rows[v][w] > 0 and (state[w] == 1 or (state[w] == 0 and visit(w))):
+                return True
+        state[v] = 2
+        return False
+
+    return any(state[v] == 0 and visit(v) for v in range(B.n))
+
+
+def _reference_chordless_cycles(B: ExchangeMatrix) -> list[tuple[int, ...]]:
+    """Vertex subsets whose induced diagram is one cycle, walked from the least
+    vertex towards its smaller neighbour."""
+    out = []
+    for size in range(3, B.n + 1):
+        for subset in itertools.combinations(range(B.n), size):
+            nbrs = {v: [w for w in subset if B.rows[v][w]] for v in subset}
+            if any(len(x) != 2 for x in nbrs.values()):
+                continue
+            cycle = [subset[0], nbrs[subset[0]][0]]
+            while cycle[-1] != subset[0]:
+                a, b = nbrs[cycle[-1]]
+                cycle.append(b if a == cycle[-2] else a)
+            # two disjoint cycles close before every vertex is visited
+            if len(cycle) == size + 1:
+                out.append(tuple(cycle[:-1]))
+    return out
+
+
+def _reference_bipartition(B: ExchangeMatrix) -> tuple[int, ...] | None:
+    eps = []
+    for row in B.rows:
+        if any(x > 0 for x in row) and any(x < 0 for x in row):
+            return None
+        eps.append(-1 if any(x < 0 for x in row) else 1)
+    return tuple(eps)
+
+
+READER_INPUTS = {
+    "simple, rank <= 4": [B for n in range(1, 5) for B in _simple_skew_symmetric(n)],
+    "fixtures": list(FINITE.values()) + list(AFFINE.values()),
+    "grid": GRID,
+}
+
+
+@pytest.mark.parametrize("inputs", READER_INPUTS)
+def test_the_diagram_reader_agrees_with_plain_references(inputs):
+    # every structural answer read from the neighbour and arrow masks,
+    # against references written from B.rows alone
+    for B in READER_INPUTS[inputs]:
+        n, rows = B.n, B.rows
+        pairs = [(i, j) for i, j in itertools.combinations(range(n), 2) if rows[i][j]]
+        assert B.underlying_edges() == [(i + 1, j + 1) for i, j in pairs], B
+        assert B.underlying_triangles() == [
+            (i + 1, j + 1, k + 1)
+            for i, j, k in itertools.combinations(range(n), 3)
+            if rows[i][j] and rows[i][k] and rows[j][k]
+        ], B
+        components = _reference_components(B)
+        assert B.is_indecomposable() == (len(components) == 1), B
+        assert B.is_acyclic() == (not _reference_has_directed_cycle(B)), B
+        assert B.bipartition() == _reference_bipartition(B), B
+        cycles = classify_module._chordless_cycles(B)
+        assert len(set(cycles)) == len(cycles), B
+        assert sorted(cycles) == sorted(_reference_chordless_cycles(B)), B
+        large = sorted(v for c in components if len(c) >= 3 for v in c)
+        assert classify_module._refuting_vertices(B, 4) == tuple(large), B
+
+
 def _positive_definite(A, d) -> bool:
     """Sylvester's criterion on D·A, by Gaussian elimination over the rationals."""
     M = [[Fraction(d[i] * x) for x in row] for i, row in enumerate(A)]

@@ -21,6 +21,7 @@ faster must leave every one of them as it is.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import asdict
 
 import pytest
 
@@ -327,7 +328,7 @@ def _matrix_class_lines(B: ExchangeMatrix) -> list[str]:
 
 
 def _decision_line(d) -> str:
-    witness = None if d.witness is None else d.witness.to_json_dict()
+    witness = None if d.witness is None else {**asdict(d.witness), "sequence": list(d.witness.sequence)}
     return f"{d.status} {d.budget} {witness}"
 
 

@@ -48,7 +48,7 @@ def _laurent_orbit(s: LabeledSeed, max_seeds: int, with_permutations: bool) -> O
     found, words, index, edges = [s], [((), Permutation.identity(n))], {s: 0}, []
 
     def graph(complete: bool) -> OrbitGraph:
-        return OrbitGraph(found, words, edges, complete, with_permutations, max_seeds, index)
+        return OrbitGraph(found, words, edges, complete, with_permutations, index)
 
     cur = 0
     while cur < len(found):
