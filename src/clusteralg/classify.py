@@ -347,11 +347,16 @@ def _finite_type(B: ExchangeMatrix, theorem: Decision, found: dict | None = None
     return found[3] if found[3].status == "no" else theorem
 
 
-def _finite_mutation_type(B: ExchangeMatrix, found: dict[int, Decision]) -> Decision:
-    """The walk's bound-4 answer, or finite type's "yes" where the budget cuts the walk."""
+def _finite_mutation_type(
+    B: ExchangeMatrix, found: dict[int, Decision], theorem: Decision | None = None
+) -> Decision:
+    """The walk's bound-4 answer, or finite type's "yes" where the budget cuts the walk.
+
+    theorem is the caller's _bgz_decision, made here only when it is None.
+    """
     fmt = found[4]
     if fmt.status == "unknown":
-        theorem = _bgz_decision(B, fmt.budget)
+        theorem = theorem or _bgz_decision(B, fmt.budget)
         if theorem.status == "yes":
             return theorem
     return fmt
@@ -474,7 +479,7 @@ def classify(B: ExchangeMatrix, budget: int) -> Classification:
     bounds = (4,) if theorem.status == "yes" else (3, 4)
     found, msearch = _bounded_class_search(B, bounds, budget, m_search=True)
     ft = _finite_type(B, theorem, found)
-    fmt = _finite_mutation_type(B, found)
+    fmt = _finite_mutation_type(B, found, theorem)
     acyclic_status = (
         "yes" if msearch.acyclic_word is not None else "no" if msearch.complete else "unknown"
     )
@@ -583,7 +588,7 @@ def automorphism_finiteness_probe(s: LabeledSeed, budget: int) -> ProbeResult:
         return ProbeResult("unknown", None, 0, budget)
 
     candidates: list[tuple[int, ...]] = []
-    if _finite_mutation_type(B, found).status == "yes":
+    if _finite_mutation_type(B, found, theorem).status == "yes":
         w = ft.witness
         word = _alternating_return_word(B, w.sequence, w.i, w.j, budget)
         if word is not None:

@@ -16,13 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from .classify import classify
-from .errors import (
-    DecomposableMatrix,
-    InvariantViolation,
-    NotBipartite,
-    NotDivisible,
-    NotSkewSymmetrizable,
-)
+from .errors import InvariantViolation, NotDivisible
 from .exchange import ExchangeMatrix, Permutation, is_inflexion, validate_sequence
 from .groups import enumerate_aut_plus
 from .periodicity import bipartite_belt, find_periods, period_set_distinguisher
@@ -341,9 +335,6 @@ def main(argv: list[str] | None = None) -> int:
     except (InvariantViolation, NotDivisible) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (NotBipartite, NotSkewSymmetrizable, DecomposableMatrix) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

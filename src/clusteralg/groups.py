@@ -5,7 +5,9 @@ permutation-periodic groups L and P, and equivariant bijections of a
 closed orbit together with its sign-fixing subgroup W.  SAut+, P and
 Aut+ are all read off one mutation-only orbit, and L off the matrix
 mutation class; only the equivariant bijections need the orbit closed
-under relabeling too.
+under relabeling too.  Each B^sigma is built once, into one table that
+L, P and Aut+ read; Aut+ does not read L, so |Aut+| |P| = |SAut+| |L|
+compares two sides computed apart.
 
 Cardinalities are never guessed: every order is either an exact integer
 from a closed enumeration (or, for L and P at rank 2, the rank-2 rules)
@@ -37,7 +39,7 @@ from .exchange import (
     all_permutations,
     matrix_mutation_class,
 )
-from .seeds import LabeledSeed, OrbitGraph, orbit, permute_seed
+from .seeds import LabeledSeed, OrbitGraph, _reordered, orbit
 from .symbolic import LaurentPoly
 
 
@@ -179,21 +181,20 @@ def compute_L_P(s: LabeledSeed, budget: int) -> LPResult:
     """L = relabelings of B reachable by matrix mutation; P = same for the seed.
 
     Both are decided per permutation, in one pass over the matrix class
-    and the mutation-only orbit (see _lp_from_closures).  Closed searches
-    give exact answers; a rank-2 search cut by the budget falls back to
-    the rank-2 rules (_rank2_swap_in_L, _rank2_swap); anything else
-    leaves the permutation unknown.  Every witness returned is replayed
-    exactly once first, by exchange._require_replays: an L word on B must
-    reach B^sigma, a P word on s must reach s^sigma.  The rank-2 rules
-    replay their own witnesses; the closure targets come back from the
-    pass keyed by permutation, and the reported witness of each is
-    replayed here against it.
+    and the mutation-only orbit (_lp_from_closures, whose table of B^sigma
+    Aut+ reads too).  Closed searches give exact answers; a rank-2 search
+    cut by the budget falls back to the rank-2 rules (_rank2_swap_in_L,
+    _rank2_swap); anything else leaves the permutation unknown.  Every
+    witness returned is replayed exactly once first, by
+    exchange._require_replays: an L word on B must reach B^sigma, a P
+    word on s must reach s^sigma.  The rank-2 rules replay their own
+    witnesses; the reported witness of each closure target is replayed here.
     """
     _require_count("budget", budget, 1)
     _require_indecomposable(s.matrix, "group enumeration")
     mclass = matrix_mutation_class(s.matrix, max_matrices=budget)
     graph = orbit(s, max_seeds=budget, with_permutations=False)
-    lp, l_targets, p_targets = _lp_from_closures(s, mclass, graph, budget)
+    lp, _, l_targets, p_targets = _lp_from_closures(s, mclass, graph, budget)
     _require_replays(s.matrix, {lp.L_witnesses[g]: t for g, t in l_targets.items()}, "L")
     _require_replays(s, {lp.P_witnesses[g]: t for g, t in p_targets.items()}, "P")
     return lp
@@ -201,20 +202,21 @@ def compute_L_P(s: LabeledSeed, budget: int) -> LPResult:
 
 def _lp_from_closures(
     s: LabeledSeed, mclass: MatrixClass, graph: OrbitGraph, budget: int
-) -> tuple[LPResult, dict, dict]:
+) -> tuple[LPResult, dict, dict, dict]:
     """compute_L_P on an already built matrix class and mutation-only orbit.
 
-    Returns the result, its closure witnesses not yet replayed, with the
-    targets those witnesses must reach: {sigma: B^sigma} for L and
-    {sigma: s^sigma} for P, each built once.  The rank-2 rules replay
-    their own witnesses.
+    Returns the result, the relabeling table {sigma: B^sigma} over every
+    permutation, one apply_permutation_matrix each, and the closure
+    witnesses not yet replayed with the targets they must reach:
+    {sigma: B^sigma} for L and {sigma: s^sigma} for P, read from the
+    table.  The rank-2 rules replay their own witnesses.
     """
     n = s.rank
     out = LPResult(budget=budget)
+    table = {sigma: s.matrix.permute(sigma) for sigma in all_permutations(n)}
     l_targets: dict[Permutation, ExchangeMatrix] = {}
     p_targets: dict[Permutation, LabeledSeed] = {}
-    for sigma in all_permutations(n):
-        target_m = s.matrix.permute(sigma)
+    for sigma, target_m in table.items():
         found = mclass.find(target_m)
         if found is not None:
             out.L_witnesses[sigma] = mclass.words[found]
@@ -228,7 +230,7 @@ def _lp_from_closures(
         else:
             out.L_unknown.append(sigma)
 
-        target_s = s.permute(sigma)
+        target_s = LabeledSeed(_reordered(s.cluster, sigma), target_m)
         sfound = graph.find(target_s)
         if sfound is not None:
             out.P_witnesses[sigma] = graph.words[sfound][0]
@@ -244,7 +246,7 @@ def _lp_from_closures(
         else:
             out.P_unknown.append(sigma)
     _verify_subgroups(out)
-    return out, l_targets, p_targets
+    return out, table, l_targets, p_targets
 
 
 def _verify_subgroups(r: LPResult) -> None:
@@ -252,16 +254,9 @@ def _verify_subgroups(r: LPResult) -> None:
     pset, lset = r.P_members, r.L_members
     if r.P_exact and not pset <= lset and r.L_exact:
         raise InvariantViolation("P is not contained in L")
-    if r.L_exact:
-        for a in lset:
-            for b in lset:
-                if a.compose(b) not in lset:
-                    raise InvariantViolation("L is not closed under composition")
-    if r.P_exact:
-        for a in pset:
-            for b in pset:
-                if a.compose(b) not in pset:
-                    raise InvariantViolation("P is not closed under composition")
+    for name, members, exact in (("L", lset, r.L_exact), ("P", pset, r.P_exact)):
+        if exact and any(a.compose(b) not in members for a in members for b in members):
+            raise InvariantViolation(f"{name} is not closed under composition")
     if r.L_exact and r.P_exact:
         for g in lset:
             ginv = g.inverse()
@@ -298,47 +293,47 @@ class AutPlusEnumeration:
 
 
 def enumerate_aut_plus(s: LabeledSeed, budget: int) -> AutPlusEnumeration:
-    """Direct automorphisms read off the mutation-only orbit.
+    """Direct automorphisms read off the mutation-only orbit and the relabeling table.
 
     A direct automorphism sends the initial seed to a seed t of the
     mutation-only orbit relabeled by some pi with t^pi carrying B, that
-    is t.matrix == B^(pi^-1) with pi^-1 in L.  One element per distinct
-    relabeled seed, witnessed by the orbit word of the first t reaching
-    it.  Each distinct word is replayed exactly by
+    is t.matrix == B^(pi^-1); pi is read from the inverted table
+    {sigma: B^sigma} of _lp_from_closures, not from L (pi^-1 is in L, as
+    t.matrix is in B's class).  One element per distinct image t^pi, t's
+    cluster reordered by pi, witnessed by the orbit word of the first t
+    reaching it.  Each distinct word is replayed exactly by
     exchange._require_replays and must reach the orbit seed t it was read
     from, one mutation per distinct nonempty prefix (on D4, 24 elements
-    share 4 words and 13 prefixes); the matrix condition is checked on
-    each element.  The identity is always in L, so every orbit seed that
-    carries B is an Aut+ image, and these replays check it: the SAut+
-    words are not replayed a second time, and neither are the L and P
-    witnesses, of which only the orders are read.  The count is exact
-    whenever SAut+ and L are, and the summary cross-checks it against
-    |SAut+| |L| / |P| when all four are exact.  The orbit is shared by
-    SAut+, P and Aut+; the matrix class by L.
+    share 4 words and 13 prefixes).  The identity fixes B, so every orbit
+    seed that carries B is an Aut+ image, and these replays check it: the
+    SAut+ words are not replayed a second time, and neither are the L and
+    P witnesses, of which only the orders are read.  The count is exact
+    iff the orbit closes (the class of its matrices then closes too), and
+    the summary cross-checks it against |SAut+| |L| / |P| when all four
+    are exact.  The orbit is shared by SAut+, P and Aut+; the class by L.
     """
     _require_count("budget", budget, 1)
     _require_indecomposable(s.matrix, "group enumeration")
     plain = orbit(s, max_seeds=budget, with_permutations=False)
+    mclass = matrix_mutation_class(s.matrix, max_matrices=budget)
+    if plain.complete and not mclass.complete:
+        raise InvariantViolation("the orbit closed but the matrix class did not")
     saut = _saut_from_orbit(s, plain, budget)
-    lp, _, _ = _lp_from_closures(
-        s, matrix_mutation_class(s.matrix, max_matrices=budget), plain, budget
-    )
+    lp, table, _, _ = _lp_from_closures(s, mclass, plain, budget)
     relabelings: dict[ExchangeMatrix, list[Permutation]] = {}
-    for tau in lp.L_members:
-        relabelings.setdefault(s.matrix.permute(tau), []).append(tau.inverse())
-    witnesses: dict[LabeledSeed, tuple[tuple[int, ...], Permutation, LabeledSeed]] = {}
+    for tau, m in table.items():
+        relabelings.setdefault(m, []).append(tau.inverse())
+    witnesses: dict[tuple[LaurentPoly, ...], tuple[tuple[int, ...], Permutation, LabeledSeed]] = {}
     for idx, t in enumerate(plain.seeds):
         for pi in relabelings.get(t.matrix, ()):
-            witnesses.setdefault(permute_seed(t, pi), (plain.words[idx][0], pi, t))
+            witnesses.setdefault(_reordered(t.cluster, pi), (plain.words[idx][0], pi, t))
     # elements reached along one orbit word differ only in pi
     _require_replays(s, {word: t for word, _, t in witnesses.values()}, "Aut+")
-    elements = []
-    for image, (word, pi, t) in witnesses.items():
-        if t.matrix != s.matrix.permute(pi.inverse()):
-            raise InvariantViolation("direct witness matrix condition failed")
-        elements.append(DirectAutomorphism(image.cluster, pi, word))
+    elements = [
+        DirectAutomorphism(image, pi, word) for image, (word, pi, _) in witnesses.items()
+    ]
 
-    aut_order = len(elements) if plain.complete and lp.L_exact else None
+    aut_order = len(elements) if plain.complete else None
     saut_order = saut.order
     l_order = len(lp.L_members) if lp.L_exact else None
     p_order = len(lp.P_members) if lp.P_exact else None

@@ -198,13 +198,17 @@ def apply_sequence(s: LabeledSeed, seq: Sequence[int]) -> LabeledSeed:
 
 
 def permute_seed(s: LabeledSeed, sigma: Permutation) -> LabeledSeed:
-    """(x,B)^sigma: entry i of the result is old entry sigma(i).
+    """(x,B)^sigma: the cluster reordered by _reordered, the matrix B^sigma.
 
     Iterating follows permute(permute(s,a),b) = permute(s, a.compose(b)).
     """
     _require_permutation(sigma, s.rank)
-    cluster = tuple(s.cluster[sigma(i) - 1] for i in range(1, s.rank + 1))
-    return LabeledSeed(cluster, s.matrix.permute(sigma))
+    return LabeledSeed(_reordered(s.cluster, sigma), s.matrix.permute(sigma))
+
+
+def _reordered(cluster: tuple[LaurentPoly, ...], sigma: Permutation) -> tuple[LaurentPoly, ...]:
+    """The cluster relabeled by sigma: entry i of the result is old entry sigma(i)."""
+    return tuple(cluster[i - 1] for i in sigma.images)
 
 
 @dataclass(frozen=True)
@@ -332,7 +336,7 @@ def orbit(
                 raise InvariantViolation("mutation broke the skew-symmetrizer")
             t = _exchanged_once(relations, parent, g, matrix)
         else:
-            t = LabeledSeed(tuple(parent.cluster[i - 1] for i in g.images), matrix)
+            t = LabeledSeed(_reordered(parent.cluster, g), matrix)
         if index.setdefault(t, target) != target:
             raise InvariantViolation("two principal-coefficient keys built one seed")
         seeds.append(t)
@@ -356,10 +360,10 @@ def seed_from_json(text: str) -> tuple[LabeledSeed, list[str]]:
     if unknown:
         raise ValueError(f"unknown seed file keys: {', '.join(unknown)}")
     n = data["n"]
+    _require_count('"n"', n, 0)
     matrix = data["matrix"]
     if (
-        type(n) is not int
-        or not isinstance(matrix, list)
+        not isinstance(matrix, list)
         or len(matrix) != n
         or not all(isinstance(row, list) for row in matrix)
     ):

@@ -33,7 +33,10 @@ from clusteralg.fixtures import (
     a3_path_matrix,
     a4_path_matrix,
     acyclic_triangle,
+    affine_d,
     b2_matrix,
+    dynkin_d,
+    dynkin_e,
     g2_matrix,
     kronecker_matrix,
     markov_matrix,
@@ -162,6 +165,21 @@ class TestOneWalk:
         )
         assert self._callers(old, "matrix_mutation_class") == ["classify"]
         assert self._callers(old, "_closure") == ["_bounded_class_search", "<module>"]
+
+    @pytest.mark.parametrize(
+        "B", [dynkin_d(5), dynkin_e(6), affine_d(4)], ids=["D5", "E6", "affine_D4"]
+    )
+    def test_the_finite_type_theorem_runs_once(self, monkeypatch, B):
+        # the budget cuts each walk, so finite mutation type falls back on
+        # the theorem's decision that classify already holds
+        calls = []
+        real = classify_module._bgz_decision
+        monkeypatch.setattr(
+            classify_module, "_bgz_decision", lambda M, b: calls.append(M) or real(M, b)
+        )
+        c = classify(B, 1)
+        assert calls == [B]
+        assert c.finite_mutation_type == ("yes" if c.finite_type == "yes" else "unknown(budget=1)")
 
 
 class TestMSearch:

@@ -329,6 +329,25 @@ class TestErrorRouting:
         assert main(["belt", "--seed", str(p), "--steps", "4"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "matrix, err",
+        [
+            # A2 plus an isolated vertex: DecomposableMatrix
+            (
+                "[[0, 1, 0], [-1, 0, 0], [0, 0, 0]]",
+                "error: group enumeration needs an indecomposable exchange matrix\n",
+            ),
+            # b12 and b21 of one sign: NotSkewSymmetrizable
+            ("[[0, 1], [1, 0]]", "error: sign incoherence at (1,2): 1 vs 1\n"),
+        ],
+        ids=["decomposable", "sign-incoherent"],
+    )
+    def test_groups_refuses_bad_matrices(self, tmp_path, capsys, matrix, err):
+        p = tmp_path / "bad.json"
+        p.write_text(matrix)
+        assert main(["groups", "--seed", str(p), "--budget", "10"]) == 1
+        assert capsys.readouterr() == ("", err)
+
     def test_malformed_json(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"n": 2}')

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 
 from clusteralg import exchange, groups, seeds
@@ -15,6 +13,7 @@ from clusteralg.fixtures import (
     a3_path_matrix,
     a4_path_matrix,
     b2_matrix,
+    dynkin_d,
     g2_matrix,
     kronecker_matrix,
     markov_matrix,
@@ -29,11 +28,15 @@ from clusteralg.groups import (
     enumerate_saut_plus,
     equivariant_automorphisms,
 )
-from clusteralg.seeds import LabeledSeed, orbit
+from clusteralg.seeds import LabeledSeed, orbit, permute_seed
 from clusteralg.symbolic import LaurentPoly
 
 
 SWAP = Permutation.transposition(2, 1, 2)
+
+# B3 with the weight-2 edge between 2 and 3; its relabeling orbit has 120 seeds
+B3 = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -2, 0]])
+D4 = ExchangeMatrix([[0, 1, 1, 1], [-1, 0, 0, 0], [-1, 0, 0, 0], [-1, 0, 0, 0]])
 
 
 def a2_seed() -> LabeledSeed:
@@ -61,6 +64,22 @@ class TestSautEnumeration:
     def test_decomposable_rejected(self):
         with pytest.raises(DecomposableMatrix):
             enumerate_saut_plus(LabeledSeed.initial(zero_matrix(2)), budget=10)
+
+
+@pytest.fixture
+def relabelings(monkeypatch):
+    """The permutations of every permute_seed and apply_permutation_matrix call."""
+    calls: dict[str, list[Permutation]] = {"seeds": [], "matrices": []}
+    real_seed, real_matrix = seeds.permute_seed, exchange.apply_permutation_matrix
+    monkeypatch.setattr(
+        seeds, "permute_seed", lambda t, g: calls["seeds"].append(g) or real_seed(t, g)
+    )
+    monkeypatch.setattr(
+        exchange,
+        "apply_permutation_matrix",
+        lambda M, g: calls["matrices"].append(g) or real_matrix(M, g),
+    )
+    return calls
 
 
 class TestLP:
@@ -149,23 +168,21 @@ class TestLP:
         [(a3_path_matrix(), 2000), (kronecker_matrix(2), 12), (a2_matrix(), 1)],
         ids=["A3", "kronecker", "A2-cut"],
     )
-    def test_each_relabeled_target_is_built_once(self, monkeypatch, B, budget):
-        # B^sigma once for L and once inside s^sigma for P, and nothing rebuilt
-        # for the replays, the rank-2 rules included
-        seed_perms, matrix_perms = [], []
-        real_seed, real_matrix = seeds.permute_seed, exchange.apply_permutation_matrix
-        monkeypatch.setattr(
-            seeds, "permute_seed", lambda t, g: seed_perms.append(g) or real_seed(t, g)
-        )
-        monkeypatch.setattr(
-            exchange,
-            "apply_permutation_matrix",
-            lambda M, g: matrix_perms.append(g) or real_matrix(M, g),
-        )
+    def test_each_relabeled_target_is_built_once(self, relabelings, B, budget):
+        # one B^sigma per sigma, into the table L and P read: nothing is
+        # rebuilt for the P targets or the replays, the rank-2 rules included
         compute_L_P(LabeledSeed.initial(B), budget)
-        perms = list(all_permutations(B.n))
-        assert seed_perms == perms
-        assert Counter(g.images for g in matrix_perms) == {g.images: 2 for g in perms}
+        assert relabelings == {"seeds": [], "matrices": list(all_permutations(B.n))}
+
+    @pytest.mark.parametrize(
+        "B", [a3_path_matrix(), B3, a4_path_matrix(), D4, dynkin_d(5)],
+        ids=["A3", "B3", "A4", "D4", "D5"],
+    )
+    def test_aut_plus_builds_each_relabeled_matrix_once(self, relabelings, B):
+        # the images invert the same table: n! relabeled matrices, none per
+        # image seed: 24 on D4, whose 1200-seed orbit carries 24 images
+        enumerate_aut_plus(LabeledSeed.initial(B), 2000)
+        assert relabelings == {"seeds": [], "matrices": list(all_permutations(B.n))}
 
     def test_membership_witnesses_replay(self):
         from clusteralg.periodicity import is_sigma_period
@@ -238,9 +255,6 @@ def _assert_elements_replay(s: LabeledSeed, e) -> None:
     assert len({el.image_cluster for el in e.elements}) == len(e.elements)
 
 
-# B3 with the weight-2 edge between 2 and 3; its relabeling orbit has 120 seeds
-B3 = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -2, 0]])
-D4 = ExchangeMatrix([[0, 1, 1, 1], [-1, 0, 0, 0], [-1, 0, 0, 0], [-1, 0, 0, 0]])
 FINITE = {
     "A2": a2_matrix(),
     "B2": b2_matrix(),
@@ -290,6 +304,45 @@ class TestAutPlusAgainstReference:
         _assert_elements_replay(s, e)
         assert not closed and not e.complete
         assert e.summary.to_json() == summary
+
+    @pytest.mark.parametrize(
+        "name, budget",
+        [
+            ("A2", 3),
+            ("A2", 100),
+            ("A3", 7),
+            ("A3", 2000),
+            ("B3", 10),
+            ("B3", 2000),
+            ("A4", 50),
+            ("A4", 2000),
+            ("D4", 40),
+            ("D4", 2000),
+            ("kronecker", 12),
+            ("kronecker", 40),
+            ("rank4_v1", 12),
+            ("rank4_v1", 40),
+        ],
+    )
+    def test_the_table_agrees_with_the_relabelings_of_L(self, name, budget):
+        # the rule Aut+ followed while it read L: relabelings from
+        # lp.L_members, images by permute_seed, exact only where L is
+        B = {**FINITE, "kronecker": kronecker_matrix(2), "rank4_v1": rank4_v1_matrix()}[name]
+        s = LabeledSeed.initial(B)
+        plain = orbit(s, max_seeds=budget)
+        lp = compute_L_P(s, budget)
+        relabelings: dict = {}
+        for tau in lp.L_members:
+            relabelings.setdefault(B.permute(tau), []).append(tau.inverse())
+        witnesses: dict = {}
+        for (word, _), t in zip(plain.words, plain.seeds):
+            for pi in relabelings.get(t.matrix, ()):
+                witnesses.setdefault(permute_seed(t, pi), (word, pi))
+        e = enumerate_aut_plus(s, budget)
+        assert [(el.witness_sequence, el.witness_sigma, el.image_cluster) for el in e.elements] == [
+            (word, pi, image.cluster) for image, (word, pi) in witnesses.items()
+        ]
+        assert e.complete == (plain.complete and lp.L_exact)
 
     @pytest.mark.parametrize(
         "B, budget, order",
@@ -413,13 +466,14 @@ class TestClosureSharing:
             e.witness for e in saut.elements
         ]
         lp = compute_L_P(s, budget)
-        shared, l_targets, p_targets = seen["_lp_from_closures"]
+        shared, table, l_targets, p_targets = seen["_lp_from_closures"]
         # every permutation a closure finds comes back with its target,
         # keyed by the permutation, and with the closure word as witness
         mclass, graph = seen["matrix_mutation_class"], seen["orbit"]
         in_class = {g for g in lp.L_witnesses if mclass.find(B.permute(g)) is not None}
         in_orbit = {g for g in lp.P_witnesses if graph.find(s.permute(g)) is not None}
         assert Permutation.identity(B.n) in in_class & in_orbit
+        assert table == {g: B.permute(g) for g in all_permutations(B.n)}
         assert l_targets == {g: B.permute(g) for g in in_class}
         assert p_targets == {g: s.permute(g) for g in in_orbit}
         assert all(lp.L_witnesses[g] == mclass.words[mclass.find(t)] for g, t in l_targets.items())
@@ -428,6 +482,20 @@ class TestClosureSharing:
         assert shared.P_witnesses == lp.P_witnesses
         assert (shared.L_members, shared.P_members) == (lp.L_members, lp.P_members)
         assert shared.P_certificates == lp.P_certificates
+
+    def test_a_closed_orbit_needs_a_closed_class(self, monkeypatch):
+        # the class's matrices are the orbit's, so Aut+ reads exactness off
+        # the orbit alone and refuses a class that did not close with it
+        real = groups.matrix_mutation_class
+
+        def cut(B, max_matrices):
+            mclass = real(B, max_matrices=max_matrices)
+            mclass.complete = False
+            return mclass
+
+        monkeypatch.setattr(groups, "matrix_mutation_class", cut)
+        with pytest.raises(InvariantViolation, match="^the orbit closed but the matrix class"):
+            enumerate_aut_plus(LabeledSeed.initial(a3_path_matrix()), 300)
 
     def test_aut_plus_replays_each_distinct_word_once(self, seed_mutations):
         # the 24 elements of Aut+ of D4 share 4 orbit words of 14 letters,
@@ -532,9 +600,9 @@ class TestReplays:
         real = groups._lp_from_closures
 
         def corrupted(*args):
-            lp, l_targets, p_targets = real(*args)
+            lp, table, l_targets, p_targets = real(*args)
             getattr(lp, f"{group}_witnesses")[SWAP] = (1, 2)
-            return lp, l_targets, p_targets
+            return lp, table, l_targets, p_targets
 
         monkeypatch.setattr(groups, "_lp_from_closures", corrupted)
         with pytest.raises(InvariantViolation, match=f"^{group} word \\(1, 2\\) does not replay"):

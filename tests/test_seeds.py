@@ -261,6 +261,11 @@ class TestJsonRoundtrip:
         with pytest.raises(ValueError, match=message):
             seed_from_json(payload)
 
+    @pytest.mark.parametrize("n", ['"2"', "true", "2.0", "null"])
+    def test_an_n_that_is_not_an_int_is_named(self, n):
+        with pytest.raises(ValueError, match='^"n" must be an int, not '):
+            seed_from_json(f'{{"n": {n}, "matrix": [[0, 1], [-1, 0]]}}')
+
     def test_bad_payloads(self):
         with pytest.raises(ValueError):
             seed_from_json('{"n": 2, "matrix": [[0, 1]]}')
